@@ -11,6 +11,7 @@ branch coefficients that a decoder turns into syndrome amplitudes:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +40,12 @@ class ErrorSpec:
             raise ValueError("axis must have three components")
         if abs(np.linalg.norm(ax) - 1.0) > AXIS_NORM_ATOL:
             raise ValueError(f"axis must be a unit vector, got norm {np.linalg.norm(ax)!r}")
+        alpha, theta = float(self.alpha), float(self.theta)
+        if not (math.isfinite(alpha) and math.isfinite(theta)):
+            raise ValueError(f"alpha and theta must be finite, got alpha={alpha!r}, theta={theta!r}")
         object.__setattr__(self, "axis", ax)
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "theta", float(self.theta))
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "location", int(self.location))
 
     @classmethod
@@ -99,18 +103,28 @@ def error_unitary(spec: ErrorSpec) -> np.ndarray:
     return np.exp(1j * spec.alpha) * (np.cos(half) * E2 - 1j * np.sin(half) * n_dot_sigma)
 
 
+def _branch_coefficients(alpha: float, theta, axis) -> np.ndarray:
+    """(c00, c01, c10, c11) on the last axis; an array of angles gives one row each."""
+    nx, ny, nz = axis
+    phase = np.exp(1j * alpha)
+    half = np.asarray(theta, dtype=float) / 2.0
+    s = np.sin(half)
+    return np.stack(
+        [phase * np.cos(half), -1j * phase * s * nx, -1j * phase * s * nz, -1j * phase * s * ny], axis=-1
+    )
+
+
 def pauli_expand(spec: ErrorSpec) -> PauliExpansion:
     """Closed-form branch coefficients; always satisfies sum |c|^2 = 1."""
-    nx, ny, nz = spec.axis
-    phase = np.exp(1j * spec.alpha)
-    half = spec.theta / 2.0
-    s = np.sin(half)
-    return PauliExpansion(
-        c00=phase * np.cos(half),
-        c01=-1j * phase * s * nx,
-        c10=-1j * phase * s * nz,
-        c11=-1j * phase * s * ny,
-    )
+    return PauliExpansion(*_branch_coefficients(spec.alpha, spec.theta, spec.axis))
+
+
+def typed_expansions(kind: str, thetas) -> np.ndarray:
+    """pauli_expand(ErrorSpec.typed(_, kind, theta)).coefficients() for every
+    angle at once; shape (len(thetas), 4)."""
+    if kind not in AXIS_BY_TYPE:
+        raise ValueError(f"kind must be one of {sorted(AXIS_BY_TYPE)}, got {kind!r}")
+    return _branch_coefficients(0.0, thetas, AXIS_BY_TYPE[kind])
 
 
 def predicted_syndrome(spec: ErrorSpec) -> PureState:

@@ -27,15 +27,17 @@ rotations over all three inputs and averages over the input.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .code552 import SYNDROME_MAP, CodeSpec, decode, encode
-from .error_model import ErrorSpec, error_unitary
-from .nmr_noise import NoiseModel, run_noisy_qecc
+from .code552 import BRANCH_LABELS, SYNDROME_MAP, CodeSpec, decode, encode
+from .error_model import ErrorSpec, error_unitary, typed_expansions
+from .nmr_noise import NoiseModel, apply_segment_noise, run_noisy_qecc, segment_noise_adjoint
 from .statevec import (
+    PAULI_BY_LABEL,
     GateOp,
     MixedState,
     PureState,
@@ -330,6 +332,71 @@ def estimate_theta(obs: Observables) -> float:
     return _theta_from(obs.i0, obs.i1)
 
 
+def _encoded_density(code: CodeSpec, profile: InputProfile, noise: NoiseModel | None) -> np.ndarray:
+    """32x32 density matrix after encode and the encode segment's noise."""
+    if noise is not None and len(noise.t2) != code.n:
+        raise ValueError(f"noise model covers {len(noise.t2)} qubits, code has {code.n}")
+    psi = encode(code, profile.register).amplitudes
+    rho = np.outer(psi, psi.conj())
+    return rho if noise is None else apply_segment_noise(rho, noise, "encode")
+
+
+def _transfer_map(
+    code: CodeSpec,
+    rho: np.ndarray,
+    profile: InputProfile,
+    location: int,
+    noise: NoiseModel | None,
+    labels: Sequence[str],
+) -> dict[str, np.ndarray]:
+    """Per branch label: 16 weights that turn an error's Pauli pairs into that coherence.
+
+    Write the error on `location` as U = sum_a u_a sigma_a over the Paulis
+    in BRANCH_LABELS order.  It sends rho to sum_ab u_a conj(u_b) sigma_a rho
+    sigma_b, and every later step is linear, so each branch coherence of the
+    final state is outer(u, conj u).ravel() @ T[label], where T[label][a, b]
+    is that coherence of the image of sigma_a rho sigma_b.  Unlike the
+    entries of kron(U, conj U), the products u_a conj(u_b) keep full relative
+    precision at small angles.
+
+    T is found in the Heisenberg picture: each coherence readout, as weights
+    R with coherence = sum(R * state), is carried back through decode-segment
+    noise, the decoder and error-segment noise, then paired with rho.
+    """
+    dim = 2**code.n
+    # The read elements are off-diagonal, where depolarizing and
+    # coherence_scale act as one scalar factor.
+    scale = 2.0 if noise is None else 2.0 * noise.offdiagonal_factor()
+    r0, r1 = profile.pair
+    weights = np.zeros((len(labels), dim, dim), dtype=complex)
+    for row, label in enumerate(labels):
+        j, l = _branch_bits(label)
+        weights[row, _full_index(j, r1, l), _full_index(j, r0, l)] = scale
+    if noise is not None:
+        weights = segment_noise_adjoint(weights, noise, "decode")
+    dec = code.decoder(location)
+    weights = dec.T @ weights @ dec.conj()
+    if noise is not None:
+        weights = segment_noise_adjoint(weights, noise, "error")
+    # m[n, p, q, k, l]: readout n paired with rho, where the error qubit's
+    # ket/bra index is (p, q) on the weights side and (k, l) on rho's.
+    hi, lo = 2 ** (location - 1), 2 ** (code.n - location)
+    w = weights.reshape(-1, hi, 2, lo, hi, 2, lo).transpose(0, 2, 5, 1, 3, 4, 6)
+    r = rho.reshape(hi, 2, lo, hi, 2, lo).transpose(1, 4, 0, 2, 3, 5)
+    m = w.reshape(4 * len(labels), -1) @ r.reshape(4, -1).T
+    return dict(zip(labels, m.reshape(len(labels), 16) @ _pauli_pairs().T))
+
+
+@functools.cache
+def _pauli_pairs() -> np.ndarray:
+    """Row (a, b) is kron(sigma_a, conj sigma_b) raveled, sigma over BRANCH_LABELS.
+
+    With U = sum_a u_a sigma_a, kron(U, conj U) = sum_ab u_a conj(u_b) times row (a, b).
+    """
+    paulis = [PAULI_BY_LABEL[label] for label in BRANCH_LABELS]
+    return np.array([np.kron(a, b.conj()).ravel() for a in paulis for b in paulis])
+
+
 def _sweep(
     code: CodeSpec,
     setting: str,
@@ -337,24 +404,40 @@ def _sweep(
     grid: np.ndarray,
     noise: NoiseModel | None,
 ) -> SweepResult:
-    """Shared sweep driver; combos lists (error_type, input_k) to average over."""
+    """Shared sweep loop; combos lists (error_type, input_k) to average over.
+
+    Every grid point of a (location, error_type, input_k) leg comes from one
+    transfer map (see _transfer_map); run_point is the per-point oracle.
+    """
     records = []
     ibar0, ibar1, ibar, theta_est, fits = {}, {}, {}, {}, {}
+    # Branches each input is read in: the E branch plus its error types.
+    readouts = {}
+    for error_type, input_k in combos:
+        readouts.setdefault(input_k, ["E"]).append(error_type)
+    encoded = {k: _encoded_density(code, INPUTS[k], noise) for k in readouts}
+    # Row n holds u_a conj(u_b) for the Pauli expansion u of grid point n's error.
+    pairs = {}
+    for error_type in sorted({t for t, _ in combos}):
+        u = typed_expansions(error_type, grid)
+        pairs[error_type] = (u[:, :, None] * u.conj()[:, None, :]).reshape(len(grid), 16)
+    thetas = [float(th) for th in grid]
     for location in range(1, code.n + 1):
-        per_combo = []
+        maps = {
+            k: _transfer_map(code, rho, INPUTS[k], location, noise, readouts[k])
+            for k, rho in encoded.items()
+        }
+        moduli = []
         for error_type, input_k in combos:
-            obs_row = [
-                run_point(code, input_k, ErrorSpec.typed(location, error_type, th), noise)
-                for th in grid
-            ]
-            per_combo.append(obs_row)
+            z0 = pairs[error_type] @ maps[input_k]["E"]
+            z1 = pairs[error_type] @ maps[input_k][error_type]
+            cols = (z0.real, z1.real, np.abs(z0), np.abs(z1), np.abs(z0 + z1))
+            moduli.append(cols[2:])
             records.extend(
-                PointRecord(location, error_type, input_k, float(th), obs)
-                for th, obs in zip(grid, obs_row)
+                PointRecord(location, error_type, input_k, th, Observables(*vals))
+                for th, vals in zip(thetas, zip(*(c.tolist() for c in cols)))
             )
-        i0 = np.mean([[o.i0 for o in row] for row in per_combo], axis=0)
-        i1 = np.mean([[o.i1 for o in row] for row in per_combo], axis=0)
-        ii = np.mean([[o.i for o in row] for row in per_combo], axis=0)
+        i0, i1, ii = np.mean(moduli, axis=0)
         ibar0[location], ibar1[location], ibar[location] = i0, i1, ii
         theta_est[location] = np.array([_theta_from(a, b) for a, b in zip(i0, i1)])
         alpha0 = fit_scale(zip(grid, i0), lambda th: np.cos(th / 2.0) ** 2)
@@ -376,15 +459,21 @@ def _sweep(
     return SweepResult(setting, np.asarray(grid, dtype=float), records, ibar0, ibar1, ibar, theta_est, fits, noise)
 
 
+def _sweep_grid(grid: np.ndarray | None) -> np.ndarray:
+    grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or not np.all(np.isfinite(grid)):
+        raise ValueError("grid must be a one-dimensional array of finite angles")
+    return grid
+
+
 def run_setting_b(
     code: CodeSpec,
     grid: np.ndarray | None = None,
     noise: NoiseModel | None = None,
 ) -> SweepResult:
     """Sweep x/y/z-axis rotations on input k=2, averaging over the axis."""
-    grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
     combos = [(error_type, 2) for error_type in ERROR_TYPES]
-    return _sweep(code, "B", combos, grid, noise)
+    return _sweep(code, "B", combos, _sweep_grid(grid), noise)
 
 
 def run_setting_c(
@@ -393,9 +482,8 @@ def run_setting_c(
     noise: NoiseModel | None = None,
 ) -> SweepResult:
     """Sweep y-axis rotations over all three inputs, averaging over the input."""
-    grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
     combos = [("Y", input_k) for input_k in INPUT_KS]
-    return _sweep(code, "C", combos, grid, noise)
+    return _sweep(code, "C", combos, _sweep_grid(grid), noise)
 
 
 def _fmt(value: float) -> str:

@@ -10,21 +10,32 @@ circuit segment of duration t is the channel
     rho -> (1 - lam/2) rho + (lam/2) Z_q rho Z_q,   lam = 1 - exp(-t/T2_q)
 
 which scales every coherence of qubit q by exp(-t/T2_q) and fixes all
-populations.  Spectra come from the free-induction signal of one observed
-spin, M(t) = Tr[rho(t) (X_j + i Y_j)] * exp(-t/T2star_j), discretely Fourier
+populations.  One kernel applies a segment's noise to a density matrix or a
+stack of them: the dephasing of all qubits is one elementwise mask per
+(model, segment), optional T1 amplitude damping a slice update per qubit.
+Its adjoint carries readout weights backward (the Heisenberg picture), which
+the sweep engine uses.
+
+Spectra come from the free-induction signal of one observed spin,
+M(t) = Tr[rho(t) (X_j + i Y_j)] * exp(-t/T2star_j), discretely Fourier
 transformed.  A doublet split by J appears around nu_j, and a coupling
 partner held in |0> contributes the peak at nu_j + J/2.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .statevec import MixedState, PureState, apply_matrix_mixed
 
 SEGMENTS = ("encode", "error", "decode")
+_NOISE_MODEL_KEYS = frozenset(
+    {"t2", "schedule", "coherence_scale", "depolarizing", "t1", "amplitude_damping"}
+)
 
 
 @dataclass(frozen=True)
@@ -152,6 +163,8 @@ class NoiseModel:
 
     def __post_init__(self):
         t2 = tuple(float(v) for v in self.t2)
+        if not all(math.isfinite(v) for v in t2):
+            raise ValueError("T2 entries must be finite")
         if any(v <= 0 for v in t2):
             raise ValueError("T2 entries must be positive")
         object.__setattr__(self, "t2", t2)
@@ -159,6 +172,8 @@ class NoiseModel:
         names = [seg for seg, _ in sched]
         if sorted(names) != sorted(SEGMENTS):
             raise ValueError(f"schedule must name each of {SEGMENTS} exactly once, got {names}")
+        if not all(math.isfinite(dur) for _, dur in sched):
+            raise ValueError("segment durations must be finite")
         if any(dur < 0 for _, dur in sched):
             raise ValueError("segment durations must be nonnegative")
         object.__setattr__(self, "schedule", sched)
@@ -168,6 +183,8 @@ class NoiseModel:
             raise ValueError("depolarizing must lie in [0, 1]")
         if self.t1 is not None:
             t1 = tuple(float(v) for v in self.t1)
+            if not all(math.isfinite(v) for v in t1):
+                raise ValueError("T1 entries must be finite")
             if any(v <= 0 for v in t1):
                 raise ValueError("T1 entries must be positive")
             object.__setattr__(self, "t1", t1)
@@ -215,6 +232,24 @@ class NoiseModel:
             raise ValueError("no t1 times configured")
         return 1.0 - float(np.exp(-self.duration(segment) / self.t1[qubit - 1]))
 
+    def offdiagonal_factor(self) -> float:
+        """What the final depolarizing and coherence_scale knobs multiply every
+        off-diagonal element by."""
+        return (1.0 - self.depolarizing) * self.coherence_scale
+
+    @cached_property
+    def _segment_channels(self) -> dict[str, tuple[np.ndarray, tuple[float, ...]]]:
+        """Per segment: the folded dephasing mask and the per-qubit T1 gammas
+        (empty when amplitude damping is off).  Built on first use."""
+        qubits = range(1, len(self.t2) + 1)
+        channels = {}
+        for seg in SEGMENTS:
+            mask = _dephasing_mask([self.lam(q, seg) for q in qubits])
+            mask.flags.writeable = False
+            gammas = tuple(self.gamma_t1(q, seg) for q in qubits) if self.amplitude_damping else ()
+            channels[seg] = (mask, gammas)
+        return channels
+
     def to_json_dict(self) -> dict:
         doc = {
             "t2": list(self.t2),
@@ -229,6 +264,9 @@ class NoiseModel:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "NoiseModel":
+        unknown = sorted(set(doc) - _NOISE_MODEL_KEYS)
+        if unknown:
+            raise ValueError(f"unknown noise model keys {unknown}; expected a subset of {sorted(_NOISE_MODEL_KEYS)}")
         return cls(
             t2=tuple(doc["t2"]),
             schedule=tuple((seg, dur) for seg, dur in doc["schedule"]),
@@ -244,32 +282,97 @@ class NoiseModel:
             return cls.from_json_dict(json.load(fh))
 
 
+def _check_qubit(qubit: int, n_qubits: int) -> None:
+    if not 1 <= qubit <= n_qubits:
+        raise ValueError(f"qubit {qubit} out of range")
+
+
+def _dephasing_mask(lams) -> np.ndarray:
+    """Elementwise weight of all per-qubit dephasing channels at once.
+
+    Element (a, b) keeps the product of (1 - lam_q) over the qubits q on
+    which a and b differ; qubit 1 is the most significant factor.
+    """
+    mask = np.ones((1, 1))
+    for lam in lams:
+        mask = np.kron(mask, np.array([[1.0, 1.0 - lam], [1.0 - lam, 1.0]]))
+    return mask
+
+
+def _damp_in_place(rhos: np.ndarray, qubit: int, gamma: float, adjoint: bool = False) -> None:
+    """Amplitude damping of one qubit on a C-contiguous stack (..., 2^n, 2^n).
+
+    With K0 = diag(1, sqrt(1-gamma)) and K1 = sqrt(gamma)|0><1| on the qubit,
+    K0 rho K0^dag + K1 rho K1^dag moves the qubit's (1,1) ket/bra block into
+    its (0,0) block and rescales the other blocks.  The adjoint acts on
+    readout weights W, defined by sum(W * damp(rho)) = sum(adjoint(W) * rho).
+    """
+    n = rhos.shape[-1].bit_length() - 1
+    t = rhos.view()
+    t.shape = rhos.shape[:-2] + (2 ** (qubit - 1), 2, 2 ** (n - qubit)) * 2
+    keep = np.sqrt(1.0 - gamma)
+    t[..., :, 0, :, :, 1, :] *= keep
+    t[..., :, 1, :, :, 0, :] *= keep
+    if adjoint:
+        t[..., :, 1, :, :, 1, :] *= 1.0 - gamma
+        t[..., :, 1, :, :, 1, :] += gamma * t[..., :, 0, :, :, 0, :]
+    else:
+        t[..., :, 0, :, :, 0, :] += gamma * t[..., :, 1, :, :, 1, :]
+        t[..., :, 1, :, :, 1, :] *= 1.0 - gamma
+
+
+def _channel(rhos: np.ndarray, mask, gammas, adjoint: bool = False) -> np.ndarray:
+    """Dephasing by `mask`, then amplitude damping with per-qubit `gammas`.
+
+    `rhos` is a matrix or a stack of them, shape (..., 2^n, 2^n); the result
+    is a new array and `rhos` is left untouched.  All these single-qubit
+    channels commute, so the adjoint runs them in the same order.
+    """
+    out = np.multiply(rhos, mask, dtype=complex)
+    for qubit, gamma in enumerate(gammas, start=1):
+        if gamma:
+            _damp_in_place(out, qubit, gamma, adjoint)
+    return out
+
+
+def apply_segment_noise(rhos: np.ndarray, model: NoiseModel, segment: str) -> np.ndarray:
+    """One segment's noise on a density matrix or a stack (..., 2^n, 2^n).
+
+    Dephasing of every qubit is one folded mask, followed by amplitude
+    damping of every qubit when the model switches it on.
+    """
+    mask, gammas = model._segment_channels[segment]
+    return _channel(rhos, mask, gammas)
+
+
+def segment_noise_adjoint(weights: np.ndarray, model: NoiseModel, segment: str) -> np.ndarray:
+    """Heisenberg picture of apply_segment_noise on readout weights W.
+
+    The result A satisfies sum(A * rho) == sum(W * apply_segment_noise(rho))
+    for every rho; like the forward kernel it takes stacks (..., 2^n, 2^n).
+    """
+    mask, gammas = model._segment_channels[segment]
+    return _channel(weights, mask, gammas, adjoint=True)
+
+
 def apply_dephasing(state: MixedState, qubit: int, lam: float) -> MixedState:
     """Channel rho -> (1 - lam/2) rho + (lam/2) Z_q rho Z_q."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    if not 1 <= qubit <= state.n_qubits:
-        raise ValueError(f"qubit {qubit} out of range")
-    signs = _spin_signs(state.n_qubits)[qubit - 1]
-    # Elements with equal bit on `qubit` keep weight 1, others shrink by 1-lam.
-    weights = 1.0 - lam * (1.0 - np.outer(signs, signs)) / 2.0
-    return MixedState(state.n_qubits, state.matrix * weights)
-
-
-def _embed_single(mat: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
-    op = np.array([[1.0 + 0j]])
-    for q in range(1, n_qubits + 1):
-        op = np.kron(op, mat if q == qubit else np.eye(2, dtype=complex))
-    return op
+    _check_qubit(qubit, state.n_qubits)
+    lams = [0.0] * state.n_qubits
+    lams[qubit - 1] = lam
+    return MixedState(state.n_qubits, _channel(state.matrix, _dephasing_mask(lams), ()))
 
 
 def apply_amplitude_damping(state: MixedState, qubit: int, gamma: float) -> MixedState:
     """T1 decay toward |0> with branch probability gamma."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    k0 = _embed_single(np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=complex), qubit, state.n_qubits)
-    k1 = _embed_single(np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex), qubit, state.n_qubits)
-    return MixedState(state.n_qubits, k0 @ state.matrix @ k0.conj().T + k1 @ state.matrix @ k1.conj().T)
+    _check_qubit(qubit, state.n_qubits)
+    gammas = [0.0] * state.n_qubits
+    gammas[qubit - 1] = gamma
+    return MixedState(state.n_qubits, _channel(state.matrix, 1.0, gammas))
 
 
 def scale_coherences(state: MixedState, gamma: float) -> MixedState:
@@ -288,13 +391,8 @@ def depolarize(state: MixedState, p: float) -> MixedState:
     return MixedState(state.n_qubits, mat)
 
 
-def _apply_segment_noise(state: MixedState, model: NoiseModel, segment: str) -> MixedState:
-    for q in range(1, state.n_qubits + 1):
-        state = apply_dephasing(state, q, model.lam(q, segment))
-    if model.amplitude_damping:
-        for q in range(1, state.n_qubits + 1):
-            state = apply_amplitude_damping(state, q, model.gamma_t1(q, segment))
-    return state
+def _noisy_segment(state: MixedState, model: NoiseModel, segment: str) -> MixedState:
+    return MixedState(state.n_qubits, apply_segment_noise(state.matrix, model, segment))
 
 
 def run_noisy_qecc(code, register: PureState, error, model: NoiseModel) -> MixedState:
@@ -311,13 +409,13 @@ def run_noisy_qecc(code, register: PureState, error, model: NoiseModel) -> Mixed
     if len(model.t2) != code.n:
         raise ValueError(f"noise model covers {len(model.t2)} qubits, code has {code.n}")
     state = encode(code, register).density()
-    state = _apply_segment_noise(state, model, "encode")
+    state = _noisy_segment(state, model, "encode")
 
     state = apply_gate_mixed(state, GateOp.single(error.location, error_unitary(error)))
-    state = _apply_segment_noise(state, model, "error")
+    state = _noisy_segment(state, model, "error")
 
     state = apply_matrix_mixed(state, code.decoder(error.location))
-    state = _apply_segment_noise(state, model, "decode")
+    state = _noisy_segment(state, model, "decode")
 
     if model.depolarizing > 0.0:
         state = depolarize(state, model.depolarizing)

@@ -144,6 +144,8 @@ def _as_unitary(matrix: np.ndarray, dim: int) -> np.ndarray:
     mat = np.asarray(matrix, dtype=complex)
     if mat.shape != (dim, dim):
         raise ValueError(f"expected {dim}x{dim} matrix, got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix has non-finite entries")
     err = np.max(np.abs(mat.conj().T @ mat - np.eye(dim)))
     if err > UNITARY_ATOL:
         raise ValueError(f"matrix is not unitary (deviation {err:.3e})")

@@ -8,6 +8,7 @@ from cws552.error_model import (
     error_unitary,
     pauli_expand,
     predicted_syndrome,
+    typed_expansions,
 )
 from cws552.statevec import E2, X, Y, Z
 
@@ -107,6 +108,24 @@ def test_rejects_non_unit_axis():
 def test_rejects_bad_location():
     with pytest.raises(ValueError, match="location"):
         ErrorSpec(0, 0.0, 1.0, (1.0, 0.0, 0.0))
+
+
+def test_rejects_non_finite_angles():
+    with pytest.raises(ValueError, match="finite"):
+        ErrorSpec.typed(3, "X", float("nan"))
+    with pytest.raises(ValueError, match="finite"):
+        ErrorSpec(2, float("inf"), 0.5, (0.0, 0.0, 1.0))
+
+
+def test_typed_expansions_match_pauli_expand():
+    thetas = np.linspace(-1.0, 4.0, 7)
+    for kind in ("X", "Y", "Z"):
+        stack = typed_expansions(kind, thetas)
+        assert stack.shape == (7, 4)
+        for theta, coeffs in zip(thetas, stack):
+            np.testing.assert_array_equal(coeffs, pauli_expand(ErrorSpec.typed(1, kind, float(theta))).coefficients())
+    with pytest.raises(ValueError):
+        typed_expansions("Q", thetas)
 
 
 def test_typed_rejects_unknown_kind():

@@ -103,6 +103,20 @@ def test_estimate_theta_examples():
         estimate_theta(Observables(0, 0, 0, 0, 0))
 
 
+def test_sweeps_reject_non_finite_grid(code):
+    for run in (run_setting_b, run_setting_c):
+        with pytest.raises(ValueError, match="finite"):
+            run(code, grid=np.array([0.0, np.nan, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            run(code, grid=[0.0, 1.0, np.inf])
+
+
+def test_sweep_rejects_noise_model_of_wrong_size(code):
+    model = NoiseModel(t2=(1.0,) * 3, schedule=tuple((s, 0.1) for s in ("encode", "error", "decode")))
+    with pytest.raises(ValueError, match="covers 3 qubits"):
+        run_setting_b(code, grid=default_grid(3), noise=model)
+
+
 def test_run_point_validation(code):
     with pytest.raises(ValueError, match="input_k"):
         run_point(code, 4, ErrorSpec.typed(1, "X", 0.1))

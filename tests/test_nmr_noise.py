@@ -1,6 +1,10 @@
 """Tests for the spin Hamiltonian, dephasing channels, and spectrum simulation."""
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cws552.code552 import build_code, decode, encode
 from cws552.error_model import ErrorSpec, error_unitary
@@ -9,11 +13,13 @@ from cws552.nmr_noise import (
     NoiseModel,
     apply_amplitude_damping,
     apply_dephasing,
+    apply_segment_noise,
     depolarize,
     energies,
     hamiltonian,
     run_noisy_qecc,
     scale_coherences,
+    segment_noise_adjoint,
     simulate_spectrum,
 )
 from cws552.statevec import GateOp, MixedState, PureState, apply_gate, trace_distance
@@ -248,6 +254,25 @@ class TestNoiseModel:
                 amplitude_damping=True,
             )
 
+    def test_rejects_non_finite_times(self):
+        sched = (("encode", 0.1), ("error", 0.1), ("decode", 0.1))
+        with pytest.raises(ValueError, match="T2 entries must be finite"):
+            NoiseModel(t2=(float("nan"),) * 5, schedule=sched)
+        with pytest.raises(ValueError, match="T2 entries must be finite"):
+            NoiseModel(t2=(1.0, float("inf")), schedule=sched)
+        with pytest.raises(ValueError, match="T1 entries must be finite"):
+            NoiseModel(t2=(1.0,), schedule=sched, t1=(float("nan"),))
+        with pytest.raises(ValueError, match="durations must be finite"):
+            NoiseModel(t2=(1.0,), schedule=(("encode", float("nan")), ("error", 0.1), ("decode", 0.1)))
+        with pytest.raises(ValueError, match="durations must be finite"):
+            NoiseModel(t2=(1.0,), schedule=(("encode", 0.1), ("error", float("inf")), ("decode", 0.1)))
+
+    def test_json_rejects_unknown_keys(self):
+        doc = NoiseModel.default().to_json_dict()
+        doc["depolarising"] = 0.5
+        with pytest.raises(ValueError, match="depolarising"):
+            NoiseModel.from_json_dict(doc)
+
     def test_json_round_trip(self):
         model = NoiseModel(
             t2=(0.8, 0.9, 1.0, 1.1, 1.2),
@@ -258,6 +283,107 @@ class TestNoiseModel:
         )
         loaded = NoiseModel.from_json_dict(model.to_json_dict())
         assert loaded == model
+
+
+T1_TIMES = (5.0, 8.0, 7.0, 6.0, 9.0)
+
+
+def damped_default():
+    return dataclasses.replace(NoiseModel.default(), t1=T1_TIMES, amplitude_damping=True)
+
+
+def kron_kraus_damping(rho, qubit, gamma):
+    """The dense form: K0 rho K0^dag + K1 rho K1^dag with kron-embedded Kraus operators."""
+    def embed(mat):
+        op = np.array([[1.0 + 0j]])
+        for q in range(1, rho.n_qubits + 1):
+            op = np.kron(op, mat if q == qubit else np.eye(2, dtype=complex))
+        return op
+
+    k0 = embed(np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=complex))
+    k1 = embed(np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex))
+    return k0 @ rho.matrix @ k0.conj().T + k1 @ rho.matrix @ k1.conj().T
+
+
+class TestSegmentKernel:
+    @pytest.mark.parametrize("model", [NoiseModel.default(), damped_default()], ids=["dephasing", "damping"])
+    @pytest.mark.parametrize("segment", ["encode", "error", "decode"])
+    def test_equals_sequential_public_channels(self, model, segment):
+        rho = random_density(np.random.default_rng(41), 5)
+        expected = rho
+        for q in range(1, 6):
+            expected = apply_dephasing(expected, q, model.lam(q, segment))
+        if model.amplitude_damping:
+            for q in range(1, 6):
+                expected = apply_amplitude_damping(expected, q, model.gamma_t1(q, segment))
+        out = apply_segment_noise(rho.matrix, model, segment)
+        np.testing.assert_allclose(out, expected.matrix, rtol=0, atol=1e-14)
+
+    def test_amplitude_damping_matches_kron_kraus(self):
+        rng = np.random.default_rng(43)
+        for n_qubits in (1, 3, 5):
+            rho = random_density(rng, n_qubits)
+            for qubit in range(1, n_qubits + 1):
+                gamma = float(rng.uniform(0.0, 1.0))
+                out = apply_amplitude_damping(rho, qubit, gamma)
+                np.testing.assert_allclose(out.matrix, kron_kraus_damping(rho, qubit, gamma), rtol=0, atol=1e-15)
+
+    def test_amplitude_damping_rejects_bad_arguments(self):
+        rho = PureState.zero(2).density()
+        with pytest.raises(ValueError, match="gamma"):
+            apply_amplitude_damping(rho, 1, 1.5)
+        with pytest.raises(ValueError, match="qubit"):
+            apply_amplitude_damping(rho, 3, 0.5)
+
+    def test_stack_equals_one_matrix_at_a_time(self):
+        rng = np.random.default_rng(47)
+        model = damped_default()
+        stack = np.stack([random_density(rng, 5).matrix for _ in range(4)])
+        out = apply_segment_noise(stack, model, "encode")
+        for rho, got in zip(stack, out):
+            np.testing.assert_array_equal(got, apply_segment_noise(rho, model, "encode"))
+
+    def test_leaves_input_untouched(self):
+        rho = random_density(np.random.default_rng(53), 5).matrix
+        before = rho.copy()
+        apply_segment_noise(rho, damped_default(), "decode")
+        np.testing.assert_array_equal(rho, before)
+
+    @pytest.mark.parametrize("model", [NoiseModel.default(), damped_default()], ids=["dephasing", "damping"])
+    def test_adjoint_pairs_with_the_forward_kernel(self, model):
+        rng = np.random.default_rng(59)
+        rho = random_density(rng, 5).matrix
+        weights = rng.normal(size=(3, 32, 32)) + 1j * rng.normal(size=(3, 32, 32))
+        for segment in ("encode", "error", "decode"):
+            forward = np.sum(weights * apply_segment_noise(rho, model, segment), axis=(1, 2))
+            backward = np.sum(segment_noise_adjoint(weights, model, segment) * rho, axis=(1, 2))
+            np.testing.assert_allclose(backward, forward, rtol=0, atol=1e-13)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        segment=st.sampled_from(["encode", "error", "decode"]),
+        scale=st.floats(0.1, 20.0),
+        damping=st.booleans(),
+    )
+    def test_keeps_trace_hermiticity_and_positivity(self, seed, segment, scale, damping):
+        base = NoiseModel.default()
+        model = dataclasses.replace(
+            base,
+            schedule=tuple((seg, scale * dur) for seg, dur in base.schedule),
+            t1=T1_TIMES,
+            amplitude_damping=damping,
+        )
+        rng = np.random.default_rng(seed)
+        # rank-deficient inputs put eigenvalues at zero, where positivity is tightest
+        rank = int(rng.integers(1, 33))
+        a = rng.normal(size=(32, rank)) + 1j * rng.normal(size=(32, rank))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho)
+        out = apply_segment_noise(rho, model, segment)
+        assert abs(np.trace(out) - 1.0) < 1e-12
+        np.testing.assert_allclose(out, out.conj().T, rtol=0, atol=1e-15)
+        assert np.min(np.linalg.eigvalsh(out)) > -1e-12
 
 
 class TestNoisyPipeline:

@@ -220,6 +220,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="unitary"):
             GateOp.unitary((1, 2), np.ones((4, 4), dtype=complex))
 
+    def test_rejects_non_finite_matrix(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            GateOp.single(1, np.array([[np.nan, 0], [0, 1]], dtype=complex))
+        with pytest.raises(ValueError, match="non-finite"):
+            GateOp.unitary((1, 2), np.diag([1, 1, 1, np.inf]).astype(complex))
+
     def test_rejects_out_of_range_qubit(self):
         with pytest.raises(ValueError, match="out of range"):
             apply_gate(PureState.basis("00"), x(3))
