@@ -10,7 +10,6 @@ from .statevec import (
     PureState,
     apply_gate,
     apply_gate_mixed,
-    apply_unitary_subset,
     gate_matrix,
     overlap,
     partial_trace,
@@ -66,7 +65,6 @@ __all__ = [
     "apply_dephasing",
     "apply_gate",
     "apply_gate_mixed",
-    "apply_unitary_subset",
     "build_code",
     "code_from_json_dict",
     "code_to_json_dict",

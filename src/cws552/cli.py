@@ -1,7 +1,8 @@
 """Command line interface: verify, sweep, spectrum, export-code.
 
-Configuration can come from a JSON file (--config); explicit flags win over
-file values.  All outputs are deterministic for a fixed configuration.
+Configuration can come from a JSON file (--config) whose keys are the chosen
+subcommand's option names; explicit flags win over file values.  All outputs
+are deterministic for a fixed configuration.
 """
 from __future__ import annotations
 
@@ -22,20 +23,24 @@ from .code552 import (
     verify_distance,
     verify_erasure_correctability,
 )
-from .error_model import ErrorSpec, error_unitary
-from .statevec import GateOp, MixedState, PureState, apply_gate, pauli_operator
+from .error_model import ErrorSpec
+from .statevec import MixedState, PureState, pauli_operator
 
 ORTHO_TOL = 1e-12
 ACTION_TOL = 1e-10
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None, keys: set[str]) -> dict:
+    """The config file's object; every key must be one of `keys`."""
     if path is None:
         return {}
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
+    unknown = sorted(set(doc) - keys)
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}; this command takes {sorted(keys)}")
     return doc
 
 
@@ -71,13 +76,10 @@ def _decoder_deviation(code) -> float:
     return worst
 
 
-def _complex_pairs(arr: np.ndarray) -> list:
-    return np.stack([arr.real, arr.imag], axis=-1).tolist()
-
-
 def cmd_verify(args, config: dict) -> int:
-    if args.code is not None:
-        with open(args.code) as fh:
+    code_path = _pick(args.code, config, "code", None)
+    if code_path is not None:
+        with open(code_path) as fh:
             code = code_from_json_dict(json.load(fh))
     else:
         code = build_code()
@@ -93,7 +95,7 @@ def cmd_verify(args, config: dict) -> int:
     dist_ok = dist.distance == 2 and dist.witness is not None
     passed = ortho_ok and enc_ok and dec_ok and erasure.passed and dist_ok
 
-    if args.json:
+    if _pick(args.json, config, "json", False):
         report = {
             "passed": passed,
             "orthonormality": {"deviation": ortho, "passed": ortho_ok},
@@ -106,7 +108,7 @@ def cmd_verify(args, config: dict) -> int:
                     str(loc.location): {
                         "passed": loc.passed,
                         "max_violation": loc.max_violation,
-                        "c_matrix": _complex_pairs(loc.c_matrix),
+                        "c_matrix": code552._complex_to_pairs(loc.c_matrix),
                     }
                     for loc in erasure.locations
                 },
@@ -147,7 +149,6 @@ def cmd_sweep(args, config: dict) -> int:
     grid_n = int(_pick(args.grid, config, "grid", 13))
     theta_max = float(_pick(args.theta_max, config, "theta_max", float(np.pi)))
     noise_path = _pick(args.noise, config, "noise", None)
-    seed = _pick(args.seed, config, "seed", None)
     out_dir = _pick(args.out, config, "out", None)
     if out_dir is None:
         raise ValueError("an output directory is required (--out)")
@@ -161,7 +162,6 @@ def cmd_sweep(args, config: dict) -> int:
         "grid": grid_n,
         "theta_max": theta_max,
         "noise": noise.to_json_dict() if noise else None,
-        "seed": seed,
     }
 
     if setting == "A":
@@ -215,13 +215,7 @@ def _state_from_spec(spec: str, n_spins: int) -> MixedState:
         label, location = parts[1], int(parts[2])
         if n_spins != 5:
             raise ValueError("qecc state specs need a five-spin system")
-        code = build_code()
-        profile = experiment.INPUTS[2]
-        error = ErrorSpec.pauli(location, label)
-        psi = code552.encode(code, profile.register)
-        psi = apply_gate(psi, GateOp.single(location, error_unitary(error)))
-        psi = code552.decode(code, psi, location)
-        return psi.density()
+        return experiment.final_state(build_code(), experiment.INPUTS[2].register, ErrorSpec.pauli(location, label))
     if len(spec) != n_spins or set(spec) - set(_SINGLE_STATES):
         raise ValueError(
             f"state spec must be {n_spins} chars over 0/1/+/- or qecc:LABEL:LOC, got {spec!r}"
@@ -280,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="check code validity and distance")
-    p_verify.add_argument("--json", action="store_true", help="machine-readable report")
+    p_verify.add_argument("--json", action="store_true", default=None, help="machine-readable report")
     p_verify.add_argument("--code", help="verify a code exported to JSON instead of rebuilding")
 
     p_sweep = sub.add_parser("sweep", help="run an experiment setting and write CSV/JSON")
@@ -288,7 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--grid", type=int, help="number of theta points (default 13)")
     p_sweep.add_argument("--theta-max", dest="theta_max", type=float, help="sweep upper limit in radians (default pi)")
     p_sweep.add_argument("--noise", help="noise model JSON file")
-    p_sweep.add_argument("--seed", type=int, help="recorded in outputs; the pipeline itself is deterministic")
     p_sweep.add_argument("--out", help="output directory")
 
     p_spec = sub.add_parser("spectrum", help="simulate an NMR spectrum of a prepared state")
@@ -316,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config)
+        config = _load_config(args.config, set(vars(args)) - {"config", "command"})
         return _COMMANDS[args.command](args, config)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,14 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import (
-    MixedState,
-    PureState,
-    cnot,
-    gate_matrix,
-    h,
-    pauli_operator,
-)
+from .statevec import PureState, cnot, gate_matrix, h, pauli_operator
 
 N_QUBITS = 5
 DIMENSION = 5
@@ -218,15 +211,6 @@ def build_code() -> CodeSpec:
     )
 
 
-def embed_register(register: PureState) -> PureState:
-    """Place a 3-qubit register state into |0>_1 (register) |0>_5."""
-    if register.n_qubits != len(REGISTER_QUBITS):
-        raise ValueError(f"register state must have {len(REGISTER_QUBITS)} qubits")
-    full = np.zeros(2**N_QUBITS, dtype=complex)
-    full[0:16:2] = register.amplitudes
-    return PureState(N_QUBITS, full)
-
-
 def encode(code: CodeSpec, register: PureState) -> PureState:
     """Map a register state with support on the logical basis to the codespace."""
     if register.n_qubits != len(REGISTER_QUBITS):
@@ -237,8 +221,9 @@ def encode(code: CodeSpec, register: PureState) -> PureState:
             "register state has support outside the logical basis "
             f"(amplitude {outside:.3e} on strings 101/110/111)"
         )
-    full = embed_register(register)
-    return PureState(N_QUBITS, code.encoder @ full.amplitudes)
+    full = np.zeros(2**N_QUBITS, dtype=complex)
+    full[0:16:2] = register.amplitudes  # |0>_1 (register)_{2,3,4} |0>_5
+    return PureState(N_QUBITS, code.encoder @ full)
 
 
 def decode(code: CodeSpec, corrupted: PureState, location: int) -> PureState:
@@ -250,13 +235,6 @@ def decode(code: CodeSpec, corrupted: PureState, location: int) -> PureState:
     if corrupted.n_qubits != N_QUBITS:
         raise ValueError(f"expected a {N_QUBITS}-qubit state")
     return PureState(N_QUBITS, code.decoder(location) @ corrupted.amplitudes)
-
-
-def decode_mixed(code: CodeSpec, corrupted: MixedState, location: int) -> MixedState:
-    if corrupted.n_qubits != N_QUBITS:
-        raise ValueError(f"expected a {N_QUBITS}-qubit state")
-    d = code.decoder(location)
-    return MixedState(N_QUBITS, d @ corrupted.matrix @ d.conj().T)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .code552 import BRANCH_LABELS, SYNDROME_MAP, CodeSpec, decode, encode
+from .code552 import BRANCH_LABELS, SYNDROME_MAP, CodeSpec, _branch_target_index, decode, encode
 from .error_model import ErrorSpec, error_unitary, typed_expansions
 from .nmr_noise import NoiseModel, apply_segment_noise, run_noisy_qecc, segment_noise_adjoint
 from .statevec import (
@@ -87,10 +87,6 @@ class Observables:
     i: float
 
 
-def _full_index(j: int, register: int, l: int) -> int:
-    return (j << 4) | (register << 1) | l
-
-
 def _error_type_of(spec: ErrorSpec) -> str | None:
     """X/Y/Z when the axis is (up to sign) a coordinate axis, else None."""
     for kind, axis in (("X", 0), ("Y", 1), ("Z", 2)):
@@ -99,35 +95,29 @@ def _error_type_of(spec: ErrorSpec) -> str | None:
     return None
 
 
-def _branch_bits(label: str) -> tuple[int, int]:
-    j, l = SYNDROME_MAP[label]
-    return int(j), int(l)
+def final_state(
+    code: CodeSpec, register: PureState, error: ErrorSpec, noise: NoiseModel | None = None
+) -> MixedState:
+    """Encode `register`, apply `error` at its location, decode: the 5-qubit output.
+
+    Without noise the pipeline runs on the state vector; with noise it is
+    run_noisy_qecc.
+    """
+    if noise is not None:
+        return run_noisy_qecc(code, register, error, noise)
+    psi = encode(code, register)
+    psi = apply_gate(psi, GateOp.single(error.location, error_unitary(error)))
+    return decode(code, psi, error.location).density()
 
 
-def _final_state(code: CodeSpec, profile: InputProfile, error: ErrorSpec, noise: NoiseModel | None):
-    """Run the pipeline; returns either a PureState or a MixedState."""
-    if noise is None:
-        psi = encode(code, profile.register)
-        psi = apply_gate(psi, GateOp.single(error.location, error_unitary(error)))
-        return decode(code, psi, error.location)
-    return run_noisy_qecc(code, profile.register, error, noise)
-
-
-def _branch_coherence(state, profile: InputProfile, label: str) -> complex:
+def _branch_coherence(state: MixedState, profile: InputProfile, label: str) -> complex:
     """Coherent-spin off-diagonal element in one syndrome branch.
 
     Normalized by the input coherence (which is 1/2), so the noiseless value
     for the populated branch is |branch coefficient|^2.
     """
-    j, l = _branch_bits(label)
     r0, r1 = profile.pair
-    a = _full_index(j, r1, l)
-    b = _full_index(j, r0, l)
-    if isinstance(state, PureState):
-        element = state.amplitudes[a] * np.conj(state.amplitudes[b])
-    else:
-        element = state.matrix[a, b]
-    return 2.0 * complex(element)
+    return 2.0 * complex(state.matrix[_branch_target_index(label, r1), _branch_target_index(label, r0)])
 
 
 def run_point(
@@ -147,7 +137,7 @@ def run_point(
     if not 1 <= error.location <= code.n:
         raise ValueError(f"error location must be in 1..{code.n}")
     profile = INPUTS[input_k]
-    state = _final_state(code, profile, error, noise)
+    state = final_state(code, profile.register, error, noise)
 
     z0 = _branch_coherence(state, profile, "E")
     kind = _error_type_of(error)
@@ -180,13 +170,9 @@ class SettingARow:
         return self.branch == self.expected_branch
 
 
-def _syndrome_populations(state) -> np.ndarray:
+def _syndrome_populations(state: MixedState) -> np.ndarray:
     """2x2 array of syndrome-branch populations, indexed [j, l]."""
-    if isinstance(state, PureState):
-        probs = np.abs(state.amplitudes.reshape(2, 8, 2)) ** 2
-    else:
-        probs = np.real(np.diag(state.matrix)).reshape(2, 8, 2)
-    return probs.sum(axis=1)
+    return state.populations().reshape(2, 8, 2).sum(axis=1)
 
 
 def run_setting_a(code: CodeSpec, noise: NoiseModel | None = None) -> list[SettingARow]:
@@ -196,11 +182,10 @@ def run_setting_a(code: CodeSpec, noise: NoiseModel | None = None) -> list[Setti
     for location in range(1, code.n + 1):
         for label in SETTING_A_PAULIS:
             error = ErrorSpec.pauli(location, label)
-            state = _final_state(code, profile, error, noise)
+            state = final_state(code, profile.register, error, noise)
             pops = _syndrome_populations(state)
             j, l = np.unravel_index(int(np.argmax(pops)), pops.shape)
-            rho = state.density() if isinstance(state, PureState) else state
-            reg = partial_trace(rho, code.register_qubits)
+            reg = partial_trace(state, code.register_qubits)
             rows.append(
                 SettingARow(
                     location=location,
@@ -370,8 +355,7 @@ def _transfer_map(
     r0, r1 = profile.pair
     weights = np.zeros((len(labels), dim, dim), dtype=complex)
     for row, label in enumerate(labels):
-        j, l = _branch_bits(label)
-        weights[row, _full_index(j, r1, l), _full_index(j, r0, l)] = scale
+        weights[row, _branch_target_index(label, r1), _branch_target_index(label, r0)] = scale
     if noise is not None:
         weights = segment_noise_adjoint(weights, noise, "decode")
     dec = code.decoder(location)

@@ -30,7 +30,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .statevec import MixedState, PureState, apply_matrix_mixed
+from .code552 import CodeSpec, encode
+from .error_model import ErrorSpec, error_unitary
+from .statevec import GateOp, MixedState, PureState, apply_gate_mixed, apply_matrix_mixed
 
 SEGMENTS = ("encode", "error", "decode")
 _NOISE_MODEL_KEYS = frozenset(
@@ -49,9 +51,13 @@ class NmrSystem:
     T2star: np.ndarray
 
     def __post_init__(self):
-        nu = np.asarray(self.nu, dtype=float)
-        j = np.asarray(self.J, dtype=float)
-        n = nu.size
+        for name in ("nu", "J", "T1", "T2", "T2star"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} entries must be finite")
+            object.__setattr__(self, name, arr)
+        n = self.nu.size
+        j = self.J
         if j.shape != (n, n):
             raise ValueError(f"J must be {n}x{n}, got shape {j.shape}")
         if np.max(np.abs(j - j.T)) > 0:
@@ -59,14 +65,11 @@ class NmrSystem:
         if np.max(np.abs(np.diag(j))) > 0:
             raise ValueError("J must have zero diagonal")
         for name in ("T1", "T2", "T2star"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = getattr(self, name)
             if arr.shape != (n,):
                 raise ValueError(f"{name} must have {n} entries")
             if np.any(arr <= 0):
                 raise ValueError(f"{name} entries must be positive")
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "J", j)
 
     @property
     def n_spins(self) -> int:
@@ -223,13 +226,14 @@ class NoiseModel:
 
     def lam(self, qubit: int, segment: str) -> float:
         """Dephasing strength lambda = 1 - exp(-t/T2) for one qubit, one segment."""
-        if not 1 <= qubit <= len(self.t2):
-            raise ValueError(f"qubit {qubit} out of range")
+        _check_qubit(qubit, len(self.t2))
         return 1.0 - float(np.exp(-self.duration(segment) / self.t2[qubit - 1]))
 
     def gamma_t1(self, qubit: int, segment: str) -> float:
+        """Amplitude-damping strength gamma = 1 - exp(-t/T1) for one qubit, one segment."""
         if self.t1 is None:
             raise ValueError("no t1 times configured")
+        _check_qubit(qubit, len(self.t1))
         return 1.0 - float(np.exp(-self.duration(segment) / self.t1[qubit - 1]))
 
     def offdiagonal_factor(self) -> float:
@@ -391,31 +395,24 @@ def depolarize(state: MixedState, p: float) -> MixedState:
     return MixedState(state.n_qubits, mat)
 
 
-def _noisy_segment(state: MixedState, model: NoiseModel, segment: str) -> MixedState:
-    return MixedState(state.n_qubits, apply_segment_noise(state.matrix, model, segment))
-
-
-def run_noisy_qecc(code, register: PureState, error, model: NoiseModel) -> MixedState:
+def run_noisy_qecc(code: CodeSpec, register: PureState, error: ErrorSpec, model: NoiseModel) -> MixedState:
     """Encode, apply the error, decode, with dephasing after every segment.
 
-    `register` is the 3-qubit logical input; `error` is an ErrorSpec.  The
-    optional depolarizing and coherence_scale knobs act once at the end.
-    Returns the final 5-qubit density matrix.
+    `register` is the 3-qubit logical input.  The optional depolarizing and
+    coherence_scale knobs act once at the end.  Returns the final 5-qubit
+    density matrix.
     """
-    from .code552 import encode
-    from .error_model import error_unitary
-    from .statevec import GateOp, apply_gate_mixed
-
     if len(model.t2) != code.n:
         raise ValueError(f"noise model covers {len(model.t2)} qubits, code has {code.n}")
+    n = code.n
     state = encode(code, register).density()
-    state = _noisy_segment(state, model, "encode")
+    state = MixedState(n, apply_segment_noise(state.matrix, model, "encode"))
 
     state = apply_gate_mixed(state, GateOp.single(error.location, error_unitary(error)))
-    state = _noisy_segment(state, model, "error")
+    state = MixedState(n, apply_segment_noise(state.matrix, model, "error"))
 
     state = apply_matrix_mixed(state, code.decoder(error.location))
-    state = _noisy_segment(state, model, "decode")
+    state = MixedState(n, apply_segment_noise(state.matrix, model, "decode"))
 
     if model.depolarizing > 0.0:
         state = depolarize(state, model.depolarizing)

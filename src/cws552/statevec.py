@@ -19,9 +19,6 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
 
 PAULI_BY_LABEL = {"E": E2, "X": X, "Y": Y, "Z": Z}
 
@@ -79,10 +76,6 @@ class MixedState:
             raise ValueError(f"expected {dim}x{dim} matrix, got shape {mat.shape}")
         object.__setattr__(self, "matrix", mat)
 
-    @classmethod
-    def from_pure(cls, state: PureState) -> "MixedState":
-        return state.density()
-
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
 
@@ -92,44 +85,39 @@ class MixedState:
 
 @dataclass(frozen=True)
 class GateOp:
-    """A gate acting on named qubits.
+    """A unitary on an ordered tuple of qubits, first listed qubit = MSB.
 
-    kind is one of "single" (one target, 2x2 matrix), "controlled" (target
-    matrix applied when every control qubit is |1>), or "unitary" (explicit
-    matrix on an ordered qubit subset, first listed qubit = MSB).
+    Build it through the constructors, which check the labels and the matrix;
+    `controlled` folds its controls into the matrix.
     """
 
-    kind: str
-    targets: tuple[int, ...]
+    qubits: tuple[int, ...]
     matrix: np.ndarray
-    controls: tuple[int, ...] = ()
 
     @classmethod
     def single(cls, qubit: int, matrix: np.ndarray) -> "GateOp":
-        mat = _as_unitary(matrix, 2)
-        _check_labels((qubit,))
-        return cls("single", (qubit,), mat)
+        return cls.unitary((qubit,), matrix)
 
     @classmethod
     def controlled(
         cls, controls: Sequence[int], target: int, matrix: np.ndarray
     ) -> "GateOp":
+        """`matrix` on `target` when every control qubit is |1>."""
         mat = _as_unitary(matrix, 2)
         labels = tuple(controls) + (target,)
         _check_labels(labels)
         if not controls:
             raise ValueError("controlled gate needs at least one control")
-        return cls("controlled", (target,), mat, tuple(controls))
+        dim = 2 ** len(labels)
+        full = np.eye(dim, dtype=complex)
+        full[dim - 2 :, dim - 2 :] = mat
+        return cls(labels, full)
 
     @classmethod
     def unitary(cls, qubits: Sequence[int], matrix: np.ndarray) -> "GateOp":
         labels = tuple(qubits)
         _check_labels(labels)
-        mat = _as_unitary(matrix, 2 ** len(labels))
-        return cls("unitary", labels, mat)
-
-    def qubits(self) -> tuple[int, ...]:
-        return self.controls + self.targets
+        return cls(labels, _as_unitary(matrix, 2 ** len(labels)))
 
 
 def _check_labels(labels: Iterable[int]) -> None:
@@ -152,28 +140,12 @@ def _as_unitary(matrix: np.ndarray, dim: int) -> np.ndarray:
     return mat
 
 
-def x(qubit: int) -> GateOp:
-    return GateOp.single(qubit, X)
-
-
-def y(qubit: int) -> GateOp:
-    return GateOp.single(qubit, Y)
-
-
-def z(qubit: int) -> GateOp:
-    return GateOp.single(qubit, Z)
-
-
 def h(qubit: int) -> GateOp:
     return GateOp.single(qubit, H)
 
 
 def cnot(control: int, target: int) -> GateOp:
     return GateOp.controlled((control,), target, X)
-
-
-def toffoli(control_a: int, control_b: int, target: int) -> GateOp:
-    return GateOp.controlled((control_a, control_b), target, X)
 
 
 def _apply_matrix(vec: np.ndarray, mat: np.ndarray, axes: Sequence[int], n: int) -> np.ndarray:
@@ -194,20 +166,6 @@ def _apply_matrix(vec: np.ndarray, mat: np.ndarray, axes: Sequence[int], n: int)
     return t.reshape(2**n, cols) if batch else t.reshape(2**n)
 
 
-def _resolve(gate: GateOp) -> tuple[list[int], np.ndarray]:
-    """Ordered qubit list and dense matrix for a GateOp, controls folded in."""
-    if gate.kind == "single":
-        return [gate.targets[0]], gate.matrix
-    if gate.kind == "unitary":
-        return list(gate.targets), gate.matrix
-    if gate.kind == "controlled":
-        dim = 2 ** (len(gate.controls) + 1)
-        mat = np.eye(dim, dtype=complex)
-        mat[dim - 2 :, dim - 2 :] = gate.matrix
-        return list(gate.controls) + [gate.targets[0]], mat
-    raise ValueError(f"unknown gate kind {gate.kind!r}")
-
-
 def _axes_for(qubits: Sequence[int], n: int) -> list[int]:
     for q in qubits:
         if q < 1 or q > n:
@@ -217,21 +175,14 @@ def _axes_for(qubits: Sequence[int], n: int) -> list[int]:
 
 def apply_gate(state: PureState, gate: GateOp) -> PureState:
     """Apply a GateOp to a pure state, returning a new state."""
-    qubits, mat = _resolve(gate)
-    axes = _axes_for(qubits, state.n_qubits)
-    return PureState(state.n_qubits, _apply_matrix(state.amplitudes, mat, axes, state.n_qubits))
-
-
-def apply_unitary_subset(state: PureState, matrix: np.ndarray, qubits: Sequence[int]) -> PureState:
-    """Apply an explicit 2^k x 2^k unitary to an ordered list of k qubits."""
-    return apply_gate(state, GateOp.unitary(qubits, matrix))
+    axes = _axes_for(gate.qubits, state.n_qubits)
+    return PureState(state.n_qubits, _apply_matrix(state.amplitudes, gate.matrix, axes, state.n_qubits))
 
 
 def gate_matrix(gate: GateOp, n_qubits: int) -> np.ndarray:
     """Full 2^n x 2^n unitary realizing `gate` on an n-qubit register."""
-    qubits, mat = _resolve(gate)
-    axes = _axes_for(qubits, n_qubits)
-    return _apply_matrix(np.eye(2**n_qubits, dtype=complex), mat, axes, n_qubits)
+    axes = _axes_for(gate.qubits, n_qubits)
+    return _apply_matrix(np.eye(2**n_qubits, dtype=complex), gate.matrix, axes, n_qubits)
 
 
 def apply_gate_mixed(state: MixedState, gate: GateOp) -> MixedState:
@@ -311,11 +262,3 @@ def pauli_operator(n_qubits: int, labels: dict[int, str]) -> np.ndarray:
         op = np.kron(op, PAULI_BY_LABEL[labels.get(q, "E")])
     return op
 
-
-def global_phase_distance(a: PureState, b: PureState) -> float:
-    """max elementwise |a - exp(i phi) b| minimized over the global phase phi."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError("states have different qubit counts")
-    inner = np.vdot(b.amplitudes, a.amplitudes)
-    phase = inner / abs(inner) if abs(inner) > 0 else 1.0
-    return float(np.max(np.abs(a.amplitudes - phase * b.amplitudes)))

@@ -2,6 +2,8 @@
 import csv
 import json
 
+import pytest
+
 from cws552.cli import main
 from cws552.nmr_noise import NoiseModel
 
@@ -71,14 +73,13 @@ def test_sweep_outputs_are_byte_identical(tmp_path, capsys):
 
 def test_sweep_setting_a(tmp_path, capsys):
     out = tmp_path / "a"
-    assert main(["sweep", "--setting", "A", "--seed", "7", "--out", str(out)]) == 0
+    assert main(["sweep", "--setting", "A", "--out", str(out)]) == 0
     with open(out / "setting_A.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 21
     summary = json.loads((out / "setting_A_summary.json").read_text())
     assert summary["all_match"] is True
     assert summary["rows"] == 20
-    assert summary["seed"] == 7
 
 
 def test_sweep_setting_c_with_noise_file(tmp_path, capsys):
@@ -143,6 +144,38 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path, capsys):
     assert (out_b / "setting_B.csv").exists()
     with open(out_b / "setting_B.csv", newline="") as fh:
         assert len(list(csv.reader(fh))) == 1 + 5 * 3 * 4  # grid=4 came from the config
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"grdi": 3, "setting": "B"},  # misspelt grid
+        {"seed": 7, "setting": "A"},  # the pipeline takes no seed
+        {"system": "sys.json", "setting": "A"},  # a spectrum option
+    ],
+)
+def test_config_rejects_keys_the_command_does_not_take(tmp_path, capsys, doc):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    cfg.write_text(json.dumps(dict(doc, out=str(out))))
+    assert main(["--config", str(cfg), "sweep"]) == 1
+    err = capsys.readouterr().err
+    bad = sorted(set(doc) - {"setting"})
+    assert f"unknown config keys {bad}" in err
+    assert not out.exists()
+
+
+def test_verify_reads_its_options_from_the_config(tmp_path, capsys):
+    code_path = tmp_path / "code.json"
+    assert main(["export-code", "--out", str(code_path)]) == 0
+    doc = json.loads(code_path.read_text())
+    doc["codewords"][0][1] = [0.7, 0.0]
+    code_path.write_text(json.dumps(doc))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"code": str(code_path), "json": True}))
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "verify"]) == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False
 
 
 def test_error_paths_return_nonzero(tmp_path, capsys):

@@ -110,6 +110,17 @@ class TestHamiltonian:
         with pytest.raises(ValueError, match="positive"):
             NmrSystem(nu=good.nu, J=good.J, T1=good.T1, T2=np.array([1.0, 0.0]), T2star=good.T2star)
 
+    @pytest.mark.parametrize("key", ["nu", "J", "T1", "T2", "T2star"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_system_rejects_non_finite_entries(self, key, bad):
+        doc = NmrSystem.placeholder_five_spin().to_json_dict()
+        if key == "J":
+            doc["J"][1][2] = doc["J"][2][1] = bad  # still symmetric
+        else:
+            doc[key][3] = bad
+        with pytest.raises(ValueError, match=f"{key} entries must be finite"):
+            NmrSystem.from_json_dict(doc)
+
     def test_placeholder_profile_is_well_formed(self):
         sys5 = NmrSystem.placeholder_five_spin()
         assert sys5.n_spins == 5
@@ -232,6 +243,14 @@ class TestNoiseModel:
             t1=(4.0,),
         )
         assert abs(model.gamma_t1(1, "encode") - (1 - np.exp(-0.05))) < 1e-15
+
+    @pytest.mark.parametrize("qubit", [-1, 0, 6])
+    def test_per_qubit_strengths_check_the_qubit_range(self, qubit):
+        model = dataclasses.replace(NoiseModel.default(), t1=(5.0, 8.0, 7.0, 6.0, 9.0))
+        with pytest.raises(ValueError, match=f"qubit {qubit} out of range"):
+            model.lam(qubit, "encode")
+        with pytest.raises(ValueError, match=f"qubit {qubit} out of range"):
+            model.gamma_t1(qubit, "encode")
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError, match="exactly once"):

@@ -5,26 +5,23 @@ import pytest
 from cws552.statevec import (
     GateOp,
     PureState,
-    SWAP,
     X,
     Y,
     Z,
     apply_gate,
     apply_gate_mixed,
-    apply_unitary_subset,
     cnot,
     fidelity_with_pure,
     gate_matrix,
-    global_phase_distance,
     h,
     overlap,
     partial_trace,
     pauli_operator,
     schmidt_rank,
-    toffoli,
     trace_distance,
-    x,
 )
+
+SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 
 
 def random_state(rng, n):
@@ -40,7 +37,7 @@ def random_unitary(rng, dim):
 
 class TestGates:
     def test_x_flips_one_qubit(self):
-        state = apply_gate(PureState.basis("00000"), x(3))
+        state = apply_gate(PureState.basis("00000"), GateOp.single(3, X))
         np.testing.assert_allclose(state.amplitudes[int("00100", 2)], 1.0)
 
     def test_h_makes_equal_superposition(self):
@@ -60,25 +57,25 @@ class TestGates:
         np.testing.assert_allclose(state.amplitudes, PureState.basis("01").amplitudes)
 
     def test_toffoli_needs_both_controls(self):
-        on = apply_gate(PureState.basis("110"), toffoli(1, 2, 3))
-        off = apply_gate(PureState.basis("100"), toffoli(1, 2, 3))
+        on = apply_gate(PureState.basis("110"), GateOp.controlled((1, 2), 3, X))
+        off = apply_gate(PureState.basis("100"), GateOp.controlled((1, 2), 3, X))
         np.testing.assert_allclose(on.amplitudes, PureState.basis("111").amplitudes)
         np.testing.assert_allclose(off.amplitudes, PureState.basis("100").amplitudes)
 
     def test_swap_subset(self):
-        state = apply_unitary_subset(PureState.basis("10000"), SWAP, [1, 2])
+        state = apply_gate(PureState.basis("10000"), GateOp.unitary([1, 2], SWAP))
         np.testing.assert_allclose(state.amplitudes, PureState.basis("01000").amplitudes)
 
     def test_identity_subset_is_noop(self):
         rng = np.random.default_rng(7)
         state = random_state(rng, 4)
-        out = apply_unitary_subset(state, np.eye(4, dtype=complex), [2, 4])
+        out = apply_gate(state, GateOp.unitary([2, 4], np.eye(4, dtype=complex)))
         np.testing.assert_allclose(out.amplitudes, state.amplitudes)
 
     def test_subset_qubit_order_matters(self):
         # CNOT with conrol listed second acts as a reversed CNOT
         cx = gate_matrix(cnot(1, 2), 2)
-        state = apply_unitary_subset(PureState.basis("01"), cx, [2, 1])
+        state = apply_gate(PureState.basis("01"), GateOp.unitary([2, 1], cx))
         np.testing.assert_allclose(state.amplitudes, PureState.basis("11").amplitudes)
 
 
@@ -88,7 +85,7 @@ class TestKernelConsistency:
         state = random_state(rng, 5)
         u = random_unitary(rng, 2)
         via_gate = apply_gate(state, GateOp.single(3, u))
-        via_subset = apply_unitary_subset(state, u, [3])
+        via_subset = apply_gate(state, GateOp.unitary([3], u))
         assert np.array_equal(via_gate.amplitudes, via_subset.amplitudes)
 
     def test_norm_preserved_by_random_circuits(self):
@@ -98,15 +95,15 @@ class TestKernelConsistency:
             for _ in range(6):
                 k = int(rng.integers(1, 3))
                 qubits = list(rng.choice(5, size=k, replace=False) + 1)
-                state = apply_unitary_subset(state, random_unitary(rng, 2**k), qubits)
+                state = apply_gate(state, GateOp.unitary(qubits, random_unitary(rng, 2**k)))
             assert abs(state.norm() - 1.0) < 1e-12
 
     def test_unitary_then_inverse_roundtrips(self):
         rng = np.random.default_rng(17)
         state = random_state(rng, 5)
         u = random_unitary(rng, 8)
-        forward = apply_unitary_subset(state, u, [2, 3, 5])
-        back = apply_unitary_subset(forward, u.conj().T, [2, 3, 5])
+        forward = apply_gate(state, GateOp.unitary([2, 3, 5], u))
+        back = apply_gate(forward, GateOp.unitary([2, 3, 5], u.conj().T))
         np.testing.assert_allclose(back.amplitudes, state.amplitudes, atol=1e-10)
 
     def test_gate_matrix_matches_columnwise_application(self):
@@ -204,14 +201,6 @@ class TestMeasures:
         assert schmidt_rank(ghz, [1]) == 2
         assert schmidt_rank(ghz, [1, 2]) == 2
 
-    def test_global_phase_distance(self):
-        rng = np.random.default_rng(37)
-        state = random_state(rng, 3)
-        rotated = PureState(3, np.exp(0.73j) * state.amplitudes)
-        assert global_phase_distance(state, rotated) < 1e-12
-        other = random_state(rng, 3)
-        assert global_phase_distance(state, other) > 1e-3
-
 
 class TestValidation:
     def test_rejects_nonunitary_matrix(self):
@@ -228,7 +217,7 @@ class TestValidation:
 
     def test_rejects_out_of_range_qubit(self):
         with pytest.raises(ValueError, match="out of range"):
-            apply_gate(PureState.basis("00"), x(3))
+            apply_gate(PureState.basis("00"), GateOp.single(3, X))
 
     def test_rejects_repeated_labels(self):
         with pytest.raises(ValueError, match="repeated"):
