@@ -15,7 +15,6 @@ import numpy as np
 
 from . import code552, experiment, nmr_noise
 from .code552 import (
-    BRANCH_LABELS,
     build_code,
     code_from_json_dict,
     code_to_json_dict,
@@ -24,7 +23,7 @@ from .code552 import (
     verify_erasure_correctability,
 )
 from .error_model import ErrorSpec
-from .statevec import MixedState, PureState, pauli_operator
+from .statevec import MixedState, PureState
 
 ORTHO_TOL = 1e-12
 ACTION_TOL = 1e-10
@@ -44,35 +43,28 @@ def _load_config(path: str | None, keys: set[str]) -> dict:
     return doc
 
 
-def _pick(flag_value, config: dict, key: str, default):
-    """Flag beats config file beats built-in default."""
+def _pick(flag_value, config: dict, key: str, default, kind: type = str):
+    """Flag beats config file beats built-in default; a config value must be a
+    `kind` (an int is taken for a float)."""
     if flag_value is not None:
         return flag_value
-    if key in config:
-        return config[key]
-    return default
+    if key not in config:
+        return default
+    value = config[key]
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ValueError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
+    return float(value) if kind is float else value
 
 
-def _encoder_deviation(code) -> float:
-    worst = 0.0
-    for b in range(code.dimension):
-        column = code.encoder[:, code552._input_index(b)]
-        worst = max(worst, float(np.max(np.abs(column - code.codewords[b].amplitudes))))
-    return worst
-
-
-def _decoder_deviation(code) -> float:
+def _decoder_deviation(code, codewords: np.ndarray) -> float:
     """Worst-case distance of decoder branch images from their target basis states."""
     worst = 0.0
     for location in range(1, code.n + 1):
-        dec = code.decoder(location)
-        for label in BRANCH_LABELS:
-            p_full = pauli_operator(code.n, {location: label})
-            for b in range(code.dimension):
-                image = dec @ (p_full @ code.codewords[b].amplitudes)
-                target = np.zeros(2**code.n, dtype=complex)
-                target[code552._branch_target_index(label, b)] = 1.0
-                worst = max(worst, float(np.max(np.abs(image - target))))
+        images, targets = code552._branch_images(codewords, location)
+        decoded = code.decoder(location) @ images
+        decoded[targets, range(len(targets))] -= 1.0
+        worst = max(worst, float(np.max(np.abs(decoded))))
     return worst
 
 
@@ -84,18 +76,19 @@ def cmd_verify(args, config: dict) -> int:
     else:
         code = build_code()
 
+    codewords = code552._codeword_matrix(code.codewords)
     ortho = codeword_orthonormality_deviation(code)
     ortho_ok = ortho <= ORTHO_TOL
-    enc_dev = _encoder_deviation(code)
+    enc_dev = code552._encoder_deviation(code.encoder, codewords)
     enc_ok = enc_dev <= ACTION_TOL
-    dec_dev = _decoder_deviation(code)
+    dec_dev = _decoder_deviation(code, codewords)
     dec_ok = dec_dev <= ACTION_TOL
     erasure = verify_erasure_correctability(code)
     dist = verify_distance(code)
     dist_ok = dist.distance == 2 and dist.witness is not None
     passed = ortho_ok and enc_ok and dec_ok and erasure.passed and dist_ok
 
-    if _pick(args.json, config, "json", False):
+    if _pick(args.json, config, "json", False, bool):
         report = {
             "passed": passed,
             "orthonormality": {"deviation": ortho, "passed": ortho_ok},
@@ -146,8 +139,8 @@ def cmd_sweep(args, config: dict) -> int:
     setting = _pick(args.setting, config, "setting", None)
     if setting not in ("A", "B", "C"):
         raise ValueError("setting must be A, B, or C")
-    grid_n = int(_pick(args.grid, config, "grid", 13))
-    theta_max = float(_pick(args.theta_max, config, "theta_max", float(np.pi)))
+    grid_n = _pick(args.grid, config, "grid", 13, int)
+    theta_max = _pick(args.theta_max, config, "theta_max", float(np.pi), float)
     noise_path = _pick(args.noise, config, "noise", None)
     out_dir = _pick(args.out, config, "out", None)
     if out_dir is None:
@@ -230,17 +223,17 @@ def cmd_spectrum(args, config: dict) -> int:
     system_path = _pick(args.system, config, "system", None)
     if system_path is None:
         raise ValueError("an NMR system file is required (--system)")
-    system = nmr_noise.NmrSystem.load(system_path)
-    observe = int(_pick(args.observe, config, "observe", 1))
+    observe = _pick(args.observe, config, "observe", 1, int)
     state_spec = _pick(args.state, config, "state", None)
     if state_spec is None:
         raise ValueError("a state spec is required (--state)")
-    t_max = float(_pick(args.t_max, config, "t_max", 2.0))
-    dt = float(_pick(args.dt, config, "dt", 0.001))
+    t_max = _pick(args.t_max, config, "t_max", 2.0, float)
+    dt = _pick(args.dt, config, "dt", 0.001, float)
     out_path = _pick(args.out, config, "out", None)
     if out_path is None:
         raise ValueError("an output file is required (--out)")
 
+    system = nmr_noise.NmrSystem.load(system_path)
     state = _state_from_spec(state_spec, system.n_spins)
     spectrum = nmr_noise.simulate_spectrum(state, system, observe, t_max, dt)
     with open(out_path, "w", newline="") as fh:

@@ -27,10 +27,11 @@ index order, so the whole construction is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 
 import numpy as np
 
-from .statevec import PureState, cnot, gate_matrix, h, pauli_operator
+from .statevec import PureState, cnot, gate_matrix, h, pauli_apply
 
 N_QUBITS = 5
 DIMENSION = 5
@@ -82,13 +83,6 @@ class CodeSpec:
         return self.decoders[location - 1]
 
 
-def _codeword_vector(pair: tuple[str, str]) -> np.ndarray:
-    amps = np.zeros(2**N_QUBITS, dtype=complex)
-    amps[int(pair[0], 2)] = 1.0
-    amps[int(pair[1], 2)] = 1.0
-    return amps / np.sqrt(2.0)
-
-
 def _input_index(b: int) -> int:
     """Basis index of |0, register b, 0> on the five physical qubits."""
     return int(LOGICAL_STRINGS[b], 2) << 1
@@ -135,49 +129,64 @@ def _branch_target_index(label: str, b: int) -> int:
     return (j << 4) | (b << 1) | l
 
 
-def _decoder_matrix(codeword_vectors: list[np.ndarray], location: int) -> np.ndarray:
-    sources = []
-    target_indices = []
-    for label in BRANCH_LABELS:
-        p_full = pauli_operator(N_QUBITS, {location: label})
-        for b in range(DIMENSION):
-            sources.append(p_full @ codeword_vectors[b])
-            target_indices.append(_branch_target_index(label, b))
+def _codeword_matrix(codewords) -> np.ndarray:
+    """The codewords as the columns of one 2^n x K matrix."""
+    return np.stack([cw.amplitudes for cw in codewords], axis=1)
 
-    gram = np.array([[np.vdot(u, v) for v in sources] for u in sources])
-    gram_err = np.max(np.abs(gram - np.eye(len(sources))))
+
+def _encoder_deviation(encoder: np.ndarray, codewords: np.ndarray) -> float:
+    """max |encoder column of register input b - phi_b| over the K inputs."""
+    inputs = [_input_index(b) for b in range(codewords.shape[1])]
+    return float(np.max(np.abs(encoder[:, inputs] - codewords)))
+
+
+def _codespace_form(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """K x K matrix of inner products <a_b|b_c> between the columns of a and b."""
+    return np.einsum("ib,ic->bc", a.conj(), b)
+
+
+def _branch_images(codewords: np.ndarray, location: int) -> tuple[np.ndarray, list[int]]:
+    """Columns P phi_b for P on `location` in BRANCH_LABELS order, codeword
+    index fastest, and the basis index each one decodes to."""
+    images = [pauli_apply(codewords, {location: label}) for label in BRANCH_LABELS]
+    targets = [_branch_target_index(label, b) for label in BRANCH_LABELS for b in range(codewords.shape[1])]
+    return np.concatenate(images, axis=1), targets
+
+
+def _decoder_matrix(codewords: np.ndarray, location: int) -> np.ndarray:
+    sources, target_indices = _branch_images(codewords, location)
+    n_sources = sources.shape[1]
+    gram_err = np.max(np.abs(_codespace_form(sources, sources) - np.eye(n_sources)))
     if gram_err > GRAM_ATOL:
         raise RuntimeError(
             f"error images at location {location} are not orthonormal "
             f"(deviation {gram_err:.3e}); decoder construction is ill-defined"
         )
 
-    # Complete the 20 image vectors to a full basis. Two Gram-Schmidt passes
-    # keep the completion orthonormal to machine precision.
-    basis = list(sources)
-    completion = []
-    for idx in range(32):
-        v = np.zeros(32, dtype=complex)
+    # Complete the image vectors (rows of `basis`) to a full basis by
+    # projecting out the span so far from each unit vector in index order.
+    # Two passes keep the completion orthonormal to machine precision.
+    dim = sources.shape[0]
+    basis = np.zeros((dim, dim), dtype=complex)
+    basis[:n_sources] = sources.T
+    count = n_sources
+    for idx in range(dim):
+        v = np.zeros(dim, dtype=complex)
         v[idx] = 1.0
         for _ in range(2):
-            for u in basis:
-                v = v - np.vdot(u, v) * u
+            v -= (basis[:count].conj() @ v) @ basis[:count]
         norm = np.linalg.norm(v)
         if norm > 1e-6:
-            v = v / norm
-            basis.append(v)
-            completion.append(v)
-    if len(completion) != 32 - len(sources):
+            basis[count] = v / norm
+            count += 1
+    if count != dim:
         raise RuntimeError("basis completion failed to span the full space")
 
-    free_targets = sorted(set(range(32)) - set(target_indices))
-    decoder = np.zeros((32, 32), dtype=complex)
-    for tgt, src in zip(target_indices, sources):
-        decoder[tgt, :] += src.conj()
-    for tgt, src in zip(free_targets, completion):
-        decoder[tgt, :] += src.conj()
+    free_targets = sorted(set(range(dim)) - set(target_indices))
+    decoder = np.zeros((dim, dim), dtype=complex)
+    decoder[target_indices + free_targets] += basis.conj()
 
-    unitary_err = np.max(np.abs(decoder.conj().T @ decoder - np.eye(32)))
+    unitary_err = np.max(np.abs(decoder.conj().T @ decoder - np.eye(dim)))
     if unitary_err > GRAM_ATOL:
         raise RuntimeError(
             f"decoder for location {location} is not unitary (deviation {unitary_err:.3e})"
@@ -187,17 +196,15 @@ def _decoder_matrix(codeword_vectors: list[np.ndarray], location: int) -> np.nda
 
 def build_code() -> CodeSpec:
     """Construct codewords, encoder, and the five per-location decoders."""
-    vectors = [_codeword_vector(pair) for pair in CODEWORD_PAIRS]
-    codewords = tuple(PureState(N_QUBITS, v) for v in vectors)
+    matrix = np.zeros((2**N_QUBITS, DIMENSION), dtype=complex)
+    for b, pair in enumerate(CODEWORD_PAIRS):
+        matrix[[int(bits, 2) for bits in pair], b] = 1.0 / np.sqrt(2.0)
+    codewords = tuple(PureState(N_QUBITS, column.copy()) for column in matrix.T)
     encoder = _encoder_matrix()
-
     # The synthesized encoder must reproduce the codewords exactly.
-    for b in range(DIMENSION):
-        image = encoder[:, _input_index(b)]
-        if np.max(np.abs(image - vectors[b])) > 1e-12:
-            raise RuntimeError(f"encoder does not map register input {b} onto codeword {b}")
-
-    decoders = tuple(_decoder_matrix(vectors, q) for q in range(1, N_QUBITS + 1))
+    if _encoder_deviation(encoder, matrix) > 1e-12:
+        raise RuntimeError("encoder does not map the register inputs onto their codewords")
+    decoders = tuple(_decoder_matrix(matrix, q) for q in range(1, N_QUBITS + 1))
     return CodeSpec(
         n=N_QUBITS,
         dimension=DIMENSION,
@@ -264,26 +271,16 @@ def verify_erasure_correctability(code: CodeSpec, tol: float = 1e-12) -> Erasure
     be independent of the codeword index on the diagonal; the surviving
     constants form the 4x4 C matrix reported per location.
     """
-    vectors = [cw.amplitudes for cw in code.codewords]
+    codewords = _codeword_matrix(code.codewords)
     checks = []
     for q in range(1, code.n + 1):
-        images = {
-            label: [pauli_operator(code.n, {q: label}) @ v for v in vectors]
-            for label in KL_LABELS
-        }
+        images = [pauli_apply(codewords, {q: label}) for label in KL_LABELS]
         c_matrix = np.zeros((4, 4), dtype=complex)
         worst = 0.0
-        for i, p_label in enumerate(KL_LABELS):
-            for j, q_label in enumerate(KL_LABELS):
-                m = np.array(
-                    [
-                        [np.vdot(images[p_label][b], images[q_label][c]) for c in range(code.dimension)]
-                        for b in range(code.dimension)
-                    ]
-                )
-                c_pq = np.mean(np.diag(m))
-                c_matrix[i, j] = c_pq
-                worst = max(worst, float(np.max(np.abs(m - c_pq * np.eye(code.dimension)))))
+        for i, p_images in enumerate(images):
+            for j, q_images in enumerate(images):
+                c_matrix[i, j], violation = _scalar_on_codespace(_codespace_form(p_images, q_images))
+                worst = max(worst, violation)
         checks.append(LocationCheck(q, worst <= tol, c_matrix, worst))
     return ErasureReport(KL_LABELS, tuple(checks))
 
@@ -302,12 +299,10 @@ class DistanceResult:
     witness_violation: float
 
 
-def _kl_violation(vectors: list[np.ndarray], op: np.ndarray) -> float:
-    """Deviation of <phi_b| op |phi_c> from (scalar) * identity."""
-    dim = len(vectors)
-    m = np.array([[np.vdot(vectors[b], op @ vectors[c]) for c in range(dim)] for b in range(dim)])
-    scalar = np.mean(np.diag(m))
-    return float(np.max(np.abs(m - scalar * np.eye(dim))))
+def _scalar_on_codespace(form: np.ndarray) -> tuple[complex, float]:
+    """(c, deviation of the K x K form from c * identity), c its mean diagonal."""
+    scalar = np.mean(np.diag(form))
+    return scalar, float(np.max(np.abs(form - scalar * np.eye(len(form)))))
 
 
 def verify_distance(code: CodeSpec, tol: float = 1e-10) -> DistanceResult:
@@ -316,14 +311,12 @@ def verify_distance(code: CodeSpec, tol: float = 1e-10) -> DistanceResult:
     Returns the largest d such that every Pauli of weight < d looks like a
     scalar on the codespace, plus a violating Pauli of weight d as witness.
     """
-    from itertools import combinations, product
-
-    vectors = [cw.amplitudes for cw in code.codewords]
+    codewords = _codeword_matrix(code.codewords)
     for weight in range(1, code.n + 1):
         for support in combinations(range(1, code.n + 1), weight):
             for labels in product("XYZ", repeat=weight):
-                op = pauli_operator(code.n, dict(zip(support, labels)))
-                violation = _kl_violation(vectors, op)
+                image = pauli_apply(codewords, dict(zip(support, labels)))
+                _, violation = _scalar_on_codespace(_codespace_form(codewords, image))
                 if violation > tol:
                     return DistanceResult(
                         distance=weight,
@@ -383,10 +376,5 @@ def code_from_json_dict(doc: dict) -> CodeSpec:
 
 def codeword_orthonormality_deviation(code: CodeSpec) -> float:
     """max_bc |<phi_b|phi_c> - delta_bc| over all codeword pairs."""
-    g = np.array(
-        [
-            [np.vdot(a.amplitudes, b.amplitudes) for b in code.codewords]
-            for a in code.codewords
-        ]
-    )
-    return float(np.max(np.abs(g - np.eye(code.dimension))))
+    codewords = _codeword_matrix(code.codewords)
+    return float(np.max(np.abs(_codespace_form(codewords, codewords) - np.eye(code.dimension))))

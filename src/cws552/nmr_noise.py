@@ -32,7 +32,7 @@ import numpy as np
 
 from .code552 import CodeSpec, encode
 from .error_model import ErrorSpec, error_unitary
-from .statevec import GateOp, MixedState, PureState, apply_gate_mixed, apply_matrix_mixed
+from .statevec import GateOp, MixedState, PureState, _spin_signs, apply_gate_mixed, apply_matrix_mixed
 
 SEGMENTS = ("encode", "error", "decode")
 _NOISE_MODEL_KEYS = frozenset(
@@ -120,13 +120,6 @@ class NmrSystem:
             return cls.from_json_dict(json.load(fh))
 
 
-def _spin_signs(n_spins: int) -> np.ndarray:
-    """(-1)^bit for every spin and basis index; shape (n_spins, 2^n)."""
-    idx = np.arange(2**n_spins)
-    bits = (idx[None, :] >> (n_spins - 1 - np.arange(n_spins))[:, None]) & 1
-    return 1.0 - 2.0 * bits
-
-
 def energies(system: NmrSystem) -> np.ndarray:
     """Diagonal of the Hamiltonian in angular frequency units (rad/s)."""
     if system.n_spins > 10:
@@ -190,6 +183,8 @@ class NoiseModel:
                 raise ValueError("T1 entries must be finite")
             if any(v <= 0 for v in t1):
                 raise ValueError("T1 entries must be positive")
+            if len(t1) != len(t2):
+                raise ValueError(f"t1 has {len(t1)} entries, t2 has {len(t2)}; need one per qubit")
             object.__setattr__(self, "t1", t1)
         if self.amplitude_damping and self.t1 is None:
             raise ValueError("amplitude damping requires t1 times")

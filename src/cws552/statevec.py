@@ -4,6 +4,10 @@ Convention used throughout the package: qubit labels are 1-based and qubit 1
 is the most significant bit of a basis-state index, so on five qubits the
 basis state |01001> has index 0b01001 = 9.  All operations return new state
 objects and never mutate their inputs.
+
+A Pauli {qubit: "E"|"X"|"Y"|"Z"} is a signed index permutation (Y = iXZ):
+(P v)[i] = (-i)^(number of Y) (-1)^popcount(i & z) v[i XOR x], with x the bits
+of its X/Y qubits and z those of its Z/Y qubits; `pauli_apply` computes it.
 """
 from __future__ import annotations
 
@@ -254,11 +258,27 @@ def schmidt_rank(state: PureState, cut: Sequence[int], tol: float = 1e-8) -> int
     return int(np.sum(svals > tol))
 
 
-def pauli_operator(n_qubits: int, labels: dict[int, str]) -> np.ndarray:
-    """Dense n-qubit Pauli built from {qubit: "X"|"Y"|"Z"|"E"} assignments."""
-    _axes_for(tuple(labels), n_qubits)
-    op = np.array([[1.0 + 0j]])
-    for q in range(1, n_qubits + 1):
-        op = np.kron(op, PAULI_BY_LABEL[labels.get(q, "E")])
-    return op
+def _spin_signs(n_qubits: int) -> np.ndarray:
+    """(-1)^bit for every qubit and basis index; shape (n_qubits, 2^n), qubit 1 first."""
+    idx = np.arange(2**n_qubits)
+    bits = (idx[None, :] >> (n_qubits - 1 - np.arange(n_qubits))[:, None]) & 1
+    return 1.0 - 2.0 * bits
 
+
+def pauli_apply(amplitudes: np.ndarray, labels: dict[int, str]) -> np.ndarray:
+    """P v for the Pauli {qubit: "E"|"X"|"Y"|"Z"}: an index XOR times a phase.
+
+    `amplitudes` is a state vector (2^n,) or a column batch (2^n, B); the
+    result has its shape and equals the dense product exactly.
+    """
+    amps = np.asarray(amplitudes, dtype=complex)
+    n = len(amps).bit_length() - 1 if amps.ndim in (1, 2) else -1
+    if n < 0 or len(amps) != 2**n:
+        raise ValueError(f"expected 2^n amplitudes per column, got shape {amps.shape}")
+    paulis = dict(zip(_axes_for(tuple(labels), n), labels.values()))
+    if set(paulis.values()) - set(PAULI_BY_LABEL):
+        raise ValueError(f"Pauli labels must be E, X, Y or Z, got {labels}")
+    flip = sum(1 << (n - 1 - a) for a, p in paulis.items() if p in "XY")
+    signs = np.prod(_spin_signs(n)[[a for a, p in paulis.items() if p in "ZY"]], axis=0)
+    phase = (1, -1j, -1, 1j)[list(paulis.values()).count("Y") % 4] * signs
+    return (phase if amps.ndim == 1 else phase[:, None]) * amps[np.arange(2**n) ^ flip]

@@ -165,6 +165,42 @@ def test_config_rejects_keys_the_command_does_not_take(tmp_path, capsys, doc):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("sweep", {"setting": "B", "grid": [3]}),
+        ("sweep", {"setting": "B", "grid": "3"}),
+        ("sweep", {"setting": "B", "grid": True}),
+        ("sweep", {"setting": "B", "grid": 2.5}),
+        ("sweep", {"setting": "B", "theta_max": "pi"}),
+        ("sweep", {"setting": "B", "noise": ["noise.json"]}),
+        ("sweep", {"setting": 2}),
+        ("spectrum", {"system": "sys.json", "state": "00", "dt": [0.1]}),
+        ("spectrum", {"system": "sys.json", "state": "00", "observe": 1.0}),
+        ("verify", {"json": "yes"}),
+    ],
+)
+def test_config_rejects_values_of_the_wrong_type(tmp_path, capsys, command, doc):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    if command != "verify":
+        doc = dict(doc, out=str(out))
+    cfg.write_text(json.dumps(doc))
+    assert main(["--config", str(cfg), command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key ")
+    assert "must be" in err
+    assert not out.exists()
+
+
+def test_config_takes_an_int_where_a_float_is_expected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    cfg.write_text(json.dumps({"setting": "B", "grid": 3, "theta_max": 3, "out": str(out)}))
+    assert main(["--config", str(cfg), "sweep"]) == 0
+    assert json.loads((out / "setting_B_fits.json").read_text())["theta_max"] == 3.0
+
+
 def test_verify_reads_its_options_from_the_config(tmp_path, capsys):
     code_path = tmp_path / "code.json"
     assert main(["export-code", "--out", str(code_path)]) == 0

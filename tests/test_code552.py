@@ -4,6 +4,8 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cws552.code552 import (
     SYNDROME_MAP,
@@ -56,6 +58,30 @@ def random_logical(rng):
     amps[:5] = rng.normal(size=5) + 1j * rng.normal(size=5)
     amps /= np.linalg.norm(amps)
     return PureState(3, amps)
+
+
+def _unit_norm(values):
+    return np.linalg.norm(values) > 0.1
+
+
+@st.composite
+def registers(draw):
+    """Logical register states: five complex amplitudes on the logical basis."""
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=10, max_size=10).filter(_unit_norm))
+    amps = np.zeros(8, dtype=complex)
+    amps[:5] = np.array(parts[:5]) + 1j * np.array(parts[5:])
+    return PureState(3, amps / np.linalg.norm(amps))
+
+
+@st.composite
+def rotation_errors(draw):
+    axis = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(_unit_norm)))
+    return ErrorSpec(
+        location=draw(st.integers(1, 5)),
+        alpha=draw(st.floats(0.0, 2 * np.pi)),
+        theta=draw(st.floats(-np.pi, np.pi)),
+        axis=tuple(axis / np.linalg.norm(axis)),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -147,41 +173,63 @@ def test_error_images_are_orthonormal_at_every_location(code):
         assert np.max(np.abs(gram - np.eye(20))) < 1e-12
 
 
-def test_roundtrip_recovers_random_logical_states(code):
-    rng = np.random.default_rng(211)
-    for _ in range(50):
-        reg = random_logical(rng)
-        encoded = encode(code, reg)
-        for location in range(1, 6):
-            for label in ("E", "X", "Y", "Z"):
-                corrupted = apply_gate(encoded, GateOp.single(location, PAULI_2x2[label]))
-                out = decode(code, corrupted, location)
-                reduced = partial_trace(out.density(), code.register_qubits)
-                assert fidelity_with_pure(reduced, reg) >= 1 - 1e-9
+def loop_decoder(location):
+    """Reference decoder: vector-by-vector two-pass Gram-Schmidt on dense Paulis."""
+    sources, targets = [], []
+    for label in ("E", "X", "Z", "Y"):
+        j, l = (int(c) for c in SYNDROME_MAP[label])
+        for b in range(5):
+            sources.append(hand_pauli({location: label}) @ hand_codeword(b))
+            targets.append((j << 4) | (b << 1) | l)
+    basis, completion = list(sources), []
+    for idx in range(32):
+        v = np.zeros(32, dtype=complex)
+        v[idx] = 1.0
+        for _ in range(2):
+            for u in basis:
+                v = v - np.vdot(u, v) * u
+        if np.linalg.norm(v) > 1e-6:
+            v = v / np.linalg.norm(v)
+            basis.append(v)
+            completion.append(v)
+    rows = dict(zip(targets, sources))
+    rows.update(zip(sorted(set(range(32)) - set(targets)), completion))
+    return np.array([rows[t].conj() for t in range(32)])
 
 
-def test_syndrome_amplitudes_match_branch_coefficients(code):
-    rng = np.random.default_rng(223)
-    for _ in range(30):
-        reg = random_logical(rng)
-        axis = rng.normal(size=3)
-        spec = ErrorSpec(
-            location=int(rng.integers(1, 6)),
-            alpha=float(rng.uniform(0, 2 * np.pi)),
-            theta=float(rng.uniform(-np.pi, np.pi)),
-            axis=tuple(axis / np.linalg.norm(axis)),
-        )
-        psi = encode(code, reg)
-        psi = apply_gate(psi, GateOp.single(spec.location, error_unitary(spec)))
-        out = decode(code, psi, spec.location)
-        # project the register factor out: syndrome amplitude per branch (j, l)
-        block = out.amplitudes.reshape(2, 8, 2)
-        syn = np.einsum("r,jrl->jl", reg.amplitudes.conj(), block).reshape(4)
-        expected = pauli_expand(spec).coefficients()
-        # align the single allowed global phase
-        inner = np.vdot(expected, syn)
-        phase = inner / abs(inner)
-        assert np.max(np.abs(syn - phase * expected)) < 1e-10
+def test_decoders_match_loop_gram_schmidt_reference(code):
+    # the completion rows are arbitrary but exported, so they are pinned too
+    for q in range(1, 6):
+        np.testing.assert_allclose(code.decoder(q), loop_decoder(q), rtol=0, atol=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(reg=registers(), spec=rotation_errors())
+def test_roundtrip_recovers_random_logical_states(code, reg, spec):
+    # every exact Pauli at every location, then the drawn rotation error
+    errors = [(q, PAULI_2x2[label]) for q in range(1, 6) for label in ("E", "X", "Y", "Z")]
+    encoded = encode(code, reg)
+    for location, unitary in errors + [(spec.location, error_unitary(spec))]:
+        corrupted = apply_gate(encoded, GateOp.single(location, unitary))
+        out = decode(code, corrupted, location)
+        reduced = partial_trace(out.density(), code.register_qubits)
+        assert fidelity_with_pure(reduced, reg) >= 1 - 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(reg=registers(), spec=rotation_errors())
+def test_syndrome_amplitudes_match_branch_coefficients(code, reg, spec):
+    psi = encode(code, reg)
+    psi = apply_gate(psi, GateOp.single(spec.location, error_unitary(spec)))
+    out = decode(code, psi, spec.location)
+    # project the register factor out: syndrome amplitude per branch (j, l)
+    block = out.amplitudes.reshape(2, 8, 2)
+    syn = np.einsum("r,jrl->jl", reg.amplitudes.conj(), block).reshape(4)
+    expected = pauli_expand(spec).coefficients()
+    # align the single allowed global phase
+    inner = np.vdot(expected, syn)
+    phase = inner / abs(inner)
+    assert np.max(np.abs(syn - phase * expected)) < 1e-10
 
 
 def test_decoded_state_factorizes(code):

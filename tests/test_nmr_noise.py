@@ -1,14 +1,16 @@
 """Tests for the spin Hamiltonian, dephasing channels, and spectrum simulation."""
 import dataclasses
+import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cws552.code552 import build_code, decode, encode
 from cws552.error_model import ErrorSpec, error_unitary
 from cws552.nmr_noise import (
+    SEGMENTS,
     NmrSystem,
     NoiseModel,
     apply_amplitude_damping,
@@ -23,6 +25,39 @@ from cws552.nmr_noise import (
     simulate_spectrum,
 )
 from cws552.statevec import GateOp, MixedState, PureState, apply_gate, trace_distance
+
+
+times = st.floats(1e-3, 1e3)
+
+
+@st.composite
+def nmr_systems(draw):
+    n = draw(st.integers(1, 5))
+    spins = st.lists(times, min_size=n, max_size=n)
+    couplings = draw(st.lists(st.floats(-200.0, 200.0), min_size=n * n, max_size=n * n))
+    j = np.triu(np.reshape(couplings, (n, n)), 1)
+    return NmrSystem(
+        nu=np.array(draw(st.lists(st.floats(-500.0, 500.0), min_size=n, max_size=n))),
+        J=j + j.T,
+        T1=np.array(draw(spins)),
+        T2=np.array(draw(spins)),
+        T2star=np.array(draw(spins)),
+    )
+
+
+@st.composite
+def noise_models(draw):
+    n = draw(st.integers(1, 5))
+    t1 = draw(st.none() | st.lists(times, min_size=n, max_size=n))
+    durations = draw(st.lists(st.floats(0.0, 10.0), min_size=3, max_size=3))
+    return NoiseModel(
+        t2=tuple(draw(st.lists(times, min_size=n, max_size=n))),
+        schedule=tuple(zip(draw(st.permutations(SEGMENTS)), durations)),
+        coherence_scale=draw(st.floats(0.0, 1.0)),
+        depolarizing=draw(st.floats(0.0, 1.0)),
+        t1=None if t1 is None else tuple(t1),
+        amplitude_damping=t1 is not None and draw(st.booleans()),
+    )
 
 
 def two_spin_system(nu1=30.0, nu2=-20.0, j=7.0):
@@ -127,12 +162,13 @@ class TestHamiltonian:
         np.testing.assert_array_equal(sys5.J, sys5.J.T)
         assert energies(sys5).shape == (32,)
 
-    def test_system_json_round_trip(self):
-        sys5 = NmrSystem.placeholder_five_spin()
-        loaded = NmrSystem.from_json_dict(sys5.to_json_dict())
-        np.testing.assert_array_equal(loaded.nu, sys5.nu)
-        np.testing.assert_array_equal(loaded.J, sys5.J)
-        np.testing.assert_array_equal(loaded.T2star, sys5.T2star)
+    @settings(max_examples=40, deadline=None)
+    @given(system=nmr_systems())
+    @example(system=NmrSystem.placeholder_five_spin())
+    def test_system_json_round_trip(self, system):
+        loaded = NmrSystem.from_json_dict(json.loads(json.dumps(system.to_json_dict())))
+        for name in ("nu", "J", "T1", "T2", "T2star"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(system, name))
 
 
 class TestDephasing:
@@ -292,16 +328,31 @@ class TestNoiseModel:
         with pytest.raises(ValueError, match="depolarising"):
             NoiseModel.from_json_dict(doc)
 
-    def test_json_round_trip(self):
-        model = NoiseModel(
+    @settings(max_examples=60, deadline=None)
+    @given(model=noise_models())
+    @example(
+        model=NoiseModel(
             t2=(0.8, 0.9, 1.0, 1.1, 1.2),
             schedule=(("encode", 0.3), ("error", 0.05), ("decode", 0.3)),
             coherence_scale=0.9,
             depolarizing=0.01,
             t1=(4.0, 5.0, 6.0, 7.0, 8.0),
         )
-        loaded = NoiseModel.from_json_dict(model.to_json_dict())
+    )
+    def test_json_round_trip(self, model):
+        loaded = NoiseModel.from_json_dict(json.loads(json.dumps(model.to_json_dict())))
         assert loaded == model
+
+    @pytest.mark.parametrize("n_t1", [3, 7])
+    @pytest.mark.parametrize("damping", [True, False])
+    def test_t1_needs_one_entry_per_qubit(self, n_t1, damping):
+        with pytest.raises(ValueError, match=f"t1 has {n_t1} entries, t2 has 5"):
+            NoiseModel(
+                t2=(1.0,) * 5,
+                schedule=(("encode", 0.1), ("error", 0.1), ("decode", 0.1)),
+                t1=(5.0,) * n_t1,
+                amplitude_damping=damping,
+            )
 
 
 T1_TIMES = (5.0, 8.0, 7.0, 6.0, 9.0)

@@ -1,4 +1,6 @@
 """Tests for the dense simulator kernels."""
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -16,10 +18,21 @@ from cws552.statevec import (
     h,
     overlap,
     partial_trace,
-    pauli_operator,
+    pauli_apply,
     schmidt_rank,
     trace_distance,
 )
+
+PAULI_2x2 = {"E": np.eye(2, dtype=complex), "X": X, "Y": Y, "Z": Z}
+
+
+def kron_pauli(n, labels):
+    """Dense oracle: the kron chain of single-qubit Paulis, qubit 1 first."""
+    op = np.array([[1.0 + 0j]])
+    for q in range(1, n + 1):
+        op = np.kron(op, PAULI_2x2[labels.get(q, "E")])
+    return op
+
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 
@@ -116,11 +129,23 @@ class TestKernelConsistency:
             out = apply_gate(PureState(4, basis), gate)
             np.testing.assert_allclose(full[:, idx], out.amplitudes)
 
-    def test_pauli_operator_embedding(self):
-        op = pauli_operator(2, {1: "X"})
-        np.testing.assert_allclose(op, np.kron(X, np.eye(2)))
-        op = pauli_operator(2, {1: "Z", 2: "Y"})
-        np.testing.assert_allclose(op, np.kron(Z, Y))
+    def test_pauli_apply_matches_kron_oracle(self):
+        # every Pauli on five qubits, on a vector and on a column batch, bit for bit
+        rng = np.random.default_rng(29)
+        vec = random_state(rng, 5).amplitudes
+        batch = rng.normal(size=(32, 6)) + 1j * rng.normal(size=(32, 6))
+        for word in product("EXYZ", repeat=5):
+            labels = dict(zip(range(1, 6), word))
+            op = kron_pauli(5, labels)
+            assert np.array_equal(pauli_apply(vec, labels), op @ vec), word
+            assert np.array_equal(pauli_apply(batch, labels), op @ batch), word
+
+    def test_pauli_apply_on_few_qubits_and_sparse_labels(self):
+        rng = np.random.default_rng(31)
+        vec = random_state(rng, 2).amplitudes
+        assert np.array_equal(pauli_apply(vec, {}), vec)
+        assert np.array_equal(pauli_apply(vec, {1: "X"}), np.kron(X, np.eye(2)) @ vec)
+        assert np.array_equal(pauli_apply(vec, {2: "Y", 1: "Z"}), np.kron(Z, Y) @ vec)
 
 
 class TestMixedStates:
@@ -218,6 +243,18 @@ class TestValidation:
     def test_rejects_out_of_range_qubit(self):
         with pytest.raises(ValueError, match="out of range"):
             apply_gate(PureState.basis("00"), GateOp.single(3, X))
+
+    def test_pauli_apply_rejects_bad_qubits_labels_and_shapes(self):
+        vec = PureState.zero(5).amplitudes
+        for qubit in (0, 6, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                pauli_apply(vec, {qubit: "X"})
+        with pytest.raises(ValueError, match="E, X, Y or Z"):
+            pauli_apply(vec, {2: "H"})
+        with pytest.raises(ValueError, match="2\\^n"):
+            pauli_apply(np.ones(6), {1: "X"})
+        with pytest.raises(ValueError, match="2\\^n"):
+            pauli_apply(np.ones((32, 2, 2)), {1: "X"})
 
     def test_rejects_repeated_labels(self):
         with pytest.raises(ValueError, match="repeated"):
