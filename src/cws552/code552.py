@@ -333,7 +333,12 @@ def _complex_to_pairs(arr: np.ndarray) -> list:
 
 def _pairs_to_complex(doc: list) -> np.ndarray:
     arr = np.asarray(doc, dtype=float)
-    return arr[..., 0] + 1j * arr[..., 1]
+    if arr.ndim == 0 or arr.shape[-1] != 2:
+        raise ValueError(f"complex entries must be [re, im] pairs, got an array of shape {arr.shape}")
+    # Set the parts rather than computing re + 1j * im, which loses the sign of a zero.
+    out = np.empty(arr.shape[:-1], dtype=complex)
+    out.real, out.imag = arr[..., 0], arr[..., 1]
+    return out
 
 
 def code_to_json_dict(code: CodeSpec) -> dict:

@@ -26,10 +26,9 @@ rotations over all three inputs and averages over the input.
 """
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -235,41 +234,51 @@ class LocationFit:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """One sweep.  obs[location - 1, combo, column, point] holds the observables
+    A0, A1, I0, I1, I (columns 0-4) of each (error_type, input_k) combo;
+    records lists the same values point by point."""
+
     setting: str
     grid: np.ndarray
+    obs: np.ndarray
     records: list[PointRecord]
-    ibar0: dict[int, np.ndarray]
-    ibar1: dict[int, np.ndarray]
-    ibar: dict[int, np.ndarray]
-    theta_est: dict[int, np.ndarray]
     fits: dict[int, LocationFit]
     noise: NoiseModel | None
 
 
-def fit_scale(measured: Iterable[tuple[float, float]], theory: Callable[[float], float]) -> tuple[float, float]:
-    """Least-squares scale of measured values onto a theory curve.
+def _fit_arrays(*arrays: Sequence[float]) -> list[np.ndarray]:
+    """The inputs of a fit as float arrays: one-dimensional, equally long and finite."""
+    out = [np.asarray(a, dtype=float) for a in arrays]
+    if any(a.ndim != 1 for a in out):
+        raise ValueError("fit inputs must be one-dimensional")
+    if len({a.size for a in out}) > 1:
+        raise ValueError(f"fit inputs differ in length: {[a.size for a in out]}")
+    if not all(np.all(np.isfinite(a)) for a in out):
+        raise ValueError("fit inputs must be finite")
+    return out
 
-    Minimizes sum (m_i - s * theory(x_i))^2; the standard error comes from
-    the residual variance with one fitted parameter.
+
+def fit_scale(measured: Sequence[float], theory: Sequence[float]) -> tuple[float, float]:
+    """Least-squares scale of measured values onto a theory curve at the same points.
+
+    Minimizes sum (m_i - s * t_i)^2; the standard error comes from the
+    residual variance with one fitted parameter.
     """
-    pts = [(float(x), float(y)) for x, y in measured]
-    if len(pts) < 2:
+    ys, t = _fit_arrays(measured, theory)
+    if ys.size < 2:
         raise ValueError("need at least two points")
-    xs = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
-    t = np.array([float(theory(x)) for x in xs])
     ss = float(t @ t)
     if ss < 1e-30:
         raise ValueError("theory curve is identically zero on the grid")
     scale = float(ys @ t) / ss
     resid = ys - scale * t
-    sigma2 = float(resid @ resid) / (len(pts) - 1)
+    sigma2 = float(resid @ resid) / (ys.size - 1)
     return scale, float(np.sqrt(sigma2 / ss))
 
 
 def fit_constant(values: Sequence[float]) -> tuple[float, float]:
     """Sample mean and its standard error."""
-    vals = np.asarray([float(v) for v in values])
+    (vals,) = _fit_arrays(values)
     if vals.size < 1:
         raise ValueError("need at least one value")
     mean = float(np.mean(vals))
@@ -278,14 +287,12 @@ def fit_constant(values: Sequence[float]) -> tuple[float, float]:
     return mean, float(np.std(vals, ddof=1) / np.sqrt(vals.size))
 
 
-def fit_line(points: Iterable[tuple[float, float]]) -> "LineFit":
+def fit_line(xs: Sequence[float], ys: Sequence[float]) -> "LineFit":
     """Ordinary least squares y = a x + b with standard errors."""
-    pts = [(float(x), float(y)) for x, y in points]
-    if len(pts) < 2:
+    xs, ys = _fit_arrays(xs, ys)
+    n = xs.size
+    if n < 2:
         raise ValueError("need at least two points")
-    xs = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
-    n = len(pts)
     sxx = float(np.sum((xs - xs.mean()) ** 2))
     if sxx < 1e-30:
         raise ValueError("x values are degenerate")
@@ -306,15 +313,19 @@ class LineFit:
     intercept_stderr: float
 
 
-def _theta_from(i0: float, i1: float) -> float:
-    if i0 + i1 <= 1e-30:
-        raise ValueError("zero signal: cannot estimate an angle")
-    return float(2.0 * np.arctan2(np.sqrt(i1), np.sqrt(i0)))
+_NO_SIGNAL = 1e-30  # I0 + I1 at or below this carries no angle
+
+
+def _angles(i0, i1):
+    """Theta = 2 atan2(sqrt(I1), sqrt(I0)), elementwise."""
+    return 2.0 * np.arctan2(np.sqrt(i1), np.sqrt(i0))
 
 
 def estimate_theta(obs: Observables) -> float:
     """Recover the error angle from the two amplitude moduli."""
-    return _theta_from(obs.i0, obs.i1)
+    if obs.i0 + obs.i1 <= _NO_SIGNAL:
+        raise ValueError("zero signal: cannot estimate an angle")
+    return float(_angles(obs.i0, obs.i1))
 
 
 def _encoded_density(code: CodeSpec, profile: InputProfile, noise: NoiseModel | None) -> np.ndarray:
@@ -393,8 +404,6 @@ def _sweep(
     Every grid point of a (location, error_type, input_k) leg comes from one
     transfer map (see _transfer_map); run_point is the per-point oracle.
     """
-    records = []
-    ibar0, ibar1, ibar, theta_est, fits = {}, {}, {}, {}, {}
     # Branches each input is read in: the E branch plus its error types.
     readouts = {}
     for error_type, input_k in combos:
@@ -405,42 +414,44 @@ def _sweep(
     for error_type in sorted({t for t, _ in combos}):
         u = typed_expansions(error_type, grid)
         pairs[error_type] = (u[:, :, None] * u.conj()[:, None, :]).reshape(len(grid), 16)
-    thetas = [float(th) for th in grid]
+    obs = np.empty((code.n, len(combos), 5, len(grid)))
     for location in range(1, code.n + 1):
         maps = {
             k: _transfer_map(code, rho, INPUTS[k], location, noise, readouts[k])
             for k, rho in encoded.items()
         }
-        moduli = []
-        for error_type, input_k in combos:
+        for c, (error_type, input_k) in enumerate(combos):
             z0 = pairs[error_type] @ maps[input_k]["E"]
             z1 = pairs[error_type] @ maps[input_k][error_type]
-            cols = (z0.real, z1.real, np.abs(z0), np.abs(z1), np.abs(z0 + z1))
-            moduli.append(cols[2:])
-            records.extend(
-                PointRecord(location, error_type, input_k, th, Observables(*vals))
-                for th, vals in zip(thetas, zip(*(c.tolist() for c in cols)))
-            )
-        i0, i1, ii = np.mean(moduli, axis=0)
-        ibar0[location], ibar1[location], ibar[location] = i0, i1, ii
-        theta_est[location] = np.array([_theta_from(a, b) for a, b in zip(i0, i1)])
-        alpha0 = fit_scale(zip(grid, i0), lambda th: np.cos(th / 2.0) ** 2)
-        alpha1 = fit_scale(zip(grid, i1), lambda th: np.sin(th / 2.0) ** 2)
-        const = fit_constant(ii)
-        line = fit_line(zip(grid, theta_est[location]))
+            obs[location - 1, c] = z0.real, z1.real, np.abs(z0), np.abs(z1), np.abs(z0 + z1)
+    thetas = grid.tolist()
+    records = [
+        PointRecord(location, error_type, input_k, theta, Observables(*values))
+        for location, legs in enumerate(obs.transpose(0, 1, 3, 2).tolist(), start=1)
+        for (error_type, input_k), points in zip(combos, legs)
+        for theta, values in zip(thetas, points)
+    ]
+    # The combo mean is a fresh array, so each location's row below is
+    # contiguous; a strided row would change the dot products' rounding.
+    means = obs.mean(axis=1)
+    i0, i1, ii = means[:, 2], means[:, 3], means[:, 4]
+    if np.any(i0 + i1 <= _NO_SIGNAL):
+        raise ValueError("zero signal: cannot estimate an angle")
+    angles = _angles(i0, i1)
+    cos2, sin2 = np.cos(grid / 2.0) ** 2, np.sin(grid / 2.0) ** 2
+    fits = {}
+    for location, (m0, m1, m, theta) in enumerate(zip(i0, i1, ii, angles), start=1):
+        line = fit_line(grid, theta)
         fits[location] = LocationFit(
-            alpha0=alpha0[0],
-            alpha0_stderr=alpha0[1],
-            alpha1=alpha1[0],
-            alpha1_stderr=alpha1[1],
-            ibar=const[0],
-            ibar_stderr=const[1],
-            slope=line.slope,
-            slope_stderr=line.slope_stderr,
-            intercept=line.intercept,
-            intercept_stderr=line.intercept_stderr,
+            *fit_scale(m0, cos2),
+            *fit_scale(m1, sin2),
+            *fit_constant(m),
+            line.slope,
+            line.slope_stderr,
+            line.intercept,
+            line.intercept_stderr,
         )
-    return SweepResult(setting, np.asarray(grid, dtype=float), records, ibar0, ibar1, ibar, theta_est, fits, noise)
+    return SweepResult(setting, grid, obs, records, fits, noise)
 
 
 def _sweep_grid(grid: np.ndarray | None) -> np.ndarray:
@@ -470,10 +481,6 @@ def run_setting_c(
     return _sweep(code, "C", combos, _sweep_grid(grid), noise)
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
 SWEEP_CSV_COLUMNS = (
     "setting",
     "location",
@@ -489,31 +496,22 @@ SWEEP_CSV_COLUMNS = (
 )
 
 
+# One row as csv.writer would write it: no field needs quoting.
+_SWEEP_ROW = "%s,%d,%s,%d" + ",%.17g" * 7 + "\r\n"
+
+
 def write_sweep_csv(result: SweepResult, path: str) -> None:
     """Per-point sweep table; floats carry 17 significant digits."""
+    i0, i1 = result.obs[:, :, 2], result.obs[:, :, 3]
+    theta = np.where(i0 + i1 > _NO_SIGNAL, _angles(i0, i1), np.nan)
+    # (location, combo, point, column): the records' order
+    values = np.concatenate([result.obs, theta[:, :, None]], axis=2).transpose(0, 1, 3, 2).reshape(-1, 6)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_CSV_COLUMNS)
-        for rec in result.records:
-            o = rec.obs
-            theta_row = (
-                _theta_from(o.i0, o.i1) if o.i0 + o.i1 > 1e-30 else float("nan")
-            )
-            writer.writerow(
-                [
-                    result.setting,
-                    rec.location,
-                    rec.error_type,
-                    rec.input_k,
-                    _fmt(rec.theta),
-                    _fmt(o.a0),
-                    _fmt(o.a1),
-                    _fmt(o.i0),
-                    _fmt(o.i1),
-                    _fmt(o.i),
-                    _fmt(theta_row),
-                ]
-            )
+        fh.write(",".join(SWEEP_CSV_COLUMNS) + "\r\n")
+        fh.writelines(
+            _SWEEP_ROW % (result.setting, rec.location, rec.error_type, rec.input_k, rec.theta, *row)
+            for rec, row in zip(result.records, values.tolist())
+        )
 
 
 SETTING_A_CSV_COLUMNS = (
@@ -529,24 +527,19 @@ SETTING_A_CSV_COLUMNS = (
 )
 
 
+_SETTING_A_ROW = "A,%d,%s,2,%s,%s,%.17g,%.17g,%d\r\n"
+
+
 def write_setting_a_csv(rows: list[SettingARow], path: str) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SETTING_A_CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    "A",
-                    row.location,
-                    row.pauli,
-                    2,
-                    row.expected_branch,
-                    row.branch,
-                    _fmt(row.branch_population),
-                    _fmt(row.register_fidelity),
-                    int(row.matches),
-                ]
+        fh.write(",".join(SETTING_A_CSV_COLUMNS) + "\r\n")
+        fh.writelines(
+            _SETTING_A_ROW % (
+                row.location, row.pauli, row.expected_branch, row.branch,
+                row.branch_population, row.register_fidelity, row.matches,
             )
+            for row in rows
+        )
 
 
 def fit_summary(result: SweepResult) -> dict:

@@ -1,4 +1,5 @@
 """Tests for the code construction, encode/decode, and the brute-force verifiers."""
+import json
 from dataclasses import replace
 from itertools import combinations, product
 
@@ -6,8 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cws552.code552 import (
+    CODEWORD_PAIRS,
+    KL_LABELS,
     SYNDROME_MAP,
     build_code,
     code_from_json_dict,
@@ -260,6 +264,42 @@ def test_erasure_correctability_detects_corrupted_codewords(code):
     assert not report.passed
 
 
+def exact_pair_form(p, q, location):
+    """<phi_b| P^dag Q |phi_c> for P, Q on `location`, straight from the codeword pairs.
+
+    Each entry is half a sum of at most four terms <x|P^dag Q|y>, x and y
+    strings of pairs b and c; a term is an entry of the 2x2 product, in
+    {0, +-1, +-i}, when x and y agree off `location`, else 0.  All exact.
+    """
+    m = PAULI_2x2[p].conj().T @ PAULI_2x2[q]
+    at = location - 1
+    form = np.zeros((len(CODEWORD_PAIRS), len(CODEWORD_PAIRS)), dtype=complex)
+    for b, pair_b in enumerate(CODEWORD_PAIRS):
+        for c, pair_c in enumerate(CODEWORD_PAIRS):
+            terms = [
+                m[int(x[at]), int(y[at])]
+                for x in pair_b
+                for y in pair_c
+                if x[:at] + x[at + 1 :] == y[:at] + y[at + 1 :]
+            ]
+            form[b, c] = sum(terms) / 2
+    return form
+
+
+def test_erasure_c_matrices_match_exact_codeword_pair_oracle(code):
+    report = verify_erasure_correctability(code)
+    assert report.labels == KL_LABELS
+    for loc in report.locations:
+        assert loc.max_violation <= 1e-15
+        for i, p in enumerate(KL_LABELS):
+            for j, q in enumerate(KL_LABELS):
+                exact = exact_pair_form(p, q, loc.location)
+                eye = np.eye(len(exact))
+                # Knill-Laflamme for an erasure, exactly: C_PQ = delta_PQ, no cross terms
+                np.testing.assert_array_equal(exact, eye * (p == q))
+                assert np.max(np.abs(exact - loc.c_matrix[i, j] * eye)) <= 1e-15, (loc.location, p, q)
+
+
 def test_distance_is_two_with_weight_two_witness(code):
     result = verify_distance(code)
     assert result.distance == 2
@@ -333,11 +373,61 @@ def test_json_export_round_trip(code):
         np.testing.assert_array_equal(loaded.decoder(q), code.decoder(q))
 
 
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _join(parts):
+    out = np.empty(parts.shape[:-1], dtype=complex)
+    out.real, out.imag = parts[..., 0], parts[..., 1]
+    return out
+
+
+def complex_arrays(shape):
+    """Complex arrays of any finite parts, signed zeros and subnormals included."""
+    return arrays(np.float64, shape + (2,), elements=finite_floats, fill=finite_floats).map(_join)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    codewords=st.lists(complex_arrays((32,)), min_size=1, max_size=5),
+    encoder=complex_arrays((32, 32)),
+    decoders=st.lists(complex_arrays((32, 32)), min_size=5, max_size=5),
+)
+def test_json_text_round_trip_of_random_codes(code, codewords, encoder, decoders):
+    """Any code survives export to JSON text and back bit for bit."""
+    spec = replace(
+        code,
+        dimension=len(codewords),
+        codewords=tuple(PureState(5, cw) for cw in codewords),
+        encoder=encoder,
+        decoders=tuple(decoders),
+    )
+    loaded = code_from_json_dict(json.loads(json.dumps(code_to_json_dict(spec))))
+    assert (loaded.n, loaded.dimension, loaded.distance) == (spec.n, spec.dimension, spec.distance)
+    assert (loaded.register_qubits, loaded.syndrome_qubits) == (spec.register_qubits, spec.syndrome_qubits)
+    assert loaded.logical_basis == spec.logical_basis
+    pairs = [(loaded.encoder, spec.encoder)]
+    pairs += [(a.amplitudes, b.amplitudes) for a, b in zip(loaded.codewords, spec.codewords, strict=True)]
+    pairs += list(zip(loaded.decoders, spec.decoders, strict=True))
+    for got, want in pairs:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_json_tampering_is_caught_by_verification(code):
     doc = code_to_json_dict(code)
     doc["codewords"][0][1] = [0.9, 0.0]  # break normalization/orthogonality
     loaded = code_from_json_dict(doc)
     assert codeword_orthonormality_deviation(loaded) > 1e-12
+
+
+@pytest.mark.parametrize("pair", [lambda p: p[:1], lambda p: p + [0.5], lambda p: 0.5])
+def test_json_rejects_entries_that_are_not_re_im_pairs(code, pair):
+    """One element or three is a malformed entry, not a part of one to read."""
+    doc = code_to_json_dict(code)
+    doc["encoder"] = [[pair(p) for p in row] for row in doc["encoder"]]
+    with pytest.raises(ValueError, match=r"\[re, im\] pairs"):
+        code_from_json_dict(doc)
 
 
 def test_decoder_location_out_of_range(code):

@@ -202,18 +202,16 @@ def test_setting_c_under_dephasing_keeps_exact_angle_recovery(code):
 
 
 def test_fit_scale_examples():
-    theory = lambda x: math.sin(x) ** 2  # noqa: E731
     xs = np.linspace(0.3, 2.8, 9)
-    exact = [(x, theory(x)) for x in xs]
-    scale, err = fit_scale(exact, theory)
+    theory = np.sin(xs) ** 2
+    scale, err = fit_scale(theory, theory)
     assert abs(scale - 1.0) < 1e-12 and err < 1e-12
-    halved = [(x, 0.5 * theory(x)) for x in xs]
-    scale, err = fit_scale(halved, theory)
+    scale, err = fit_scale(0.5 * theory, theory)
     assert abs(scale - 0.5) < 1e-12 and err < 1e-12
     with pytest.raises(ValueError, match="identically zero"):
-        fit_scale([(0.0, 0.0), (0.0, 1.0)], theory)
+        fit_scale([0.0, 1.0], [0.0, 0.0])
     with pytest.raises(ValueError, match="two points"):
-        fit_scale([(1.0, 1.0)], theory)
+        fit_scale([1.0], [1.0])
 
 
 def test_fit_constant_examples():
@@ -230,17 +228,51 @@ def test_fit_constant_examples():
 
 def test_fit_line_examples():
     xs = np.linspace(0, 3, 8)
-    fit = fit_line([(x, x) for x in xs])
+    fit = fit_line(xs, xs)
     assert abs(fit.slope - 1.0) < 1e-12
     assert abs(fit.intercept) < 1e-12
     assert fit.slope_stderr < 1e-12 and fit.intercept_stderr < 1e-12
-    fit = fit_line([(x, 0.9 * x + 0.05) for x in xs])
+    fit = fit_line(xs, 0.9 * xs + 0.05)
     assert abs(fit.slope - 0.9) < 1e-12
     assert abs(fit.intercept - 0.05) < 1e-12
-    fit = fit_line([(0.0, 0.1), (1.0, 0.9)])  # n=2: zero residual by construction
+    fit = fit_line([0.0, 1.0], [0.1, 0.9])  # n=2: zero residual by construction
     assert fit.slope_stderr == 0.0
     with pytest.raises(ValueError, match="degenerate"):
-        fit_line([(1.0, 0.0), (1.0, 1.0)])
+        fit_line([1.0, 1.0], [0.0, 1.0])
+    with pytest.raises(ValueError, match="two points"):
+        fit_line([1.0], [1.0])
+
+
+# Every fit called with two arrays; fit_constant reads only the second.
+FITS = {"fit_scale": fit_scale, "fit_line": fit_line, "fit_constant": lambda _, values: fit_constant(values)}
+
+
+@pytest.mark.parametrize("fit", sorted(FITS))
+def test_fits_reject_inputs_that_are_not_one_dimensional(fit):
+    with pytest.raises(ValueError, match="one-dimensional"):
+        FITS[fit](np.ones(4), np.ones((2, 2)))
+    with pytest.raises(ValueError, match="one-dimensional"):
+        FITS[fit](np.ones(1), np.float64(1.0))
+
+
+@pytest.mark.parametrize("fit", ["fit_scale", "fit_line"])
+def test_fits_reject_inputs_of_unequal_length(fit):
+    """Arrays of 3 and 1 would otherwise broadcast to a wrong answer."""
+    with pytest.raises(ValueError, match="differ in length"):
+        FITS[fit]([0.0, 1.0, 2.0], [1.0])
+    with pytest.raises(ValueError, match="differ in length"):
+        FITS[fit]([0.0, 1.0], [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("fit", sorted(FITS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fits_reject_non_finite_inputs(fit, bad):
+    """A NaN would reach the fits JSON as a bare NaN, which is not valid JSON."""
+    with pytest.raises(ValueError, match="finite"):
+        FITS[fit]([0.0, 1.0, 2.0], [0.5, bad, 0.7])
+    if fit != "fit_constant":
+        with pytest.raises(ValueError, match="finite"):
+            FITS[fit]([0.0, bad, 2.0], [0.5, 0.6, 0.7])
 
 
 def test_default_grid():
@@ -265,9 +297,8 @@ def test_sweep_csv_round_trip(code, tmp_path):
     by_key = {(int(r.location), r.error_type, r.theta): r.obs for r in result.records}
     for row in rows[1:]:
         obs = by_key[(int(row[1]), row[2], float(row[4]))]
-        assert float(row[5]) == obs.a0
-        assert float(row[8]) == obs.i1
-        assert float(row[9]) == obs.i
+        assert [float(v) for v in row[5:10]] == [obs.a0, obs.a1, obs.i0, obs.i1, obs.i]
+        assert float(row[10]) == estimate_theta(obs)  # the array Theta equals the scalar one bit for bit
 
 
 def test_sweep_csv_is_deterministic(code, tmp_path):
