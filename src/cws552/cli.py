@@ -29,14 +29,20 @@ ORTHO_TOL = 1e-12
 ACTION_TOL = 1e-10
 
 
+def _read_json(path: str, what: str) -> dict:
+    """The JSON object in the `what` file at `path`; every JSON input is read here."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} file must hold a JSON object")
+    return doc
+
+
 def _load_config(path: str | None, keys: set[str]) -> dict:
     """The config file's object; every key must be one of `keys`."""
     if path is None:
         return {}
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("config file must hold a JSON object")
+    doc = _read_json(path, "config")
     unknown = sorted(set(doc) - keys)
     if unknown:
         raise ValueError(f"unknown config keys {unknown}; this command takes {sorted(keys)}")
@@ -70,11 +76,7 @@ def _decoder_deviation(code, codewords: np.ndarray) -> float:
 
 def cmd_verify(args, config: dict) -> int:
     code_path = _pick(args.code, config, "code", None)
-    if code_path is not None:
-        with open(code_path) as fh:
-            code = code_from_json_dict(json.load(fh))
-    else:
-        code = build_code()
+    code = build_code() if code_path is None else code_from_json_dict(_read_json(code_path, "code"))
 
     codewords = code552._codeword_matrix(code.codewords)
     ortho = codeword_orthonormality_deviation(code)
@@ -147,7 +149,7 @@ def cmd_sweep(args, config: dict) -> int:
         raise ValueError("an output directory is required (--out)")
     os.makedirs(out_dir, exist_ok=True)
 
-    noise = nmr_noise.NoiseModel.load(noise_path) if noise_path else None
+    noise = nmr_noise.NoiseModel.from_json_dict(_read_json(noise_path, "noise")) if noise_path else None
     code = build_code()
 
     meta = {
@@ -233,7 +235,7 @@ def cmd_spectrum(args, config: dict) -> int:
     if out_path is None:
         raise ValueError("an output file is required (--out)")
 
-    system = nmr_noise.NmrSystem.load(system_path)
+    system = nmr_noise.NmrSystem.from_json_dict(_read_json(system_path, "system"))
     state = _state_from_spec(state_spec, system.n_spins)
     spectrum = nmr_noise.simulate_spectrum(state, system, observe, t_max, dt)
     with open(out_path, "w", newline="") as fh:

@@ -31,7 +31,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .statevec import PureState, cnot, gate_matrix, h, pauli_apply
+from .statevec import PureState, _axes_for, cnot, gate_matrix, h, pauli_apply
 
 N_QUBITS = 5
 DIMENSION = 5
@@ -78,9 +78,8 @@ class CodeSpec:
     decoders: tuple[np.ndarray, ...]
 
     def decoder(self, location: int) -> np.ndarray:
-        if not 1 <= location <= self.n:
-            raise ValueError(f"location must be in 1..{self.n}, got {location}")
-        return self.decoders[location - 1]
+        (axis,) = _axes_for((location,), self.n, "location")
+        return self.decoders[axis]
 
 
 def _input_index(b: int) -> int:
@@ -359,20 +358,26 @@ def code_to_json_dict(code: CodeSpec) -> dict:
 
 def code_from_json_dict(doc: dict) -> CodeSpec:
     """Load a CodeSpec as stored; run the verifiers to trust it."""
-    n = int(doc["n"])
-    codewords = tuple(
-        PureState(n, _pairs_to_complex(cw)) for cw in doc["codewords"]
-    )
+    n, dimension, distance = doc["n"], doc["K"], doc["d"]
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (n, dimension, distance)):
+        raise ValueError(f"n, K and d must be integers, got {n!r}, {dimension!r}, {distance!r}")
+    register, syndrome, basis = doc["register_qubits"], doc["syndrome_qubits"], doc["logical_basis"]
+    if not all(isinstance(v, (list, tuple)) for v in (register, syndrome, basis)):
+        raise ValueError("register_qubits, syndrome_qubits and logical_basis must be lists")
+    if not isinstance(doc["decoders"], dict):
+        raise ValueError("decoders must map each location to a matrix")
+    _axes_for(tuple(register) + tuple(syndrome), n)
+    codewords = tuple(PureState(n, cw) for cw in _pairs_to_complex(doc["codewords"]))
     decoders = tuple(
         _pairs_to_complex(doc["decoders"][str(q)]) for q in range(1, n + 1)
     )
     return CodeSpec(
         n=n,
-        dimension=int(doc["K"]),
-        distance=int(doc["d"]),
-        register_qubits=tuple(doc["register_qubits"]),
-        syndrome_qubits=tuple(doc["syndrome_qubits"]),
-        logical_basis=tuple(doc["logical_basis"]),
+        dimension=dimension,
+        distance=distance,
+        register_qubits=tuple(register),
+        syndrome_qubits=tuple(syndrome),
+        logical_basis=tuple(basis),
         codewords=codewords,
         encoder=_pairs_to_complex(doc["encoder"]),
         decoders=decoders,

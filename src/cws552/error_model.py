@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import E2, X, Y, Z, PureState
+from .statevec import E2, X, Y, Z, PureState, _axes_for
 
 AXIS_BY_TYPE = {"X": (1.0, 0.0, 0.0), "Y": (0.0, 1.0, 0.0), "Z": (0.0, 0.0, 1.0)}
 
@@ -33,8 +33,7 @@ class ErrorSpec:
     axis: tuple[float, float, float]
 
     def __post_init__(self):
-        if not isinstance(self.location, (int, np.integer)) or self.location < 1:
-            raise ValueError(f"location must be a positive integer, got {self.location}")
+        _axes_for((self.location,), what="location")
         ax = tuple(float(c) for c in self.axis)
         if len(ax) != 3:
             raise ValueError("axis must have three components")

@@ -27,6 +27,7 @@ rotations over all three inputs and averages over the input.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,6 +41,7 @@ from .statevec import (
     GateOp,
     MixedState,
     PureState,
+    _axes_for,
     apply_gate,
     fidelity_with_pure,
     partial_trace,
@@ -48,6 +50,11 @@ from .statevec import (
 ERROR_TYPES = ("X", "Y", "Z")
 SETTING_A_PAULIS = ("E", "Z", "X", "Y")
 INPUT_KS = (1, 2, 3)
+# The (error_type, input_k) combos each sweep setting averages over.
+SWEEP_COMBOS = {
+    "B": tuple((error_type, 2) for error_type in ERROR_TYPES),
+    "C": tuple(("Y", input_k) for input_k in INPUT_KS),
+}
 
 _TYPE_AXIS_ATOL = 1e-9
 
@@ -102,6 +109,7 @@ def final_state(
     Without noise the pipeline runs on the state vector; with noise it is
     run_noisy_qecc.
     """
+    _axes_for((error.location,), code.n, "location")
     if noise is not None:
         return run_noisy_qecc(code, register, error, noise)
     psi = encode(code, register)
@@ -133,8 +141,6 @@ def run_point(
     """
     if input_k not in INPUTS:
         raise ValueError(f"input_k must be one of {sorted(INPUTS)}, got {input_k}")
-    if not 1 <= error.location <= code.n:
-        raise ValueError(f"error location must be in 1..{code.n}")
     profile = INPUTS[input_k]
     state = final_state(code, profile.register, error, noise)
 
@@ -330,8 +336,6 @@ def estimate_theta(obs: Observables) -> float:
 
 def _encoded_density(code: CodeSpec, profile: InputProfile, noise: NoiseModel | None) -> np.ndarray:
     """32x32 density matrix after encode and the encode segment's noise."""
-    if noise is not None and len(noise.t2) != code.n:
-        raise ValueError(f"noise model covers {len(noise.t2)} qubits, code has {code.n}")
     psi = encode(code, profile.register).amplitudes
     rho = np.outer(psi, psi.conj())
     return rho if noise is None else apply_segment_noise(rho, noise, "encode")
@@ -392,18 +396,13 @@ def _pauli_pairs() -> np.ndarray:
     return np.array([np.kron(a, b.conj()).ravel() for a in paulis for b in paulis])
 
 
-def _sweep(
-    code: CodeSpec,
-    setting: str,
-    combos: list[tuple[str, int]],
-    grid: np.ndarray,
-    noise: NoiseModel | None,
-) -> SweepResult:
-    """Shared sweep loop; combos lists (error_type, input_k) to average over.
+def _sweep(code: CodeSpec, setting: str, grid: np.ndarray, noise: NoiseModel | None) -> SweepResult:
+    """Shared sweep loop over the setting's SWEEP_COMBOS, averaged per location.
 
     Every grid point of a (location, error_type, input_k) leg comes from one
     transfer map (see _transfer_map); run_point is the per-point oracle.
     """
+    combos = SWEEP_COMBOS[setting]
     # Branches each input is read in: the E branch plus its error types.
     readouts = {}
     for error_type, input_k in combos:
@@ -467,8 +466,7 @@ def run_setting_b(
     noise: NoiseModel | None = None,
 ) -> SweepResult:
     """Sweep x/y/z-axis rotations on input k=2, averaging over the axis."""
-    combos = [(error_type, 2) for error_type in ERROR_TYPES]
-    return _sweep(code, "B", combos, _sweep_grid(grid), noise)
+    return _sweep(code, "B", _sweep_grid(grid), noise)
 
 
 def run_setting_c(
@@ -477,8 +475,7 @@ def run_setting_c(
     noise: NoiseModel | None = None,
 ) -> SweepResult:
     """Sweep y-axis rotations over all three inputs, averaging over the input."""
-    combos = [("Y", input_k) for input_k in INPUT_KS]
-    return _sweep(code, "C", combos, _sweep_grid(grid), noise)
+    return _sweep(code, "C", _sweep_grid(grid), noise)
 
 
 SWEEP_CSV_COLUMNS = (
@@ -504,13 +501,14 @@ def write_sweep_csv(result: SweepResult, path: str) -> None:
     """Per-point sweep table; floats carry 17 significant digits."""
     i0, i1 = result.obs[:, :, 2], result.obs[:, :, 3]
     theta = np.where(i0 + i1 > _NO_SIGNAL, _angles(i0, i1), np.nan)
-    # (location, combo, point, column): the records' order
+    # rows run over (location, combo, point), point fastest
     values = np.concatenate([result.obs, theta[:, :, None]], axis=2).transpose(0, 1, 3, 2).reshape(-1, 6)
+    keys = itertools.product(range(1, len(result.obs) + 1), SWEEP_COMBOS[result.setting], result.grid.tolist())
     with open(path, "w", newline="") as fh:
         fh.write(",".join(SWEEP_CSV_COLUMNS) + "\r\n")
         fh.writelines(
-            _SWEEP_ROW % (result.setting, rec.location, rec.error_type, rec.input_k, rec.theta, *row)
-            for rec, row in zip(result.records, values.tolist())
+            _SWEEP_ROW % (result.setting, location, error_type, input_k, angle, *row)
+            for (location, (error_type, input_k), angle), row in zip(keys, values.tolist())
         )
 
 

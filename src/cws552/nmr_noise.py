@@ -23,8 +23,6 @@ partner held in |0> contributes the peak at nu_j + J/2.
 """
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,12 +30,35 @@ import numpy as np
 
 from .code552 import CodeSpec, encode
 from .error_model import ErrorSpec, error_unitary
-from .statevec import GateOp, MixedState, PureState, _spin_signs, apply_gate_mixed, apply_matrix_mixed
+from .statevec import GateOp, MixedState, PureState, _axes_for, _spin_signs, apply_gate_mixed, apply_matrix_mixed
 
 SEGMENTS = ("encode", "error", "decode")
 _NOISE_MODEL_KEYS = frozenset(
     {"t2", "schedule", "coherence_scale", "depolarizing", "t1", "amplitude_damping"}
 )
+_REAL = (int, float, np.integer, np.floating)
+
+
+def _reals(name: str, values, sign: str = "", ndim: int = 1) -> np.ndarray:
+    """`values` as an `ndim`-dimensional float array: the one check on noise
+    times and system numbers.  Entries are real numbers (not bools or
+    strings), finite, and "positive" or "nonnegative" as `sign` asks."""
+    arr = np.asarray(values, dtype=object)
+    if arr.ndim != ndim or not all(isinstance(v, _REAL) and not isinstance(v, bool) for v in arr.flat):
+        raise ValueError(f"{name} must be a {ndim}-dimensional array of real numbers, got {values!r}")
+    arr = arr.astype(float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    if sign == "positive" and np.any(arr <= 0) or sign == "nonnegative" and np.any(arr < 0):
+        raise ValueError(f"{name} must be {sign}")
+    return arr
+
+
+def _unit_interval(name: str, value) -> float:
+    """`value` as a float in [0, 1]: the one check on channel strengths."""
+    if isinstance(value, bool) or not isinstance(value, _REAL) or not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -51,11 +72,9 @@ class NmrSystem:
     T2star: np.ndarray
 
     def __post_init__(self):
-        for name in ("nu", "J", "T1", "T2", "T2star"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} entries must be finite")
-            object.__setattr__(self, name, arr)
+        rules = {"nu": ("", 1), "J": ("", 2), "T1": ("positive", 1), "T2": ("positive", 1), "T2star": ("positive", 1)}
+        for name, (sign, ndim) in rules.items():
+            object.__setattr__(self, name, _reals(f"{name} entries", getattr(self, name), sign, ndim))
         n = self.nu.size
         j = self.J
         if j.shape != (n, n):
@@ -68,8 +87,6 @@ class NmrSystem:
             arr = getattr(self, name)
             if arr.shape != (n,):
                 raise ValueError(f"{name} must have {n} entries")
-            if np.any(arr <= 0):
-                raise ValueError(f"{name} entries must be positive")
 
     @property
     def n_spins(self) -> int:
@@ -106,18 +123,7 @@ class NmrSystem:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "NmrSystem":
-        return cls(
-            nu=np.asarray(doc["nu"], dtype=float),
-            J=np.asarray(doc["J"], dtype=float),
-            T1=np.asarray(doc["T1"], dtype=float),
-            T2=np.asarray(doc["T2"], dtype=float),
-            T2star=np.asarray(doc["T2star"], dtype=float),
-        )
-
-    @classmethod
-    def load(cls, path: str) -> "NmrSystem":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls(nu=doc["nu"], J=doc["J"], T1=doc["T1"], T2=doc["T2"], T2star=doc["T2star"])
 
 
 def energies(system: NmrSystem) -> np.ndarray:
@@ -158,34 +164,27 @@ class NoiseModel:
     amplitude_damping: bool = False
 
     def __post_init__(self):
-        t2 = tuple(float(v) for v in self.t2)
-        if not all(math.isfinite(v) for v in t2):
-            raise ValueError("T2 entries must be finite")
-        if any(v <= 0 for v in t2):
-            raise ValueError("T2 entries must be positive")
+        t2 = tuple(_reals("T2 entries", self.t2, "positive").tolist())
         object.__setattr__(self, "t2", t2)
-        sched = tuple((str(seg), float(dur)) for seg, dur in self.schedule)
-        names = [seg for seg, _ in sched]
+        pairs = self.schedule
+        if not isinstance(pairs, (list, tuple)) or not all(
+            isinstance(p, (list, tuple)) and len(p) == 2 and isinstance(p[0], str) for p in pairs
+        ):
+            raise ValueError(f"schedule must be (segment, duration) pairs, got {pairs!r}")
+        names = [seg for seg, _ in pairs]
         if sorted(names) != sorted(SEGMENTS):
             raise ValueError(f"schedule must name each of {SEGMENTS} exactly once, got {names}")
-        if not all(math.isfinite(dur) for _, dur in sched):
-            raise ValueError("segment durations must be finite")
-        if any(dur < 0 for _, dur in sched):
-            raise ValueError("segment durations must be nonnegative")
-        object.__setattr__(self, "schedule", sched)
-        if not 0.0 <= self.coherence_scale <= 1.0:
-            raise ValueError("coherence_scale must lie in [0, 1]")
-        if not 0.0 <= self.depolarizing <= 1.0:
-            raise ValueError("depolarizing must lie in [0, 1]")
+        durations = _reals("segment durations", [dur for _, dur in pairs], "nonnegative")
+        object.__setattr__(self, "schedule", tuple(zip(names, durations.tolist())))
+        for knob in ("coherence_scale", "depolarizing"):
+            object.__setattr__(self, knob, _unit_interval(knob, getattr(self, knob)))
         if self.t1 is not None:
-            t1 = tuple(float(v) for v in self.t1)
-            if not all(math.isfinite(v) for v in t1):
-                raise ValueError("T1 entries must be finite")
-            if any(v <= 0 for v in t1):
-                raise ValueError("T1 entries must be positive")
+            t1 = tuple(_reals("T1 entries", self.t1, "positive").tolist())
             if len(t1) != len(t2):
                 raise ValueError(f"t1 has {len(t1)} entries, t2 has {len(t2)}; need one per qubit")
             object.__setattr__(self, "t1", t1)
+        if not isinstance(self.amplitude_damping, bool):
+            raise ValueError(f"amplitude_damping must be true or false, got {self.amplitude_damping!r}")
         if self.amplitude_damping and self.t1 is None:
             raise ValueError("amplitude damping requires t1 times")
 
@@ -221,15 +220,15 @@ class NoiseModel:
 
     def lam(self, qubit: int, segment: str) -> float:
         """Dephasing strength lambda = 1 - exp(-t/T2) for one qubit, one segment."""
-        _check_qubit(qubit, len(self.t2))
-        return 1.0 - float(np.exp(-self.duration(segment) / self.t2[qubit - 1]))
+        (axis,) = _axes_for((qubit,), len(self.t2))
+        return 1.0 - float(np.exp(-self.duration(segment) / self.t2[axis]))
 
     def gamma_t1(self, qubit: int, segment: str) -> float:
         """Amplitude-damping strength gamma = 1 - exp(-t/T1) for one qubit, one segment."""
         if self.t1 is None:
             raise ValueError("no t1 times configured")
-        _check_qubit(qubit, len(self.t1))
-        return 1.0 - float(np.exp(-self.duration(segment) / self.t1[qubit - 1]))
+        (axis,) = _axes_for((qubit,), len(self.t1))
+        return 1.0 - float(np.exp(-self.duration(segment) / self.t1[axis]))
 
     def offdiagonal_factor(self) -> float:
         """What the final depolarizing and coherence_scale knobs multiply every
@@ -267,23 +266,13 @@ class NoiseModel:
         if unknown:
             raise ValueError(f"unknown noise model keys {unknown}; expected a subset of {sorted(_NOISE_MODEL_KEYS)}")
         return cls(
-            t2=tuple(doc["t2"]),
-            schedule=tuple((seg, dur) for seg, dur in doc["schedule"]),
-            coherence_scale=float(doc.get("coherence_scale", 1.0)),
-            depolarizing=float(doc.get("depolarizing", 0.0)),
-            t1=tuple(doc["t1"]) if "t1" in doc else None,
-            amplitude_damping=bool(doc.get("amplitude_damping", False)),
+            t2=doc["t2"],
+            schedule=doc["schedule"],
+            coherence_scale=doc.get("coherence_scale", 1.0),
+            depolarizing=doc.get("depolarizing", 0.0),
+            t1=doc.get("t1"),
+            amplitude_damping=doc.get("amplitude_damping", False),
         )
-
-    @classmethod
-    def load(cls, path: str) -> "NoiseModel":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
-
-
-def _check_qubit(qubit: int, n_qubits: int) -> None:
-    if not 1 <= qubit <= n_qubits:
-        raise ValueError(f"qubit {qubit} out of range")
 
 
 def _dephasing_mask(lams) -> np.ndarray:
@@ -340,8 +329,7 @@ def apply_segment_noise(rhos: np.ndarray, model: NoiseModel, segment: str) -> np
     Dephasing of every qubit is one folded mask, followed by amplitude
     damping of every qubit when the model switches it on.
     """
-    mask, gammas = model._segment_channels[segment]
-    return _channel(rhos, mask, gammas)
+    return _channel(rhos, *_segment_channel(rhos, model, segment))
 
 
 def segment_noise_adjoint(weights: np.ndarray, model: NoiseModel, segment: str) -> np.ndarray:
@@ -350,41 +338,43 @@ def segment_noise_adjoint(weights: np.ndarray, model: NoiseModel, segment: str) 
     The result A satisfies sum(A * rho) == sum(W * apply_segment_noise(rho))
     for every rho; like the forward kernel it takes stacks (..., 2^n, 2^n).
     """
-    mask, gammas = model._segment_channels[segment]
-    return _channel(weights, mask, gammas, adjoint=True)
+    return _channel(weights, *_segment_channel(weights, model, segment), adjoint=True)
+
+
+def _segment_channel(rhos: np.ndarray, model: NoiseModel, segment: str):
+    """The model's (mask, gammas) for `segment`, once the model is known to
+    cover the qubits of `rhos`."""
+    n = rhos.shape[-1].bit_length() - 1
+    if len(model.t2) != n:
+        raise ValueError(f"noise model covers {len(model.t2)} qubits, state has {n}")
+    return model._segment_channels[segment]
 
 
 def apply_dephasing(state: MixedState, qubit: int, lam: float) -> MixedState:
     """Channel rho -> (1 - lam/2) rho + (lam/2) Z_q rho Z_q."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    _check_qubit(qubit, state.n_qubits)
     lams = [0.0] * state.n_qubits
-    lams[qubit - 1] = lam
+    (axis,) = _axes_for((qubit,), state.n_qubits)
+    lams[axis] = _unit_interval("lambda", lam)
     return MixedState(state.n_qubits, _channel(state.matrix, _dephasing_mask(lams), ()))
 
 
 def apply_amplitude_damping(state: MixedState, qubit: int, gamma: float) -> MixedState:
     """T1 decay toward |0> with branch probability gamma."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    _check_qubit(qubit, state.n_qubits)
     gammas = [0.0] * state.n_qubits
-    gammas[qubit - 1] = gamma
+    (axis,) = _axes_for((qubit,), state.n_qubits)
+    gammas[axis] = _unit_interval("gamma", gamma)
     return MixedState(state.n_qubits, _channel(state.matrix, 1.0, gammas))
 
 
 def scale_coherences(state: MixedState, gamma: float) -> MixedState:
     """Multiply every off-diagonal element by gamma; populations unchanged."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+    gamma = _unit_interval("gamma", gamma)
     mat = gamma * state.matrix + (1.0 - gamma) * np.diag(np.diag(state.matrix))
     return MixedState(state.n_qubits, mat)
 
 
 def depolarize(state: MixedState, p: float) -> MixedState:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    p = _unit_interval("p", p)
     dim = 2**state.n_qubits
     mat = (1.0 - p) * state.matrix + p * np.eye(dim, dtype=complex) / dim
     return MixedState(state.n_qubits, mat)
@@ -397,8 +387,6 @@ def run_noisy_qecc(code: CodeSpec, register: PureState, error: ErrorSpec, model:
     coherence_scale knobs act once at the end.  Returns the final 5-qubit
     density matrix.
     """
-    if len(model.t2) != code.n:
-        raise ValueError(f"noise model covers {len(model.t2)} qubits, code has {code.n}")
     n = code.n
     state = encode(code, register).density()
     state = MixedState(n, apply_segment_noise(state.matrix, model, "encode"))
@@ -432,8 +420,7 @@ def simulate_spectrum(
     n = system.n_spins
     if state.n_qubits != n:
         raise ValueError(f"state has {state.n_qubits} qubits, system has {n} spins")
-    if not 1 <= observe <= n:
-        raise ValueError(f"observe must be in 1..{n}")
+    (axis,) = _axes_for((observe,), n, "observe")
     if t_max <= 0 or dt <= 0:
         raise ValueError("t_max and dt must be positive")
     if np.max(np.abs(system.nu)) >= 0.5 / dt:
@@ -442,7 +429,7 @@ def simulate_spectrum(
         )
 
     e = energies(system)
-    bit = 1 << (n - observe)
+    bit = 1 << (n - 1 - axis)
     lower = np.array([i for i in range(2**n) if not i & bit])
     upper = lower + bit
     # Tr[rho (X+iY)_j] = 2 sum over pairs rho[a, b], a = |...1...>, b = |...0...>
@@ -454,7 +441,7 @@ def simulate_spectrum(
         raise ValueError("need at least two samples")
     times = np.arange(n_samples) * dt
     signal = (weights[:, None] * np.exp(2j * np.pi * freqs_pair[:, None] * times[None, :])).sum(axis=0)
-    signal = signal * np.exp(-times / system.T2star[observe - 1])
+    signal = signal * np.exp(-times / system.T2star[axis])
 
     spectrum = np.fft.fft(signal) / n_samples
     freqs = np.fft.fftfreq(n_samples, dt)

@@ -12,7 +12,7 @@ of its X/Y qubits and z those of its Z/Y qubits; `pauli_apply` computes it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -109,7 +109,7 @@ class GateOp:
         """`matrix` on `target` when every control qubit is |1>."""
         mat = _as_unitary(matrix, 2)
         labels = tuple(controls) + (target,)
-        _check_labels(labels)
+        _axes_for(labels)
         if not controls:
             raise ValueError("controlled gate needs at least one control")
         dim = 2 ** len(labels)
@@ -120,16 +120,8 @@ class GateOp:
     @classmethod
     def unitary(cls, qubits: Sequence[int], matrix: np.ndarray) -> "GateOp":
         labels = tuple(qubits)
-        _check_labels(labels)
+        _axes_for(labels)
         return cls(labels, _as_unitary(matrix, 2 ** len(labels)))
-
-
-def _check_labels(labels: Iterable[int]) -> None:
-    labels = tuple(labels)
-    if any((not isinstance(q, (int, np.integer))) or q < 1 for q in labels):
-        raise ValueError(f"qubit labels must be positive integers, got {labels}")
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"repeated qubit label in {labels}")
 
 
 def _as_unitary(matrix: np.ndarray, dim: int) -> np.ndarray:
@@ -170,11 +162,21 @@ def _apply_matrix(vec: np.ndarray, mat: np.ndarray, axes: Sequence[int], n: int)
     return t.reshape(2**n, cols) if batch else t.reshape(2**n)
 
 
-def _axes_for(qubits: Sequence[int], n: int) -> list[int]:
+def _axes_for(qubits: Sequence[int], n: int | None = None, what: str = "qubit") -> list[int]:
+    """0-based tensor axes of 1-based labels; the one check on qubit labels.
+
+    Each label is an integer, not a bool, in 1..n (any positive integer when
+    n is None), and no label repeats.  `what` names the labels in errors.
+    """
+    axes = []
     for q in qubits:
-        if q < 1 or q > n:
-            raise ValueError(f"qubit {q} out of range for {n}-qubit state")
-    return [q - 1 for q in qubits]
+        if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or q < 1 or (n is not None and q > n):
+            bound = "positive integers" if n is None else f"integers in 1..{n}"
+            raise ValueError(f"{what} {q!r} out of range: labels are {bound}")
+        axes.append(int(q) - 1)
+    if len(set(axes)) != len(axes):
+        raise ValueError(f"repeated {what} label in {tuple(qubits)}")
+    return axes
 
 
 def apply_gate(state: PureState, gate: GateOp) -> PureState:
@@ -207,8 +209,6 @@ def partial_trace(state: MixedState, keep: Sequence[int]) -> MixedState:
         raise ValueError("must keep at least one qubit")
     n = state.n_qubits
     keep_axes = _axes_for(keep, n)
-    if len(set(keep_axes)) != len(keep_axes):
-        raise ValueError(f"repeated qubit label in {keep}")
     drop_axes = [i for i in range(n) if i not in keep_axes]
     t = state.matrix.reshape([2] * (2 * n))
     ket = list(range(n))
@@ -245,10 +245,7 @@ def trace_distance(a: MixedState, b: MixedState) -> float:
 
 def schmidt_rank(state: PureState, cut: Sequence[int], tol: float = 1e-8) -> int:
     """Schmidt rank across the bipartition (cut qubits) vs (the rest)."""
-    side_a = tuple(cut)
-    axes_a = _axes_for(side_a, state.n_qubits)
-    if len(set(axes_a)) != len(axes_a):
-        raise ValueError(f"repeated qubit label in {cut}")
+    axes_a = _axes_for(tuple(cut), state.n_qubits)
     axes_b = [i for i in range(state.n_qubits) if i not in axes_a]
     if not axes_a or not axes_b:
         raise ValueError("both sides of the cut must be nonempty")

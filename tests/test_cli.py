@@ -5,7 +5,8 @@ import json
 import pytest
 
 from cws552.cli import main
-from cws552.nmr_noise import NoiseModel
+from cws552.code552 import build_code, code_to_json_dict
+from cws552.nmr_noise import NmrSystem, NoiseModel
 
 
 def test_verify_passes(capsys):
@@ -280,3 +281,36 @@ def test_qecc_state_spectrum_runs(tmp_path, capsys):
     total = sum(float(r["real"]) for r in rows)
     # observed spin 4 carries the protected coherence; M(0) = 1
     assert abs(total - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "kind, edit",
+    [
+        pytest.param("noise", lambda doc: dict(doc, t2=5), id="noise-t2-scalar"),
+        pytest.param("noise", lambda doc: dict(doc, t2=None), id="noise-t2-null"),
+        pytest.param("noise", lambda doc: dict(doc, schedule=3), id="noise-schedule-scalar"),
+        pytest.param("noise", lambda doc: dict(doc, t1=[5.0] * 5, amplitude_damping="false"), id="noise-damping-string"),
+        pytest.param("system", lambda doc: [1, 2], id="system-list"),
+        pytest.param("code", lambda doc: [1], id="code-list"),
+        pytest.param("code", lambda doc: dict(doc, codewords=3), id="code-codewords-scalar"),
+        pytest.param("code", lambda doc: dict(doc, decoders=[1]), id="code-decoders-list"),
+        pytest.param("code", lambda doc: dict(doc, n=[5]), id="code-n-list"),
+        pytest.param("code", lambda doc: dict(doc, register_qubits=3), id="code-register-scalar"),
+        pytest.param("code", lambda doc: dict(doc, syndrome_qubits=[1, 6]), id="code-syndrome-out-of-range"),
+    ],
+)
+def test_malformed_json_inputs_exit_with_an_error(tmp_path, capsys, kind, edit):
+    base = {
+        "noise": NoiseModel.default().to_json_dict,
+        "system": lambda: NmrSystem.placeholder_five_spin().to_json_dict(),
+        "code": lambda: code_to_json_dict(build_code()),
+    }[kind]()
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(edit(base)))
+    argv = {
+        "noise": ["sweep", "--setting", "A", "--noise", str(path), "--out", str(tmp_path / "out")],
+        "system": ["spectrum", "--system", str(path), "--state", "00000", "--out", str(tmp_path / "s.csv")],
+        "code": ["verify", "--code", str(path)],
+    }[kind]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -18,6 +18,7 @@ from cws552.experiment import (
     fit_line,
     fit_scale,
     fit_summary,
+    final_state,
     run_point,
     run_setting_a,
     run_setting_b,
@@ -122,6 +123,12 @@ def test_run_point_validation(code):
         run_point(code, 4, ErrorSpec.typed(1, "X", 0.1))
     with pytest.raises(ValueError, match="location"):
         run_point(code, 1, ErrorSpec.typed(7, "X", 0.1))
+
+
+@pytest.mark.parametrize("noise", [None, NoiseModel.default()], ids=["noiseless", "noisy"])
+def test_final_state_rejects_a_location_outside_the_code(code, noise):
+    with pytest.raises(ValueError, match="location 6"):
+        final_state(code, INPUTS[2].register, ErrorSpec.pauli(6, "X"), noise)
 
 
 def test_setting_a_noiseless_all_match(code):

@@ -343,6 +343,14 @@ class TestNoiseModel:
         loaded = NoiseModel.from_json_dict(json.loads(json.dumps(model.to_json_dict())))
         assert loaded == model
 
+    @pytest.mark.parametrize(
+        "key, value", [("amplitude_damping", "false"), ("amplitude_damping", 0), ("coherence_scale", True), ("depolarizing", "0.1")]
+    )
+    def test_json_values_are_not_coerced(self, key, value):
+        doc = dict(damped_default().to_json_dict(), **{key: value})
+        with pytest.raises(ValueError, match=key):
+            NoiseModel.from_json_dict(doc)
+
     @pytest.mark.parametrize("n_t1", [3, 7])
     @pytest.mark.parametrize("damping", [True, False])
     def test_t1_needs_one_entry_per_qubit(self, n_t1, damping):
@@ -576,3 +584,52 @@ class TestSpectrum:
         spec = simulate_spectrum(rho, sys2, observe=1, t_max=1.0, dt=0.005)
         freqs = [f for f, _ in spec]
         assert freqs == sorted(freqs)
+
+
+SCHEDULE = (("encode", 0.1), ("error", 0.1), ("decode", 0.1))
+
+
+def system_with(**entries):
+    return NmrSystem.from_json_dict(dict(NmrSystem.placeholder_five_spin().to_json_dict(), **entries))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: NoiseModel(t2=("0.85",) * 5, schedule=SCHEDULE), id="t2-strings"),
+        pytest.param(lambda: NoiseModel(t2=(True,) * 5, schedule=SCHEDULE), id="t2-bools"),
+        pytest.param(lambda: NoiseModel(t2=5, schedule=SCHEDULE), id="t2-scalar"),
+        pytest.param(lambda: NoiseModel(t2=None, schedule=SCHEDULE), id="t2-none"),
+        pytest.param(lambda: NoiseModel(t2=(1.0,) * 5, schedule=SCHEDULE, t1=("5",) * 5), id="t1-strings"),
+        pytest.param(lambda: NoiseModel(t2=(1.0,) * 5, schedule=3), id="schedule-scalar"),
+        pytest.param(
+            lambda: NoiseModel(t2=(1.0,) * 5, schedule=(("encode", "0.1"), ("error", 0.1), ("decode", 0.1))),
+            id="duration-string",
+        ),
+        pytest.param(lambda: system_with(nu=["120"] * 5), id="nu-strings"),
+        pytest.param(lambda: system_with(T2star=[True] * 5), id="T2star-bools"),
+        pytest.param(lambda: system_with(J=[0.0] * 5), id="J-one-dimensional"),
+    ],
+)
+def test_noise_and_system_numbers_must_be_real_arrays(build):
+    """NoiseModel and NmrSystem numbers share one check: real, not bool or string."""
+    with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: NoiseModel(t2=(1.0,), schedule=SCHEDULE, coherence_scale="0.5"), id="coherence_scale-string"),
+        pytest.param(lambda: NoiseModel(t2=(1.0,), schedule=SCHEDULE, coherence_scale=True), id="coherence_scale-bool"),
+        pytest.param(lambda: NoiseModel(t2=(1.0,), schedule=SCHEDULE, depolarizing=float("nan")), id="depolarizing-nan"),
+        pytest.param(lambda: apply_dephasing(PureState.zero(1).density(), 1, "0.1"), id="lambda-string"),
+        pytest.param(lambda: apply_amplitude_damping(PureState.zero(1).density(), 1, True), id="gamma-bool"),
+        pytest.param(lambda: scale_coherences(PureState.zero(1).density(), "0.5"), id="scale-string"),
+        pytest.param(lambda: depolarize(PureState.zero(1).density(), True), id="p-bool"),
+        pytest.param(lambda: depolarize(PureState.zero(1).density(), -0.1), id="p-negative"),
+    ],
+)
+def test_strengths_must_be_real_numbers_in_the_unit_interval(call):
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        call()

@@ -4,6 +4,9 @@ from itertools import product
 import numpy as np
 import pytest
 
+from cws552.code552 import build_code
+from cws552.error_model import ErrorSpec
+from cws552.nmr_noise import NmrSystem, NoiseModel, apply_amplitude_damping, apply_dephasing, simulate_spectrum
 from cws552.statevec import (
     GateOp,
     PureState,
@@ -281,3 +284,32 @@ class TestValidation:
     def test_basis_rejects_nonbits(self):
         with pytest.raises(ValueError):
             PureState.basis("01a")
+
+
+RHO5 = PureState.zero(5).density()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: partial_trace(RHO5, (2.5,)), id="partial_trace-float"),
+        pytest.param(lambda: partial_trace(RHO5, (2, 2)), id="partial_trace-repeated"),
+        pytest.param(lambda: pauli_apply(RHO5.matrix[0], {2.5: "X"}), id="pauli_apply-float"),
+        pytest.param(lambda: schmidt_rank(PureState.zero(5), (1.5,)), id="schmidt_rank-float"),
+        pytest.param(lambda: GateOp.single(True, X), id="GateOp-bool"),
+        pytest.param(lambda: GateOp.unitary(("1", 2), np.eye(4)), id="GateOp-str"),
+        pytest.param(lambda: NoiseModel.default().lam(2.5, "encode"), id="lam-float"),
+        pytest.param(lambda: apply_dephasing(RHO5, True, 0.1), id="apply_dephasing-bool"),
+        pytest.param(lambda: apply_amplitude_damping(RHO5, 2.0, 0.1), id="apply_amplitude_damping-float"),
+        pytest.param(
+            lambda: simulate_spectrum(RHO5, NmrSystem.placeholder_five_spin(), observe=2.5, t_max=1.0, dt=1e-3),
+            id="simulate_spectrum-float",
+        ),
+        pytest.param(lambda: build_code().decoder(True), id="decoder-bool"),
+        pytest.param(lambda: ErrorSpec.pauli(True, "X"), id="ErrorSpec-bool"),
+    ],
+)
+def test_qubit_labels_must_be_distinct_integers_in_range(call):
+    """Every label goes through one check: an int, not a bool, in range, not repeated."""
+    with pytest.raises(ValueError, match="out of range|repeated"):
+        call()
