@@ -29,23 +29,18 @@ ORTHO_TOL = 1e-12
 ACTION_TOL = 1e-10
 
 
-def _read_json(path: str, what: str) -> dict:
-    """The JSON object in the `what` file at `path`; every JSON input is read here."""
+def _read_json(path: str):
+    """The JSON document at `path`; every JSON input is read here."""
     with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{what} file must hold a JSON object")
-    return doc
+        return json.load(fh)
 
 
 def _load_config(path: str | None, keys: set[str]) -> dict:
     """The config file's object; every key must be one of `keys`."""
     if path is None:
         return {}
-    doc = _read_json(path, "config")
-    unknown = sorted(set(doc) - keys)
-    if unknown:
-        raise ValueError(f"unknown config keys {unknown}; this command takes {sorted(keys)}")
+    doc = _read_json(path)
+    code552._check_keys(doc, "config", optional=keys)
     return doc
 
 
@@ -63,31 +58,19 @@ def _pick(flag_value, config: dict, key: str, default, kind: type = str):
     return float(value) if kind is float else value
 
 
-def _decoder_deviation(code, codewords: np.ndarray) -> float:
-    """Worst-case distance of decoder branch images from their target basis states."""
-    worst = 0.0
-    for location in range(1, code.n + 1):
-        images, targets = code552._branch_images(codewords, location)
-        decoded = code.decoder(location) @ images
-        decoded[targets, range(len(targets))] -= 1.0
-        worst = max(worst, float(np.max(np.abs(decoded))))
-    return worst
-
-
 def cmd_verify(args, config: dict) -> int:
     code_path = _pick(args.code, config, "code", None)
-    code = build_code() if code_path is None else code_from_json_dict(_read_json(code_path, "code"))
+    code = build_code() if code_path is None else code_from_json_dict(_read_json(code_path))
 
-    codewords = code552._codeword_matrix(code.codewords)
     ortho = codeword_orthonormality_deviation(code)
     ortho_ok = ortho <= ORTHO_TOL
-    enc_dev = code552._encoder_deviation(code.encoder, codewords)
+    enc_dev = code552._encoder_deviation(code)
     enc_ok = enc_dev <= ACTION_TOL
-    dec_dev = _decoder_deviation(code, codewords)
+    dec_dev = code552._decoder_deviation(code)
     dec_ok = dec_dev <= ACTION_TOL
     erasure = verify_erasure_correctability(code)
     dist = verify_distance(code)
-    dist_ok = dist.distance == 2 and dist.witness is not None
+    dist_ok = dist.distance == code552.DISTANCE and dist.witness is not None
     passed = ortho_ok and enc_ok and dec_ok and erasure.passed and dist_ok
 
     if _pick(args.json, config, "json", False, bool):
@@ -149,7 +132,7 @@ def cmd_sweep(args, config: dict) -> int:
         raise ValueError("an output directory is required (--out)")
     os.makedirs(out_dir, exist_ok=True)
 
-    noise = nmr_noise.NoiseModel.from_json_dict(_read_json(noise_path, "noise")) if noise_path else None
+    noise = nmr_noise.NoiseModel.from_json_dict(_read_json(noise_path)) if noise_path else None
     code = build_code()
 
     meta = {
@@ -235,7 +218,7 @@ def cmd_spectrum(args, config: dict) -> int:
     if out_path is None:
         raise ValueError("an output file is required (--out)")
 
-    system = nmr_noise.NmrSystem.from_json_dict(_read_json(system_path, "system"))
+    system = nmr_noise.NmrSystem.from_json_dict(_read_json(system_path))
     state = _state_from_spec(state_spec, system.n_spins)
     spectrum = nmr_noise.simulate_spectrum(state, system, observe, t_max, dt)
     with open(out_path, "w", newline="") as fh:

@@ -26,8 +26,11 @@ index order, so the whole construction is deterministic.
 """
 from __future__ import annotations
 
+import json
+from copy import deepcopy
 from dataclasses import dataclass
 from itertools import combinations, product
+from typing import ClassVar
 
 import numpy as np
 
@@ -53,6 +56,18 @@ CODEWORD_PAIRS = (
 # Error type -> syndrome bits (qubit 1, qubit 5) read off after decoding.
 SYNDROME_MAP = {"E": "00", "X": "01", "Z": "10", "Y": "11"}
 
+# The layout of the code this simulator runs, as a code file states it; a
+# file that states any other value is rejected.
+CODE_LAYOUT = {
+    "n": N_QUBITS,
+    "K": DIMENSION,
+    "d": DISTANCE,
+    "register_qubits": list(REGISTER_QUBITS),
+    "syndrome_qubits": list(SYNDROME_QUBITS),
+    "logical_basis": list(LOGICAL_STRINGS),
+    "syndrome_map": SYNDROME_MAP,
+}
+
 # Order used for decoder images and branch coefficients.
 BRANCH_LABELS = ("E", "X", "Z", "Y")
 
@@ -65,15 +80,15 @@ SUPPORT_ATOL = 1e-12
 
 @dataclass(frozen=True)
 class CodeSpec:
-    """Concrete realization of the code: codewords plus circuit unitaries."""
+    """Concrete realization of the code: the codewords as the columns of one
+    2^n x K matrix, the encoder, and the decoder for each location.  The
+    layout is fixed by the module constants; n and register_qubits repeat
+    two of them on the class for callers that hold only a code."""
 
-    n: int
-    dimension: int
-    distance: int
-    register_qubits: tuple[int, ...]
-    syndrome_qubits: tuple[int, ...]
-    logical_basis: tuple[str, ...]
-    codewords: tuple[PureState, ...]
+    n: ClassVar[int] = N_QUBITS
+    register_qubits: ClassVar[tuple[int, ...]] = REGISTER_QUBITS
+
+    codewords: np.ndarray
     encoder: np.ndarray
     decoders: tuple[np.ndarray, ...]
 
@@ -128,15 +143,21 @@ def _branch_target_index(label: str, b: int) -> int:
     return (j << 4) | (b << 1) | l
 
 
-def _codeword_matrix(codewords) -> np.ndarray:
-    """The codewords as the columns of one 2^n x K matrix."""
-    return np.stack([cw.amplitudes for cw in codewords], axis=1)
-
-
-def _encoder_deviation(encoder: np.ndarray, codewords: np.ndarray) -> float:
+def _encoder_deviation(code: CodeSpec) -> float:
     """max |encoder column of register input b - phi_b| over the K inputs."""
-    inputs = [_input_index(b) for b in range(codewords.shape[1])]
-    return float(np.max(np.abs(encoder[:, inputs] - codewords)))
+    inputs = [_input_index(b) for b in range(code.codewords.shape[1])]
+    return float(np.max(np.abs(code.encoder[:, inputs] - code.codewords)))
+
+
+def _decoder_deviation(code: CodeSpec) -> float:
+    """max |decoded branch image - its target basis state| over all locations."""
+    worst = 0.0
+    for location in range(1, code.n + 1):
+        images, targets = _branch_images(code.codewords, location)
+        decoded = code.decoder(location) @ images
+        decoded[targets, range(len(targets))] -= 1.0
+        worst = max(worst, float(np.max(np.abs(decoded))))
+    return worst
 
 
 def _codespace_form(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -198,23 +219,15 @@ def build_code() -> CodeSpec:
     matrix = np.zeros((2**N_QUBITS, DIMENSION), dtype=complex)
     for b, pair in enumerate(CODEWORD_PAIRS):
         matrix[[int(bits, 2) for bits in pair], b] = 1.0 / np.sqrt(2.0)
-    codewords = tuple(PureState(N_QUBITS, column.copy()) for column in matrix.T)
-    encoder = _encoder_matrix()
-    # The synthesized encoder must reproduce the codewords exactly.
-    if _encoder_deviation(encoder, matrix) > 1e-12:
-        raise RuntimeError("encoder does not map the register inputs onto their codewords")
-    decoders = tuple(_decoder_matrix(matrix, q) for q in range(1, N_QUBITS + 1))
-    return CodeSpec(
-        n=N_QUBITS,
-        dimension=DIMENSION,
-        distance=DISTANCE,
-        register_qubits=REGISTER_QUBITS,
-        syndrome_qubits=SYNDROME_QUBITS,
-        logical_basis=LOGICAL_STRINGS,
-        codewords=codewords,
-        encoder=encoder,
-        decoders=decoders,
+    code = CodeSpec(
+        codewords=matrix,
+        encoder=_encoder_matrix(),
+        decoders=tuple(_decoder_matrix(matrix, q) for q in range(1, N_QUBITS + 1)),
     )
+    # The synthesized encoder must reproduce the codewords exactly.
+    if _encoder_deviation(code) > 1e-12:
+        raise RuntimeError("encoder does not map the register inputs onto their codewords")
+    return code
 
 
 def encode(code: CodeSpec, register: PureState) -> PureState:
@@ -270,7 +283,7 @@ def verify_erasure_correctability(code: CodeSpec, tol: float = 1e-12) -> Erasure
     be independent of the codeword index on the diagonal; the surviving
     constants form the 4x4 C matrix reported per location.
     """
-    codewords = _codeword_matrix(code.codewords)
+    codewords = code.codewords
     checks = []
     for q in range(1, code.n + 1):
         images = [pauli_apply(codewords, {q: label}) for label in KL_LABELS]
@@ -310,7 +323,7 @@ def verify_distance(code: CodeSpec, tol: float = 1e-10) -> DistanceResult:
     Returns the largest d such that every Pauli of weight < d looks like a
     scalar on the codespace, plus a violating Pauli of weight d as witness.
     """
-    codewords = _codeword_matrix(code.codewords)
+    codewords = code.codewords
     for weight in range(1, code.n + 1):
         for support in combinations(range(1, code.n + 1), weight):
             for labels in product("XYZ", repeat=weight):
@@ -330,61 +343,65 @@ def _complex_to_pairs(arr: np.ndarray) -> list:
     return stacked.tolist()
 
 
-def _pairs_to_complex(doc: list) -> np.ndarray:
+def _check_keys(doc, what: str, required=(), optional=()) -> None:
+    """The one key check on JSON objects: `doc` must be an object holding
+    every key in `required` and no key outside `required` and `optional`."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    allowed = {*required, *optional}
+    unknown = sorted(set(doc) - allowed)
+    if unknown:
+        raise ValueError(f"unknown {what} keys {unknown}; expected {sorted(allowed)}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ValueError(f"{what} is missing keys {missing}")
+
+
+def _complex_array(name: str, doc, shape: tuple[int, ...]) -> np.ndarray:
+    """The `shape` complex array stored in `doc` as [re, im] pairs."""
     arr = np.asarray(doc, dtype=float)
     if arr.ndim == 0 or arr.shape[-1] != 2:
-        raise ValueError(f"complex entries must be [re, im] pairs, got an array of shape {arr.shape}")
+        raise ValueError(f"{name} entries must be [re, im] pairs, got an array of shape {arr.shape}")
+    if arr.shape[:-1] != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape[:-1]}")
     # Set the parts rather than computing re + 1j * im, which loses the sign of a zero.
-    out = np.empty(arr.shape[:-1], dtype=complex)
+    out = np.empty(shape, dtype=complex)
     out.real, out.imag = arr[..., 0], arr[..., 1]
     return out
 
 
 def code_to_json_dict(code: CodeSpec) -> dict:
-    """JSON-ready dict: complex entries as [re, im], matrices row-major."""
+    """JSON-ready dict: the layout, then complex entries as [re, im] and
+    matrices row-major, one codeword per row."""
     return {
-        "n": code.n,
-        "K": code.dimension,
-        "d": code.distance,
-        "register_qubits": list(code.register_qubits),
-        "syndrome_qubits": list(code.syndrome_qubits),
-        "logical_basis": list(code.logical_basis),
-        "syndrome_map": dict(SYNDROME_MAP),
-        "codewords": [_complex_to_pairs(cw.amplitudes) for cw in code.codewords],
+        **deepcopy(CODE_LAYOUT),
+        "codewords": _complex_to_pairs(code.codewords.T),
         "encoder": _complex_to_pairs(code.encoder),
         "decoders": {str(q + 1): _complex_to_pairs(d) for q, d in enumerate(code.decoders)},
     }
 
 
 def code_from_json_dict(doc: dict) -> CodeSpec:
-    """Load a CodeSpec as stored; run the verifiers to trust it."""
-    n, dimension, distance = doc["n"], doc["K"], doc["d"]
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (n, dimension, distance)):
-        raise ValueError(f"n, K and d must be integers, got {n!r}, {dimension!r}, {distance!r}")
-    register, syndrome, basis = doc["register_qubits"], doc["syndrome_qubits"], doc["logical_basis"]
-    if not all(isinstance(v, (list, tuple)) for v in (register, syndrome, basis)):
-        raise ValueError("register_qubits, syndrome_qubits and logical_basis must be lists")
-    if not isinstance(doc["decoders"], dict):
-        raise ValueError("decoders must map each location to a matrix")
-    _axes_for(tuple(register) + tuple(syndrome), n)
-    codewords = tuple(PureState(n, cw) for cw in _pairs_to_complex(doc["codewords"]))
-    decoders = tuple(
-        _pairs_to_complex(doc["decoders"][str(q)]) for q in range(1, n + 1)
-    )
+    """Load a CodeSpec as stored; run the verifiers to trust it.
+
+    The layout keys must equal CODE_LAYOUT as JSON, so 5.0 or true is not 5.
+    """
+    _check_keys(doc, "code", (*CODE_LAYOUT, "codewords", "encoder", "decoders"))
+    for key, value in CODE_LAYOUT.items():
+        want, got = json.dumps(value, sort_keys=True), json.dumps(doc[key], sort_keys=True)
+        if got != want:
+            raise ValueError(f"{key} must be {want} for the ((5,5,2)) code, got {got}")
+    locations = [str(q) for q in range(1, N_QUBITS + 1)]
+    _check_keys(doc["decoders"], "decoders", locations)
+    dim = 2**N_QUBITS
     return CodeSpec(
-        n=n,
-        dimension=dimension,
-        distance=distance,
-        register_qubits=tuple(register),
-        syndrome_qubits=tuple(syndrome),
-        logical_basis=tuple(basis),
-        codewords=codewords,
-        encoder=_pairs_to_complex(doc["encoder"]),
-        decoders=decoders,
+        codewords=_complex_array("codewords", doc["codewords"], (DIMENSION, dim)).T.copy(),
+        encoder=_complex_array("encoder", doc["encoder"], (dim, dim)),
+        decoders=tuple(_complex_array(f"decoder {q}", doc["decoders"][q], (dim, dim)) for q in locations),
     )
 
 
 def codeword_orthonormality_deviation(code: CodeSpec) -> float:
     """max_bc |<phi_b|phi_c> - delta_bc| over all codeword pairs."""
-    codewords = _codeword_matrix(code.codewords)
-    return float(np.max(np.abs(_codespace_form(codewords, codewords) - np.eye(code.dimension))))
+    form = _codespace_form(code.codewords, code.codewords)
+    return float(np.max(np.abs(form - np.eye(form.shape[0]))))

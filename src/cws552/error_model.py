@@ -63,23 +63,6 @@ class ErrorSpec:
             return cls(location, np.pi / 2, np.pi, AXIS_BY_TYPE[label])
         raise ValueError(f"label must be one of E, X, Y, Z, got {label!r}")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "location": self.location,
-            "alpha": self.alpha,
-            "theta": self.theta,
-            "axis": list(self.axis),
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ErrorSpec":
-        return cls(
-            location=int(doc["location"]),
-            alpha=float(doc["alpha"]),
-            theta=float(doc["theta"]),
-            axis=tuple(float(c) for c in doc["axis"]),
-        )
-
 
 @dataclass(frozen=True)
 class PauliExpansion:

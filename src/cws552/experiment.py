@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .code552 import BRANCH_LABELS, SYNDROME_MAP, CodeSpec, _branch_target_index, decode, encode
+from .code552 import BRANCH_LABELS, REGISTER_QUBITS, SYNDROME_MAP, CodeSpec, _branch_target_index, decode, encode
 from .error_model import ErrorSpec, error_unitary, typed_expansions
 from .nmr_noise import NoiseModel, apply_segment_noise, run_noisy_qecc, segment_noise_adjoint
 from .statevec import (
@@ -190,7 +190,7 @@ def run_setting_a(code: CodeSpec, noise: NoiseModel | None = None) -> list[Setti
             state = final_state(code, profile.register, error, noise)
             pops = _syndrome_populations(state)
             j, l = np.unravel_index(int(np.argmax(pops)), pops.shape)
-            reg = partial_trace(state, code.register_qubits)
+            reg = partial_trace(state, REGISTER_QUBITS)
             rows.append(
                 SettingARow(
                     location=location,

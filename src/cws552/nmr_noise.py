@@ -28,14 +28,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .code552 import CodeSpec, encode
+from .code552 import CodeSpec, _check_keys, encode
 from .error_model import ErrorSpec, error_unitary
 from .statevec import GateOp, MixedState, PureState, _axes_for, _spin_signs, apply_gate_mixed, apply_matrix_mixed
 
 SEGMENTS = ("encode", "error", "decode")
-_NOISE_MODEL_KEYS = frozenset(
-    {"t2", "schedule", "coherence_scale", "depolarizing", "t1", "amplitude_damping"}
-)
 _REAL = (int, float, np.integer, np.floating)
 
 
@@ -123,7 +120,8 @@ class NmrSystem:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "NmrSystem":
-        return cls(nu=doc["nu"], J=doc["J"], T1=doc["T1"], T2=doc["T2"], T2star=doc["T2star"])
+        _check_keys(doc, "system", ("nu", "J", "T1", "T2", "T2star"))
+        return cls(**doc)
 
 
 def energies(system: NmrSystem) -> np.ndarray:
@@ -262,17 +260,9 @@ class NoiseModel:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "NoiseModel":
-        unknown = sorted(set(doc) - _NOISE_MODEL_KEYS)
-        if unknown:
-            raise ValueError(f"unknown noise model keys {unknown}; expected a subset of {sorted(_NOISE_MODEL_KEYS)}")
-        return cls(
-            t2=doc["t2"],
-            schedule=doc["schedule"],
-            coherence_scale=doc.get("coherence_scale", 1.0),
-            depolarizing=doc.get("depolarizing", 0.0),
-            t1=doc.get("t1"),
-            amplitude_damping=doc.get("amplitude_damping", False),
-        )
+        optional = ("coherence_scale", "depolarizing", "t1", "amplitude_damping")
+        _check_keys(doc, "noise model", ("t2", "schedule"), optional)
+        return cls(**doc)
 
 
 def _dephasing_mask(lams) -> np.ndarray:

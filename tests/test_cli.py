@@ -283,23 +283,60 @@ def test_qecc_state_spectrum_runs(tmp_path, capsys):
     assert abs(total - 1.0) < 1e-6
 
 
+def _swap_e_and_y(syndrome_map):
+    return dict(syndrome_map, E=syndrome_map["Y"], Y=syndrome_map["E"])
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
 @pytest.mark.parametrize(
-    "kind, edit",
+    "kind, edit, names",
     [
-        pytest.param("noise", lambda doc: dict(doc, t2=5), id="noise-t2-scalar"),
-        pytest.param("noise", lambda doc: dict(doc, t2=None), id="noise-t2-null"),
-        pytest.param("noise", lambda doc: dict(doc, schedule=3), id="noise-schedule-scalar"),
-        pytest.param("noise", lambda doc: dict(doc, t1=[5.0] * 5, amplitude_damping="false"), id="noise-damping-string"),
-        pytest.param("system", lambda doc: [1, 2], id="system-list"),
-        pytest.param("code", lambda doc: [1], id="code-list"),
-        pytest.param("code", lambda doc: dict(doc, codewords=3), id="code-codewords-scalar"),
-        pytest.param("code", lambda doc: dict(doc, decoders=[1]), id="code-decoders-list"),
-        pytest.param("code", lambda doc: dict(doc, n=[5]), id="code-n-list"),
-        pytest.param("code", lambda doc: dict(doc, register_qubits=3), id="code-register-scalar"),
-        pytest.param("code", lambda doc: dict(doc, syndrome_qubits=[1, 6]), id="code-syndrome-out-of-range"),
+        pytest.param("noise", lambda doc: dict(doc, t2=5), "T2 entries", id="noise-t2-scalar"),
+        pytest.param("noise", lambda doc: dict(doc, t2=None), "T2 entries", id="noise-t2-null"),
+        pytest.param("noise", lambda doc: dict(doc, schedule=3), "schedule", id="noise-schedule-scalar"),
+        pytest.param(
+            "noise",
+            lambda doc: dict(doc, t1=[5.0] * 5, amplitude_damping="false"),
+            "amplitude_damping",
+            id="noise-damping-string",
+        ),
+        pytest.param("system", lambda doc: [1, 2], "system must be a JSON object", id="system-list"),
+        pytest.param("system", lambda doc: dict(doc, T2_typo=[1.0]), "unknown system keys ['T2_typo']", id="system-unknown-key"),
+        pytest.param("system", lambda doc: _without(doc, "T2star"), "missing keys ['T2star']", id="system-without-T2star"),
+        pytest.param("code", lambda doc: [1], "code must be a JSON object", id="code-list"),
+        pytest.param("code", lambda doc: dict(doc, codewords=3), "codewords entries", id="code-codewords-scalar"),
+        pytest.param("code", lambda doc: dict(doc, decoders=[1]), "decoders must be a JSON object", id="code-decoders-list"),
+        pytest.param("code", lambda doc: dict(doc, n=[5]), "n must be 5", id="code-n-list"),
+        pytest.param("code", lambda doc: dict(doc, n=5.0), "n must be 5", id="code-n-float"),
+        pytest.param("code", lambda doc: dict(doc, n=True), "n must be 5", id="code-n-true"),
+        pytest.param("code", lambda doc: dict(doc, register_qubits=3), "register_qubits", id="code-register-scalar"),
+        pytest.param("code", lambda doc: dict(doc, syndrome_qubits=[1, 6]), "syndrome_qubits", id="code-syndrome-out-of-range"),
+        pytest.param("code", lambda doc: dict(doc, d=3), "d must be 2", id="code-distance-3"),
+        pytest.param("code", lambda doc: dict(doc, syndrome_qubits=[5, 1]), "syndrome_qubits", id="code-syndrome-reversed"),
+        pytest.param("code", lambda doc: dict(doc, logical_basis=["x"]), "logical_basis", id="code-logical-basis"),
+        pytest.param(
+            "code",
+            lambda doc: dict(doc, syndrome_map=_swap_e_and_y(doc["syndrome_map"])),
+            "syndrome_map",
+            id="code-syndrome-map-swapped",
+        ),
+        pytest.param("code", lambda doc: dict(doc, colour="red"), "unknown code keys ['colour']", id="code-unknown-key"),
+        pytest.param("code", lambda doc: dict(doc, K=4), "K must be 5", id="code-K-4"),
+        pytest.param(
+            "code", lambda doc: dict(doc, codewords=doc["codewords"][:4]), "codewords must have shape", id="code-four-codewords"
+        ),
+        pytest.param(
+            "code",
+            lambda doc: dict(doc, encoder=[row[:16] for row in doc["encoder"][:16]]),
+            "encoder must have shape (32, 32), got (16, 16)",
+            id="code-encoder-16x16",
+        ),
     ],
 )
-def test_malformed_json_inputs_exit_with_an_error(tmp_path, capsys, kind, edit):
+def test_malformed_json_inputs_exit_with_an_error(tmp_path, capsys, kind, edit, names):
     base = {
         "noise": NoiseModel.default().to_json_dict,
         "system": lambda: NmrSystem.placeholder_five_spin().to_json_dict(),
@@ -313,4 +350,16 @@ def test_malformed_json_inputs_exit_with_an_error(tmp_path, capsys, kind, edit):
         "code": ["verify", "--code", str(path)],
     }[kind]
     assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert names in err
+
+
+def test_verify_json_of_an_export_matches_the_built_code(tmp_path, capsys):
+    path = tmp_path / "code.json"
+    assert main(["export-code", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--json"]) == 0
+    built = capsys.readouterr().out
+    assert main(["verify", "--json", "--code", str(path)]) == 0
+    assert capsys.readouterr().out == built

@@ -12,6 +12,8 @@ from hypothesis.extra.numpy import arrays
 from cws552.code552 import (
     CODEWORD_PAIRS,
     KL_LABELS,
+    LOGICAL_STRINGS,
+    REGISTER_QUBITS,
     SYNDROME_MAP,
     build_code,
     code_from_json_dict,
@@ -95,7 +97,7 @@ def code():
 
 def test_codewords_match_hand_construction(code):
     for b in range(5):
-        np.testing.assert_array_equal(code.codewords[b].amplitudes, hand_codeword(b))
+        np.testing.assert_array_equal(code.codewords[:, b], hand_codeword(b))
 
 
 def test_codewords_orthonormal_by_direct_inner_products(code):
@@ -108,7 +110,7 @@ def test_codewords_orthonormal_by_direct_inner_products(code):
 
 
 def test_encoder_maps_each_basis_input_to_its_codeword(code):
-    for b, bits in enumerate(code.logical_basis):
+    for b, bits in enumerate(LOGICAL_STRINGS):
         out = encode(code, PureState.basis(bits))
         np.testing.assert_allclose(out.amplitudes, hand_codeword(b), atol=1e-12)
 
@@ -141,7 +143,7 @@ def test_encode_rejects_support_outside_logical_basis(code):
 
 
 def test_decode_without_error_returns_clean_syndrome(code):
-    for b, bits in enumerate(code.logical_basis):
+    for b, bits in enumerate(LOGICAL_STRINGS):
         for location in range(1, 6):
             out = decode(code, encode(code, PureState.basis(bits)), location)
             expected = PureState.basis("0" + bits + "0")
@@ -216,7 +218,7 @@ def test_roundtrip_recovers_random_logical_states(code, reg, spec):
     for location, unitary in errors + [(spec.location, error_unitary(spec))]:
         corrupted = apply_gate(encoded, GateOp.single(location, unitary))
         out = decode(code, corrupted, location)
-        reduced = partial_trace(out.density(), code.register_qubits)
+        reduced = partial_trace(out.density(), REGISTER_QUBITS)
         assert fidelity_with_pure(reduced, reg) >= 1 - 1e-9
 
 
@@ -259,7 +261,7 @@ def test_erasure_correctability_passes_with_identity_c_matrix(code):
 
 def test_erasure_correctability_detects_corrupted_codewords(code):
     # duplicate codeword kills orthogonality between different codewords
-    bad = replace(code, codewords=(code.codewords[0],) * 5)
+    bad = replace(code, codewords=np.repeat(code.codewords[:, :1], 5, axis=1))
     report = verify_erasure_correctability(bad)
     assert not report.passed
 
@@ -331,14 +333,10 @@ def oracle_first_violation(vectors, n_qubits, tol=1e-10):
 
 def test_distance_of_unprotected_basis_states(code):
     # five raw computational basis states: a single flip reaches a neighbor
-    basis_states = []
-    for idx in range(5):
-        v = np.zeros(32, dtype=complex)
-        v[idx] = 1.0
-        basis_states.append(PureState(5, v))
-    trivial = replace(code, codewords=tuple(basis_states))
+    basis_states = np.eye(32, 5, dtype=complex)
+    trivial = replace(code, codewords=basis_states)
     assert verify_distance(trivial).distance == 1
-    assert oracle_first_violation([s.amplitudes for s in basis_states], 5) == 1
+    assert oracle_first_violation(list(basis_states.T), 5) == 1
 
 
 def test_distance_agrees_with_independent_oracle_on_pair_basis(code):
@@ -348,11 +346,7 @@ def test_distance_agrees_with_independent_oracle_on_pair_basis(code):
         v = np.zeros(32, dtype=complex)
         v[int(lo, 2)] = v[int(hi, 2)] = 1 / np.sqrt(2)
         vectors.append(v)
-    pair_code = replace(
-        code,
-        dimension=2,
-        codewords=tuple(PureState(5, v) for v in vectors),
-    )
+    pair_code = replace(code, codewords=np.stack(vectors, axis=1))
     assert verify_distance(pair_code).distance == oracle_first_violation(vectors, 5)
 
 
@@ -365,9 +359,7 @@ def test_syndrome_map_is_a_bijection():
 def test_json_export_round_trip(code):
     doc = code_to_json_dict(code)
     loaded = code_from_json_dict(doc)
-    assert loaded.n == code.n and loaded.dimension == code.dimension
-    for a, b in zip(loaded.codewords, code.codewords):
-        np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
+    np.testing.assert_array_equal(loaded.codewords, code.codewords)
     np.testing.assert_array_equal(loaded.encoder, code.encoder)
     for q in range(1, 6):
         np.testing.assert_array_equal(loaded.decoder(q), code.decoder(q))
@@ -389,25 +381,15 @@ def complex_arrays(shape):
 
 @settings(max_examples=25, deadline=None)
 @given(
-    codewords=st.lists(complex_arrays((32,)), min_size=1, max_size=5),
+    codewords=complex_arrays((32, 5)),
     encoder=complex_arrays((32, 32)),
     decoders=st.lists(complex_arrays((32, 32)), min_size=5, max_size=5),
 )
 def test_json_text_round_trip_of_random_codes(code, codewords, encoder, decoders):
     """Any code survives export to JSON text and back bit for bit."""
-    spec = replace(
-        code,
-        dimension=len(codewords),
-        codewords=tuple(PureState(5, cw) for cw in codewords),
-        encoder=encoder,
-        decoders=tuple(decoders),
-    )
+    spec = replace(code, codewords=codewords, encoder=encoder, decoders=tuple(decoders))
     loaded = code_from_json_dict(json.loads(json.dumps(code_to_json_dict(spec))))
-    assert (loaded.n, loaded.dimension, loaded.distance) == (spec.n, spec.dimension, spec.distance)
-    assert (loaded.register_qubits, loaded.syndrome_qubits) == (spec.register_qubits, spec.syndrome_qubits)
-    assert loaded.logical_basis == spec.logical_basis
-    pairs = [(loaded.encoder, spec.encoder)]
-    pairs += [(a.amplitudes, b.amplitudes) for a, b in zip(loaded.codewords, spec.codewords, strict=True)]
+    pairs = [(loaded.codewords, spec.codewords), (loaded.encoder, spec.encoder)]
     pairs += list(zip(loaded.decoders, spec.decoders, strict=True))
     for got, want in pairs:
         assert got.dtype == want.dtype and got.shape == want.shape

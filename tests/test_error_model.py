@@ -1,10 +1,6 @@
 """Tests for the rotation error model and its Pauli-branch expansion."""
-import json
-
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from cws552.error_model import (
@@ -136,24 +132,3 @@ def test_typed_rejects_unknown_kind():
     with pytest.raises(ValueError):
         ErrorSpec.typed(1, "Q", 0.5)
 
-
-unit_axes = (
-    st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
-    .filter(lambda v: np.linalg.norm(v) > 0.1)
-    .map(lambda v: tuple(float(c) for c in np.array(v) / np.linalg.norm(v)))
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    location=st.integers(1, 5),
-    alpha=st.floats(-10.0, 10.0),
-    theta=st.floats(-10.0, 10.0),
-    axis=unit_axes,
-)
-@example(location=4, alpha=0.3, theta=1.9, axis=(0.6, 0.0, 0.8))
-def test_json_round_trip(location, alpha, theta, axis):
-    spec = ErrorSpec(location, alpha, theta, axis)
-    doc = spec.to_json_dict()
-    assert doc == {"location": location, "alpha": alpha, "theta": theta, "axis": list(axis)}
-    assert ErrorSpec.from_json_dict(json.loads(json.dumps(doc))) == spec
