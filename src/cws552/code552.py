@@ -343,6 +343,29 @@ def _complex_to_pairs(arr: np.ndarray) -> list:
     return stacked.tolist()
 
 
+_REAL = (int, float, np.integer, np.floating)
+
+
+def _reals(name: str, values, sign: str = "", ndim: int = 1) -> np.ndarray:
+    """`values` as an `ndim`-dimensional float array: the one check on the
+    numbers of noise models, spin systems and code files.  Entries are real
+    numbers (not bools or strings), finite, and "positive" or "nonnegative"
+    as `sign` asks.  A ragged array fails the dimension check."""
+    arr = np.asarray(values, dtype=object)
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be a {ndim}-dimensional array of real numbers, got shape {arr.shape}")
+    # Checking the distinct entry types is quicker than checking every entry.
+    if not all(issubclass(t, _REAL) and t is not bool for t in {type(v) for v in arr.flat}):
+        bad = next(v for v in arr.flat if isinstance(v, bool) or not isinstance(v, _REAL))
+        raise ValueError(f"{name} must be real numbers, got {bad!r}")
+    arr = arr.astype(float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    if sign == "positive" and np.any(arr <= 0) or sign == "nonnegative" and np.any(arr < 0):
+        raise ValueError(f"{name} must be {sign}")
+    return arr
+
+
 def _check_keys(doc, what: str, required=(), optional=()) -> None:
     """The one key check on JSON objects: `doc` must be an object holding
     every key in `required` and no key outside `required` and `optional`."""
@@ -359,8 +382,8 @@ def _check_keys(doc, what: str, required=(), optional=()) -> None:
 
 def _complex_array(name: str, doc, shape: tuple[int, ...]) -> np.ndarray:
     """The `shape` complex array stored in `doc` as [re, im] pairs."""
-    arr = np.asarray(doc, dtype=float)
-    if arr.ndim == 0 or arr.shape[-1] != 2:
+    arr = _reals(f"{name} entries ([re, im] pairs)", doc, ndim=len(shape) + 1)
+    if arr.shape[-1] != 2:
         raise ValueError(f"{name} entries must be [re, im] pairs, got an array of shape {arr.shape}")
     if arr.shape[:-1] != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape[:-1]}")

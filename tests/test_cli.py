@@ -47,6 +47,25 @@ def test_verify_rejects_corrupted_export(tmp_path, capsys):
     assert "overall: FAIL" in capsys.readouterr().out
 
 
+def test_verify_fails_a_code_whose_only_defect_is_decoder_5(tmp_path, capsys):
+    """Swapping two columns keeps decoder 5 unitary but misroutes location 5."""
+    doc = code_to_json_dict(build_code())
+    doc["decoders"]["5"] = [[row[1], row[0], *row[2:]] for row in doc["decoders"]["5"]]
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--code", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "FAIL" in line] == [
+        next(line for line in lines if line.startswith("decoder branch action: FAIL")),
+        "overall: FAIL",
+    ]
+    assert main(["verify", "--json", "--code", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False
+    assert report["decoders"]["passed"] is False
+    assert all(report[key]["passed"] for key in ("orthonormality", "encoder", "erasure", "distance"))
+
+
 def test_sweep_setting_b_outputs(tmp_path, capsys):
     out = tmp_path / "b"
     assert main(["sweep", "--setting", "B", "--grid", "5", "--out", str(out)]) == 0
@@ -287,6 +306,12 @@ def _swap_e_and_y(syndrome_map):
     return dict(syndrome_map, E=syndrome_map["Y"], Y=syndrome_map["E"])
 
 
+def _with_first_entry(matrix, edit):
+    """`matrix` with its [0][0] entry [re, im] replaced by edit(re, im)."""
+    first = [edit(*matrix[0][0]), *matrix[0][1:]]
+    return [first, *matrix[1:]]
+
+
 def _without(doc, key):
     return {k: v for k, v in doc.items() if k != key}
 
@@ -325,6 +350,24 @@ def _without(doc, key):
         ),
         pytest.param("code", lambda doc: dict(doc, colour="red"), "unknown code keys ['colour']", id="code-unknown-key"),
         pytest.param("code", lambda doc: dict(doc, K=4), "K must be 5", id="code-K-4"),
+        pytest.param(
+            "code",
+            lambda doc: dict(doc, encoder=_with_first_entry(doc["encoder"], lambda re, im: [str(re), "0"])),
+            "encoder entries ([re, im] pairs) must be real numbers",
+            id="code-encoder-entry-strings",
+        ),
+        pytest.param(
+            "code",
+            lambda doc: dict(doc, encoder=_with_first_entry(doc["encoder"], lambda re, im: [True, im])),
+            "encoder entries ([re, im] pairs) must be real numbers, got True",
+            id="code-encoder-real-part-true",
+        ),
+        pytest.param(
+            "code",
+            lambda doc: dict(doc, codewords=[*doc["codewords"][:4], doc["codewords"][4][:31]]),
+            "codewords entries ([re, im] pairs) must be a 3-dimensional array",
+            id="code-codewords-ragged",
+        ),
         pytest.param(
             "code", lambda doc: dict(doc, codewords=doc["codewords"][:4]), "codewords must have shape", id="code-four-codewords"
         ),

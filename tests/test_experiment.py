@@ -250,6 +250,45 @@ def test_fit_line_examples():
         fit_line([1.0], [1.0])
 
 
+@pytest.mark.parametrize(
+    "measured, theory, scale, stderr",
+    [
+        # s = 7/5; residuals (-0.4, 0.2); sigma^2 = 0.2/(2 - 1); stderr = sqrt(0.2/5)
+        pytest.param([1.0, 3.0], [1.0, 2.0], 1.4, 0.2, id="two-points"),
+        # s = 1; residuals (-1, 0, 1); sigma^2 = 2/(3 - 1); stderr = sqrt(1/3)
+        pytest.param([0.0, 1.0, 2.0], [1.0, 1.0, 1.0], 1.0, math.sqrt(1.0 / 3.0), id="three-points"),
+    ],
+)
+def test_fit_scale_standard_error_by_hand(measured, theory, scale, stderr):
+    """sqrt(sum r^2 / (n - 1) / sum t^2), worked out by hand."""
+    got = fit_scale(measured, theory)
+    assert got == pytest.approx((scale, stderr), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "xs, ys, slope, intercept, slope_stderr, intercept_stderr",
+    [
+        # xbar 1, Sxx 2; residuals (-0.5, 1, -0.5); sigma^2 = 1.5/(3 - 2)
+        pytest.param(
+            [0.0, 1.0, 2.0], [0.0, 2.0, 1.0], 0.5, 0.5, math.sqrt(1.5 / 2), math.sqrt(1.5 * (1 / 3 + 1 / 2)),
+            id="three-points",
+        ),
+        # xbar 1.5, Sxx 5; residuals (0.1, 0.2, -0.7, 0.4); sigma^2 = 0.7/(4 - 2)
+        pytest.param(
+            [0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 2.0, 4.0], 0.9, 0.9, math.sqrt(0.35 / 5),
+            math.sqrt(0.35 * (1 / 4 + 1.5**2 / 5)),
+            id="four-points",
+        ),
+    ],
+)
+def test_fit_line_standard_errors_by_hand(xs, ys, slope, intercept, slope_stderr, intercept_stderr):
+    """sigma^2 = sum r^2 / (n - 2); slope sqrt(sigma^2 / Sxx), intercept
+    sqrt(sigma^2 (1/n + xbar^2 / Sxx)), worked out by hand."""
+    fit = fit_line(xs, ys)
+    got = (fit.slope, fit.intercept, fit.slope_stderr, fit.intercept_stderr)
+    assert got == pytest.approx((slope, intercept, slope_stderr, intercept_stderr), rel=1e-12)
+
+
 # Every fit called with two arrays; fit_constant reads only the second.
 FITS = {"fit_scale": fit_scale, "fit_line": fit_line, "fit_constant": lambda _, values: fit_constant(values)}
 
