@@ -11,9 +11,7 @@ from .statevec import (
     apply_gate,
     apply_gate_mixed,
     gate_matrix,
-    overlap,
     partial_trace,
-    schmidt_rank,
 )
 from .code552 import (
     CodeSpec,
@@ -26,19 +24,17 @@ from .code552 import (
     verify_distance,
     verify_erasure_correctability,
 )
-from .error_model import ErrorSpec, PauliExpansion, error_unitary, pauli_expand, predicted_syndrome
+from .error_model import ErrorSpec, PauliExpansion, error_unitary, pauli_expand
 from .nmr_noise import (
     NmrSystem,
     NoiseModel,
     apply_dephasing,
-    hamiltonian,
     run_noisy_qecc,
     simulate_spectrum,
 )
 from .experiment import (
     Observables,
     SweepResult,
-    estimate_theta,
     fit_constant,
     fit_line,
     fit_scale,
@@ -71,22 +67,17 @@ __all__ = [
     "decode",
     "encode",
     "error_unitary",
-    "estimate_theta",
     "fit_constant",
     "fit_line",
     "fit_scale",
     "gate_matrix",
-    "hamiltonian",
-    "overlap",
     "partial_trace",
     "pauli_expand",
-    "predicted_syndrome",
     "run_noisy_qecc",
     "run_point",
     "run_setting_a",
     "run_setting_b",
     "run_setting_c",
-    "schmidt_rank",
     "simulate_spectrum",
     "verify_distance",
     "verify_erasure_correctability",

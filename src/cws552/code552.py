@@ -76,6 +76,10 @@ KL_LABELS = ("E", "X", "Y", "Z")
 
 GRAM_ATOL = 1e-12
 SUPPORT_ATOL = 1e-12
+# Largest deviation from a scalar on the codespace that the erasure check
+# and the distance scan still count as one.
+ERASURE_ATOL = 1e-12
+DISTANCE_ATOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -276,7 +280,7 @@ class ErasureReport:
         return all(loc.passed for loc in self.locations)
 
 
-def verify_erasure_correctability(code: CodeSpec, tol: float = 1e-12) -> ErasureReport:
+def verify_erasure_correctability(code: CodeSpec) -> ErasureReport:
     """Check <phi_b| P^dag Q |phi_c> = C_PQ delta_bc at every location.
 
     The codeword inner products must vanish between different codewords and
@@ -293,7 +297,7 @@ def verify_erasure_correctability(code: CodeSpec, tol: float = 1e-12) -> Erasure
             for j, q_images in enumerate(images):
                 c_matrix[i, j], violation = _scalar_on_codespace(_codespace_form(p_images, q_images))
                 worst = max(worst, violation)
-        checks.append(LocationCheck(q, worst <= tol, c_matrix, worst))
+        checks.append(LocationCheck(q, worst <= ERASURE_ATOL, c_matrix, worst))
     return ErasureReport(KL_LABELS, tuple(checks))
 
 
@@ -317,7 +321,7 @@ def _scalar_on_codespace(form: np.ndarray) -> tuple[complex, float]:
     return scalar, float(np.max(np.abs(form - scalar * np.eye(len(form)))))
 
 
-def verify_distance(code: CodeSpec, tol: float = 1e-10) -> DistanceResult:
+def verify_distance(code: CodeSpec) -> DistanceResult:
     """Exhaustively scan Pauli weights for the first detectability violation.
 
     Returns the largest d such that every Pauli of weight < d looks like a
@@ -329,7 +333,7 @@ def verify_distance(code: CodeSpec, tol: float = 1e-10) -> DistanceResult:
             for labels in product("XYZ", repeat=weight):
                 image = pauli_apply(codewords, dict(zip(support, labels)))
                 _, violation = _scalar_on_codespace(_codespace_form(codewords, image))
-                if violation > tol:
+                if violation > DISTANCE_ATOL:
                     return DistanceResult(
                         distance=weight,
                         witness=tuple(zip(support, labels)),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import E2, X, Y, Z, PureState, _axes_for
+from .statevec import E2, X, Y, Z, _axes_for
 
 AXIS_BY_TYPE = {"X": (1.0, 0.0, 0.0), "Y": (0.0, 1.0, 0.0), "Z": (0.0, 0.0, 1.0)}
 
@@ -107,8 +107,3 @@ def typed_expansions(kind: str, thetas) -> np.ndarray:
     if kind not in AXIS_BY_TYPE:
         raise ValueError(f"kind must be one of {sorted(AXIS_BY_TYPE)}, got {kind!r}")
     return _branch_coefficients(0.0, thetas, AXIS_BY_TYPE[kind])
-
-
-def predicted_syndrome(spec: ErrorSpec) -> PureState:
-    """Two-qubit syndrome state c00|00> + c01|01> + c10|10> + c11|11>."""
-    return PureState(2, pauli_expand(spec).coefficients())

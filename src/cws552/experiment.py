@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code552 import BRANCH_LABELS, REGISTER_QUBITS, SYNDROME_MAP, CodeSpec, _branch_target_index, decode, encode
+from .code552 import BRANCH_LABELS, REGISTER_QUBITS, SYNDROME_MAP, CodeSpec, _branch_target_index, _reals, decode, encode
 from .error_model import ErrorSpec, error_unitary, typed_expansions
 from .nmr_noise import NoiseModel, apply_segment_noise, run_noisy_qecc, segment_noise_adjoint
 from .statevec import (
@@ -61,11 +61,10 @@ _TYPE_AXIS_ATOL = 1e-9
 
 @dataclass(frozen=True)
 class InputProfile:
-    """One protocol input: register state plus the location of its coherence."""
+    """One protocol input: register state plus the basis pair carrying its coherence."""
 
     k: int
     register: PureState
-    coherent_qubit: int
     pair: tuple[int, int]  # register basis indices with coherent spin 0 / 1
 
 
@@ -76,9 +75,9 @@ def _superposition(lo: int, hi: int) -> PureState:
 
 
 INPUTS = {
-    1: InputProfile(1, _superposition(0, 4), 2, (0, 4)),
-    2: InputProfile(2, _superposition(2, 3), 4, (2, 3)),
-    3: InputProfile(3, _superposition(0, 1), 4, (0, 1)),
+    1: InputProfile(1, _superposition(0, 4), (0, 4)),
+    2: InputProfile(2, _superposition(2, 3), (2, 3)),
+    3: InputProfile(3, _superposition(0, 1), (0, 1)),
 }
 
 
@@ -139,8 +138,8 @@ def run_point(
     axis's syndrome branch; for a generic axis the three error branches are
     summed before taking real part and modulus.
     """
-    if input_k not in INPUTS:
-        raise ValueError(f"input_k must be one of {sorted(INPUTS)}, got {input_k}")
+    if isinstance(input_k, bool) or not isinstance(input_k, (int, np.integer)) or input_k not in INPUTS:
+        raise ValueError(f"input_k must be one of {sorted(INPUTS)}, got {input_k!r}")
     profile = INPUTS[input_k]
     state = final_state(code, profile.register, error, noise)
 
@@ -205,11 +204,11 @@ def run_setting_a(code: CodeSpec, noise: NoiseModel | None = None) -> list[Setti
 
 
 def default_grid(n_points: int = 13, theta_max: float = float(np.pi)) -> np.ndarray:
-    """Uniform error-angle grid on [0, theta_max]."""
-    if n_points < 2:
-        raise ValueError("grid needs at least two points")
-    if theta_max <= 0:
-        raise ValueError("theta_max must be positive")
+    """Uniform error-angle grid of `n_points` (an integer, at least two) on
+    [0, theta_max], theta_max finite and positive."""
+    if isinstance(n_points, bool) or not isinstance(n_points, (int, np.integer)) or n_points < 2:
+        raise ValueError(f"grid needs an integer number of points, at least two, got {n_points!r}")
+    (theta_max,) = _reals("theta_max", [theta_max], "positive")
     return np.linspace(0.0, theta_max, n_points)
 
 
@@ -361,13 +360,6 @@ _NO_SIGNAL = 1e-30  # I0 + I1 at or below this carries no angle
 def _angles(i0, i1):
     """Theta = 2 atan2(sqrt(I1), sqrt(I0)), elementwise."""
     return 2.0 * np.arctan2(np.sqrt(i1), np.sqrt(i0))
-
-
-def estimate_theta(obs: Observables) -> float:
-    """Recover the error angle from the two amplitude moduli."""
-    if obs.i0 + obs.i1 <= _NO_SIGNAL:
-        raise ValueError("zero signal: cannot estimate an angle")
-    return float(_angles(obs.i0, obs.i1))
 
 
 def _encoded_density(code: CodeSpec, profile: InputProfile, noise: NoiseModel | None) -> np.ndarray:

@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .code552 import _REAL, CodeSpec, _check_keys, _reals, encode
+from .code552 import _REAL, N_QUBITS, CodeSpec, _check_keys, _reals, encode
 from .error_model import ErrorSpec, error_unitary
 from .statevec import GateOp, MixedState, PureState, _axes_for, _spin_signs, apply_gate_mixed, apply_matrix_mixed
 
@@ -121,11 +121,6 @@ def energies(system: NmrSystem) -> np.ndarray:
     return diag
 
 
-def hamiltonian(system: NmrSystem) -> np.ndarray:
-    """Dense diagonal Hamiltonian matrix (rad/s)."""
-    return np.diag(energies(system)).astype(complex)
-
-
 @dataclass(frozen=True)
 class NoiseModel:
     """Dephasing noise for the encode/error/decode pipeline.
@@ -186,10 +181,11 @@ class NoiseModel:
         )
 
     @classmethod
-    def uniform_attenuation(cls, gamma: float, n_qubits: int = 5) -> "NoiseModel":
-        """Pure coherence attenuation by `gamma`, no time-based dephasing."""
+    def uniform_attenuation(cls, gamma: float) -> "NoiseModel":
+        """Pure coherence attenuation by `gamma` on the code's qubits, no
+        time-based dephasing."""
         return cls(
-            t2=(1.0,) * n_qubits,
+            t2=(1.0,) * N_QUBITS,
             schedule=tuple((seg, 0.0) for seg in SEGMENTS),
             coherence_scale=gamma,
         )
@@ -395,8 +391,7 @@ def simulate_spectrum(
     if state.n_qubits != n:
         raise ValueError(f"state has {state.n_qubits} qubits, system has {n} spins")
     (axis,) = _axes_for((observe,), n, "observe")
-    if t_max <= 0 or dt <= 0:
-        raise ValueError("t_max and dt must be positive")
+    t_max, dt = _reals("t_max and dt", [t_max, dt], "positive")
     if np.max(np.abs(system.nu)) >= 0.5 / dt:
         raise ValueError(
             f"dt {dt} aliases shifts up to {np.max(np.abs(system.nu))} Hz; need dt < 1/(2 max|nu|)"

@@ -45,12 +45,6 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
-    def zero(cls, n_qubits: int) -> "PureState":
-        amps = np.zeros(2**n_qubits, dtype=complex)
-        amps[0] = 1.0
-        return cls(n_qubits, amps)
-
-    @classmethod
     def basis(cls, bits: str) -> "PureState":
         """Computational basis state from a bit string, first char = qubit 1."""
         if not bits or set(bits) - {"0", "1"}:
@@ -58,9 +52,6 @@ class PureState:
         amps = np.zeros(2 ** len(bits), dtype=complex)
         amps[int(bits, 2)] = 1.0
         return cls(len(bits), amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
     def density(self) -> "MixedState":
         return MixedState(self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
@@ -79,9 +70,6 @@ class MixedState:
         if mat.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got shape {mat.shape}")
         object.__setattr__(self, "matrix", mat)
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
 
     def populations(self) -> np.ndarray:
         return np.real(np.diag(self.matrix)).copy()
@@ -221,38 +209,12 @@ def partial_trace(state: MixedState, keep: Sequence[int]) -> MixedState:
     return MixedState(k, reduced.reshape(2**k, 2**k))
 
 
-def overlap(a: PureState, b: PureState) -> complex:
-    """Inner product <a|b>."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError("states have different qubit counts")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
 def fidelity_with_pure(state: MixedState, target: PureState) -> float:
     """<target| rho |target> for a pure reference."""
     if state.n_qubits != target.n_qubits:
         raise ValueError("states have different qubit counts")
     v = target.amplitudes
     return float(np.real(np.vdot(v, state.matrix @ v)))
-
-
-def trace_distance(a: MixedState, b: MixedState) -> float:
-    if a.n_qubits != b.n_qubits:
-        raise ValueError("states have different qubit counts")
-    eigs = np.linalg.eigvalsh(a.matrix - b.matrix)
-    return float(0.5 * np.sum(np.abs(eigs)))
-
-
-def schmidt_rank(state: PureState, cut: Sequence[int], tol: float = 1e-8) -> int:
-    """Schmidt rank across the bipartition (cut qubits) vs (the rest)."""
-    axes_a = _axes_for(tuple(cut), state.n_qubits)
-    axes_b = [i for i in range(state.n_qubits) if i not in axes_a]
-    if not axes_a or not axes_b:
-        raise ValueError("both sides of the cut must be nonempty")
-    t = np.moveaxis(state.amplitudes.reshape([2] * state.n_qubits), axes_a, range(len(axes_a)))
-    mat = t.reshape(2 ** len(axes_a), 2 ** len(axes_b))
-    svals = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(svals > tol))
 
 
 def _spin_signs(n_qubits: int) -> np.ndarray:

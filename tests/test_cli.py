@@ -255,6 +255,29 @@ def test_error_paths_return_nonzero(tmp_path, capsys):
     assert main(["--config", str(cfg), "sweep"]) == 1
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("spectrum", "--t-max", "inf"),
+        ("spectrum", "--t-max", "nan"),
+        ("spectrum", "--dt", "inf"),
+        ("spectrum", "--dt", "nan"),
+        ("sweep", "--theta-max", "inf"),
+        ("sweep", "--theta-max", "nan"),
+    ],
+)
+def test_non_finite_times_and_angles_exit_with_an_error_naming_the_option(tmp_path, capsys, command, flag, value):
+    system_path = tmp_path / "sys5.json"
+    system_path.write_text(json.dumps(NmrSystem.placeholder_five_spin().to_json_dict()))
+    args = {
+        "spectrum": ["--system", str(system_path), "--state", "qecc:X:3", "--out", str(tmp_path / "spec.csv")],
+        "sweep": ["--setting", "B", "--out", str(tmp_path / "sweep")],
+    }[command]
+    assert main([command, *args, flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
+
+
 def test_qecc_state_spec_requires_five_spins(tmp_path, capsys):
     system_path = tmp_path / "sys2.json"
     system_path.write_text(

@@ -9,11 +9,9 @@ from cws552.code552 import build_code
 from cws552.error_model import ErrorSpec
 from cws552.experiment import (
     INPUTS,
-    Observables,
     SETTING_A_CSV_COLUMNS,
     SWEEP_CSV_COLUMNS,
     default_grid,
-    estimate_theta,
     fit_constant,
     fit_line,
     fit_scale,
@@ -34,10 +32,15 @@ def code():
     return build_code()
 
 
+def closed_form_theta(obs):
+    """Theta = 2 atan2(sqrt(I1), sqrt(I0)) for one point, in numpy as the sweeps compute it."""
+    return float(2.0 * np.arctan2(np.sqrt(obs.i1), np.sqrt(obs.i0)))
+
+
 def test_input_profiles_are_normalized_superpositions():
     for k, profile in INPUTS.items():
         assert profile.k == k
-        assert abs(profile.register.norm() - 1.0) < 1e-12
+        assert abs(np.linalg.norm(profile.register.amplitudes) - 1.0) < 1e-12
         lo, hi = profile.pair
         assert abs(profile.register.amplitudes[lo] - 1 / math.sqrt(2)) < 1e-12
         assert abs(profile.register.amplitudes[hi] - 1 / math.sqrt(2)) < 1e-12
@@ -93,15 +96,7 @@ def test_generic_axis_sums_error_branches(code):
         spec = ErrorSpec(location=int(rng.integers(1, 6)), alpha=0.0, theta=theta, axis=tuple(axis))
         obs = run_point(code, 3, spec)
         assert abs(obs.a0 + obs.a1 - 1.0) < 1e-10
-        assert abs(estimate_theta(obs) - theta) < 1e-9
-
-
-def test_estimate_theta_examples():
-    assert estimate_theta(Observables(1, 0, 1, 0, 1)) == 0.0
-    assert abs(estimate_theta(Observables(0, 1, 0, 1, 1)) - math.pi) < 1e-12
-    assert abs(estimate_theta(Observables(0.5, 0.5, 0.5, 0.5, 1)) - math.pi / 2) < 1e-12
-    with pytest.raises(ValueError, match="zero signal"):
-        estimate_theta(Observables(0, 0, 0, 0, 0))
+        assert abs(closed_form_theta(obs) - theta) < 1e-9
 
 
 def test_sweeps_reject_non_finite_grid(code):
@@ -331,6 +326,41 @@ def test_default_grid():
         default_grid(5, theta_max=0.0)
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(lambda code: default_grid(3, float("nan")), "theta_max must be finite", id="grid-theta_max-nan"),
+        pytest.param(lambda code: default_grid(3, float("inf")), "theta_max must be finite", id="grid-theta_max-inf"),
+        pytest.param(lambda code: default_grid(2.5), "integer number of points", id="grid-n_points-float"),
+        pytest.param(lambda code: default_grid(True), "integer number of points", id="grid-n_points-bool"),
+        pytest.param(lambda code: run_point(code, True, ErrorSpec.typed(1, "X", 0.1)), "input_k", id="run_point-bool"),
+        pytest.param(lambda code: run_point(code, 2.0, ErrorSpec.typed(1, "X", 0.1)), "input_k", id="run_point-float"),
+    ],
+)
+def test_grid_and_input_k_take_integers_and_finite_angles(code, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(code)
+
+
+def test_sweep_without_signal_raises(code):
+    with pytest.raises(ValueError, match="zero signal"):
+        run_setting_b(code, default_grid(5), NoiseModel.uniform_attenuation(0.0))
+
+
+def test_sweep_csv_writes_nan_theta_where_one_combo_has_no_signal(code, tmp_path):
+    """Input k=1 keeps its coherence on qubit 2, which a 1 ms T2 wipes out;
+    inputs 2 and 3 keep theirs, so the combo mean still has signal."""
+    noise = NoiseModel(t2=(1.0, 1e-3, 1.0, 1.0, 1.0), schedule=(("encode", 0.3), ("error", 0.05), ("decode", 0.3)))
+    path = tmp_path / "c.csv"
+    write_sweep_csv(run_setting_c(code, default_grid(5), noise), str(path))
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    silent = [row for row in rows if math.isnan(float(row["Theta"]))]
+    assert len(silent) == 25 and {row["input_k"] for row in silent} == {"1"}
+    assert all(float(row["I0"]) + float(row["I1"]) <= 1e-30 for row in silent)
+    assert all(float(row["I0"]) + float(row["I1"]) > 1e-30 for row in rows if row not in silent)
+
+
 def test_sweep_csv_round_trip(code, tmp_path):
     result = run_setting_b(code, grid=default_grid(5), noise=NoiseModel.default())
     path = tmp_path / "sweep.csv"
@@ -344,7 +374,7 @@ def test_sweep_csv_round_trip(code, tmp_path):
     for row in rows[1:]:
         obs = by_key[(int(row[1]), row[2], float(row[4]))]
         assert [float(v) for v in row[5:10]] == [obs.a0, obs.a1, obs.i0, obs.i1, obs.i]
-        assert float(row[10]) == estimate_theta(obs)  # the array Theta equals the scalar one bit for bit
+        assert float(row[10]) == closed_form_theta(obs)  # the array Theta equals the scalar one bit for bit
 
 
 def test_sweep_csv_is_deterministic(code, tmp_path):
