@@ -190,10 +190,12 @@ def _state_from_spec(spec: str, n_spins: int) -> MixedState:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError("qecc state spec must look like qecc:X:3")
-        label, location = parts[1], int(parts[2])
+        label, location = parts[1:]
+        if not (location.isascii() and location.isdigit()):
+            raise ValueError(f"--state {spec!r}: location {location!r} must be a qubit label in decimal digits")
         if n_spins != 5:
             raise ValueError("qecc state specs need a five-spin system")
-        return experiment.final_state(build_code(), experiment.INPUTS[2].register, ErrorSpec.pauli(location, label))
+        return experiment.final_state(build_code(), experiment.INPUTS[2].register, ErrorSpec.pauli(int(location), label))
     if len(spec) != n_spins or set(spec) - set(_SINGLE_STATES):
         raise ValueError(
             f"state spec must be {n_spins} chars over 0/1/+/- or qecc:LABEL:LOC, got {spec!r}"

@@ -33,18 +33,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code552 import BRANCH_LABELS, REGISTER_QUBITS, SYNDROME_MAP, CodeSpec, _branch_target_index, _reals, decode, encode
+from .code552 import BRANCH_LABELS, SYNDROME_MAP, CodeSpec, _branch_target_index, _reals, decode, encode
 from .error_model import ErrorSpec, error_unitary, typed_expansions
-from .nmr_noise import NoiseModel, apply_segment_noise, run_noisy_qecc, segment_noise_adjoint
+from .nmr_noise import NoiseModel, _final_knobs, apply_segment_noise, run_noisy_qecc, segment_noise_adjoint
 from .statevec import (
     PAULI_BY_LABEL,
     GateOp,
     MixedState,
     PureState,
+    _apply_matrix,
+    _as_unitary,
     _axes_for,
     apply_gate,
-    fidelity_with_pure,
-    partial_trace,
 )
 
 ERROR_TYPES = ("X", "Y", "Z")
@@ -174,32 +174,50 @@ class SettingARow:
         return self.branch == self.expected_branch
 
 
-def _syndrome_populations(state: MixedState) -> np.ndarray:
-    """2x2 array of syndrome-branch populations, indexed [j, l]."""
-    return state.populations().reshape(2, 8, 2).sum(axis=1)
-
-
 def run_setting_a(code: CodeSpec, noise: NoiseModel | None = None) -> list[SettingARow]:
-    """Apply each exact Pauli at each location to input k=2 and read syndromes."""
+    """Apply each exact Pauli at each location to input k=2 and read syndromes.
+
+    Each location's four Pauli runs go through the pipeline together as one
+    stack of four states, with final_state's arithmetic step for step, so
+    every row is bit-identical to reading final_state's output row by row;
+    final_state stays the oracle.
+    """
     profile = INPUTS[2]
+    v = profile.register.amplitudes
+    n = code.n
+    dim = 2**n
+    # The Pauli unitaries do not depend on the location.
+    gates = [GateOp.single(1, error_unitary(ErrorSpec.pauli(1, label))).matrix for label in SETTING_A_PAULIS]
+    if noise is None:
+        psi = encode(code, profile.register).amplitudes
+    else:
+        rho = _encoded_density(code, profile, noise)
     rows = []
-    for location in range(1, code.n + 1):
-        for label in SETTING_A_PAULIS:
-            error = ErrorSpec.pauli(location, label)
-            state = final_state(code, profile.register, error, noise)
-            pops = _syndrome_populations(state)
-            j, l = np.unravel_index(int(np.argmax(pops)), pops.shape)
-            reg = partial_trace(state, REGISTER_QUBITS)
-            rows.append(
-                SettingARow(
-                    location=location,
-                    pauli=label,
-                    expected_branch=SYNDROME_MAP[label],
-                    branch=f"{j}{l}",
-                    branch_population=float(pops[j, l]),
-                    register_fidelity=fidelity_with_pure(reg, profile.register),
-                )
-            )
+    for location in range(1, n + 1):
+        axes = [location - 1]
+        dec = code.decoder(location)
+        if noise is None:
+            cols = np.stack([_apply_matrix(psi, u, axes, n) for u in gates])[:, :, None]
+            # A stack of matrix-vector products, as decode computes each one;
+            # a single dec @ cols.T would round differently.
+            cols = np.matmul(dec, cols)[:, :, 0]
+            rhos = cols[:, :, None] * cols.conj()[:, None, :]
+        else:
+            us = np.stack([_apply_matrix(np.eye(dim, dtype=complex), u, axes, n) for u in gates])
+            rhos = apply_segment_noise(us @ rho @ us.conj().transpose(0, 2, 1), noise, "error")
+            dec = _as_unitary(dec, dim)
+            rhos = apply_segment_noise(dec @ rhos @ dec.conj().T, noise, "decode")
+            rhos = _final_knobs(rhos, noise.depolarizing, noise.coherence_scale)
+        # Axes (stack, q1, q2 q3 q4, q5) on the ket and the bra side: the
+        # syndrome qubits (1, 5) bracket the register (2, 3, 4).
+        pops = np.real(np.diagonal(rhos, axis1=1, axis2=2)).reshape(-1, 2, 8, 2).sum(axis=2)
+        pops = pops.reshape(-1, 4)  # column 2 j + l holds branch jl
+        registers = np.einsum("sjaljbl->sab", rhos.reshape(-1, 2, 8, 2, 2, 8, 2))
+        fidelities = np.real((registers @ v) @ v.conj())
+        for label, b, pop, fid in zip(
+            SETTING_A_PAULIS, pops.argmax(axis=1).tolist(), pops.max(axis=1).tolist(), fidelities.tolist()
+        ):
+            rows.append(SettingARow(location, label, SYNDROME_MAP[label], f"{b:02b}", pop, fid))
     return rows
 
 

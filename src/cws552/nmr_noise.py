@@ -336,18 +336,28 @@ def apply_amplitude_damping(state: MixedState, qubit: int, gamma: float) -> Mixe
     return MixedState(state.n_qubits, _channel(state.matrix, 1.0, gammas))
 
 
+def _final_knobs(rhos: np.ndarray, depolarizing: float, coherence_scale: float) -> np.ndarray:
+    """Depolarizing, then coherence scaling, on a density matrix or a stack
+    (..., 2^n, 2^n); a knob at its no-op value (0 or 1) is skipped and the
+    strengths are taken as already checked."""
+    dim = rhos.shape[-1]
+    if depolarizing > 0.0:
+        rhos = (1.0 - depolarizing) * rhos + depolarizing * np.eye(dim, dtype=complex) / dim
+    if coherence_scale < 1.0:
+        idx = np.arange(dim)
+        diag = np.zeros_like(rhos)
+        diag[..., idx, idx] = rhos[..., idx, idx]
+        rhos = coherence_scale * rhos + (1.0 - coherence_scale) * diag
+    return rhos
+
+
 def scale_coherences(state: MixedState, gamma: float) -> MixedState:
     """Multiply every off-diagonal element by gamma; populations unchanged."""
-    gamma = _unit_interval("gamma", gamma)
-    mat = gamma * state.matrix + (1.0 - gamma) * np.diag(np.diag(state.matrix))
-    return MixedState(state.n_qubits, mat)
+    return MixedState(state.n_qubits, _final_knobs(state.matrix, 0.0, _unit_interval("gamma", gamma)))
 
 
 def depolarize(state: MixedState, p: float) -> MixedState:
-    p = _unit_interval("p", p)
-    dim = 2**state.n_qubits
-    mat = (1.0 - p) * state.matrix + p * np.eye(dim, dtype=complex) / dim
-    return MixedState(state.n_qubits, mat)
+    return MixedState(state.n_qubits, _final_knobs(state.matrix, _unit_interval("p", p), 1.0))
 
 
 def run_noisy_qecc(code: CodeSpec, register: PureState, error: ErrorSpec, model: NoiseModel) -> MixedState:
@@ -367,11 +377,7 @@ def run_noisy_qecc(code: CodeSpec, register: PureState, error: ErrorSpec, model:
     state = apply_matrix_mixed(state, code.decoder(error.location))
     state = MixedState(n, apply_segment_noise(state.matrix, model, "decode"))
 
-    if model.depolarizing > 0.0:
-        state = depolarize(state, model.depolarizing)
-    if model.coherence_scale < 1.0:
-        state = scale_coherences(state, model.coherence_scale)
-    return state
+    return MixedState(n, _final_knobs(state.matrix, model.depolarizing, model.coherence_scale))
 
 
 def simulate_spectrum(

@@ -298,6 +298,17 @@ def test_qecc_state_spec_requires_five_spins(tmp_path, capsys):
     assert "five-spin" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("location", ["abc", "3.0", " 3", "+3", "", "\u0663"])
+def test_qecc_state_location_must_be_decimal_digits(tmp_path, capsys, location):
+    system_path = tmp_path / "sys5.json"
+    system_path.write_text(json.dumps(NmrSystem.placeholder_five_spin().to_json_dict()))
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--system", str(system_path), "--state", f"qecc:X:{location}", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --state ") and f"location {location!r}" in err
+    assert not out.exists()
+
+
 def test_qecc_state_spectrum_runs(tmp_path, capsys):
     from cws552.nmr_noise import NmrSystem
 

@@ -1,15 +1,20 @@
 """Tests for the sweep protocol, observables, fits, and tabular output."""
 import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from test_sweep_engine import noise_models
 
-from cws552.code552 import build_code
+from cws552 import experiment
+from cws552.code552 import REGISTER_QUBITS, SYNDROME_MAP, build_code
 from cws552.error_model import ErrorSpec
 from cws552.experiment import (
     INPUTS,
     SETTING_A_CSV_COLUMNS,
+    SETTING_A_PAULIS,
     SWEEP_CSV_COLUMNS,
     default_grid,
     fit_constant,
@@ -25,6 +30,7 @@ from cws552.experiment import (
     write_sweep_csv,
 )
 from cws552.nmr_noise import NoiseModel
+from cws552.statevec import fidelity_with_pure, partial_trace
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +148,71 @@ def test_setting_a_under_default_noise_still_resolves_branches(code):
         assert row.matches
         assert row.branch_population > 0.5
         assert row.register_fidelity > 0.55
+
+
+def setting_a_oracle(code, noise):
+    """Setting A row by row: final_state, then populations, partial_trace,
+    fidelity_with_pure and argmax on each run's own density matrix."""
+    register = INPUTS[2].register
+    rows = []
+    for location in range(1, code.n + 1):
+        for label in SETTING_A_PAULIS:
+            state = final_state(code, register, ErrorSpec.pauli(location, label), noise)
+            pops = state.populations().reshape(2, 8, 2).sum(axis=1)
+            j, l = np.unravel_index(int(np.argmax(pops)), pops.shape)
+            fidelity = fidelity_with_pure(partial_trace(state, REGISTER_QUBITS), register)
+            rows.append((location, label, SYNDROME_MAP[label], f"{j}{l}", float(pops[j, l]), fidelity))
+    return rows
+
+
+def setting_a_tuples(rows):
+    return [
+        (r.location, r.pauli, r.expected_branch, r.branch, r.branch_population, r.register_fidelity) for r in rows
+    ]
+
+
+GOLDEN_T1 = dataclasses.replace(
+    NoiseModel.default(), t1=(5.0, 8.0, 7.0, 6.0, 9.0), amplitude_damping=True, depolarizing=0.1, coherence_scale=0.9
+)
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [None, NoiseModel.default(), NoiseModel.uniform_attenuation(0.15), GOLDEN_T1],
+    ids=["noiseless", "default", "attenuation", "t1"],
+)
+def test_setting_a_is_bit_identical_to_the_per_row_oracle(code, noise):
+    # float.hex tells -0.0 from 0.0, which == does not
+    def hexed(rows):
+        return [(*row[:4], row[4].hex(), row[5].hex()) for row in rows]
+
+    assert hexed(setting_a_tuples(run_setting_a(code, noise))) == hexed(setting_a_oracle(code, noise))
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(noise=noise_models)
+def test_setting_a_matches_the_per_row_oracle(noise):
+    code = build_code()
+    got, want = setting_a_tuples(run_setting_a(code, noise)), setting_a_oracle(code, noise)
+    assert [row[:4] for row in got] == [row[:4] for row in want]
+    np.testing.assert_allclose([row[4:] for row in got], [row[4:] for row in want], rtol=0, atol=1e-14)
+
+
+def test_setting_a_under_noise_rejects_a_decoder_that_is_not_unitary(code):
+    decoders = list(code.decoders)
+    decoders[2] = 1.01 * decoders[2]
+    bad = dataclasses.replace(code, decoders=tuple(decoders))
+    with pytest.raises(ValueError, match="not unitary"):
+        run_setting_a(bad, NoiseModel.default())
+
+
+@pytest.mark.parametrize("noise", [None, NoiseModel.default()], ids=["noiseless", "noisy"])
+def test_setting_a_does_not_run_final_state(code, noise, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("setting A ran final_state")
+
+    monkeypatch.setattr(experiment, "final_state", refuse)
+    assert len(run_setting_a(code, noise)) == 20
 
 
 def test_setting_b_noiseless_fits_are_unity(code):
