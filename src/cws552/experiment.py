@@ -191,7 +191,7 @@ def run_setting_a(code: CodeSpec, noise: NoiseModel | None = None) -> list[Setti
     if noise is None:
         psi = encode(code, profile.register).amplitudes
     else:
-        rho = _encoded_density(code, profile, noise)
+        (rho,) = _encoded_densities(code, [profile.k], noise)
     rows = []
     for location in range(1, n + 1):
         axes = [location - 1]
@@ -317,13 +317,12 @@ def _fit_arrays(*arrays: Sequence[float]) -> list[np.ndarray]:
     return out
 
 
-def fit_scale(measured: Sequence[float], theory: Sequence[float]) -> tuple[float, float]:
-    """Least-squares scale of measured values onto a theory curve at the same points.
+# The fit kernels take float arrays that are already checked (one-dimensional,
+# equally long, finite): the public fit_* functions check their inputs first,
+# and the sweep checks its per-location means once.
 
-    Minimizes sum (m_i - s * t_i)^2; the standard error comes from the
-    residual variance with one fitted parameter.
-    """
-    ys, t = _fit_arrays(measured, theory)
+
+def _scale_fit(ys: np.ndarray, t: np.ndarray) -> tuple[float, float]:
     if ys.size < 2:
         raise ValueError("need at least two points")
     ss = float(t @ t)
@@ -335,9 +334,7 @@ def fit_scale(measured: Sequence[float], theory: Sequence[float]) -> tuple[float
     return scale, float(np.sqrt(sigma2 / ss))
 
 
-def fit_constant(values: Sequence[float]) -> tuple[float, float]:
-    """Sample mean and its standard error."""
-    (vals,) = _fit_arrays(values)
+def _constant_fit(vals: np.ndarray) -> tuple[float, float]:
     if vals.size < 1:
         raise ValueError("need at least one value")
     mean = float(np.mean(vals))
@@ -346,9 +343,7 @@ def fit_constant(values: Sequence[float]) -> tuple[float, float]:
     return mean, float(np.std(vals, ddof=1) / np.sqrt(vals.size))
 
 
-def fit_line(xs: Sequence[float], ys: Sequence[float]) -> "LineFit":
-    """Ordinary least squares y = a x + b with standard errors."""
-    xs, ys = _fit_arrays(xs, ys)
+def _line_fit(xs: np.ndarray, ys: np.ndarray) -> "LineFit":
     n = xs.size
     if n < 2:
         raise ValueError("need at least two points")
@@ -362,6 +357,25 @@ def fit_line(xs: Sequence[float], ys: Sequence[float]) -> "LineFit":
     slope_stderr = float(np.sqrt(sigma2 / sxx))
     intercept_stderr = float(np.sqrt(sigma2 * (1.0 / n + xs.mean() ** 2 / sxx)))
     return LineFit(slope, intercept, slope_stderr, intercept_stderr)
+
+
+def fit_scale(measured: Sequence[float], theory: Sequence[float]) -> tuple[float, float]:
+    """Least-squares scale of measured values onto a theory curve at the same points.
+
+    Minimizes sum (m_i - s * t_i)^2; the standard error comes from the
+    residual variance with one fitted parameter.
+    """
+    return _scale_fit(*_fit_arrays(measured, theory))
+
+
+def fit_constant(values: Sequence[float]) -> tuple[float, float]:
+    """Sample mean and its standard error."""
+    return _constant_fit(*_fit_arrays(values))
+
+
+def fit_line(xs: Sequence[float], ys: Sequence[float]) -> "LineFit":
+    """Ordinary least squares y = a x + b with standard errors."""
+    return _line_fit(*_fit_arrays(xs, ys))
 
 
 @dataclass(frozen=True)
@@ -380,56 +394,65 @@ def _angles(i0, i1):
     return 2.0 * np.arctan2(np.sqrt(i1), np.sqrt(i0))
 
 
-def _encoded_density(code: CodeSpec, profile: InputProfile, noise: NoiseModel | None) -> np.ndarray:
-    """32x32 density matrix after encode and the encode segment's noise."""
-    psi = encode(code, profile.register).amplitudes
-    rho = np.outer(psi, psi.conj())
-    return rho if noise is None else apply_segment_noise(rho, noise, "encode")
+def _encoded_densities(code: CodeSpec, input_ks: Sequence[int], noise: NoiseModel | None) -> np.ndarray:
+    """Stack (len(input_ks), 32, 32): each input's density matrix after encode
+    and the encode segment's noise."""
+    psis = [encode(code, INPUTS[k].register).amplitudes for k in input_ks]
+    rhos = np.stack([np.outer(psi, psi.conj()) for psi in psis])
+    return rhos if noise is None else apply_segment_noise(rhos, noise, "encode")
 
 
-def _transfer_map(
-    code: CodeSpec,
-    rho: np.ndarray,
-    profile: InputProfile,
-    location: int,
-    noise: NoiseModel | None,
-    labels: Sequence[str],
-) -> dict[str, np.ndarray]:
-    """Per branch label: 16 weights that turn an error's Pauli pairs into that coherence.
+def _heisenberg_weights(code: CodeSpec, readouts: Sequence[tuple[int, str]], noise: NoiseModel | None) -> np.ndarray:
+    """Readout weights carried back to just after the error gate, per location.
 
-    Write the error on `location` as U = sum_a u_a sigma_a over the Paulis
-    in BRANCH_LABELS order.  It sends rho to sum_ab u_a conj(u_b) sigma_a rho
-    sigma_b, and every later step is linear, so each branch coherence of the
-    final state is outer(u, conj u).ravel() @ T[label], where T[label][a, b]
-    is that coherence of the image of sigma_a rho sigma_b.  Unlike the
-    entries of kron(U, conj U), the products u_a conj(u_b) keep full relative
-    precision at small angles.
-
-    T is found in the Heisenberg picture: each coherence readout, as weights
-    R with coherence = sum(R * state), is carried back through decode-segment
-    noise, the decoder and error-segment noise, then paired with rho.
+    Readout r = (input_k, branch label) reads that input's coherence in that
+    branch from the final state as sum(W_r * state), W_r zero but for one
+    element.  The stack of all W_r goes back through decode-segment noise
+    once, through each location's decoder, then through error-segment noise
+    once; the result has shape (n, len(readouts), 32, 32), location 1 first.
     """
     dim = 2**code.n
     # The read elements are off-diagonal, where depolarizing and
     # coherence_scale act as one scalar factor.
     scale = 2.0 if noise is None else 2.0 * noise.offdiagonal_factor()
-    r0, r1 = profile.pair
-    weights = np.zeros((len(labels), dim, dim), dtype=complex)
-    for row, label in enumerate(labels):
+    weights = np.zeros((len(readouts), dim, dim), dtype=complex)
+    for row, (input_k, label) in enumerate(readouts):
+        r0, r1 = INPUTS[input_k].pair
         weights[row, _branch_target_index(label, r1), _branch_target_index(label, r0)] = scale
     if noise is not None:
         weights = segment_noise_adjoint(weights, noise, "decode")
-    dec = code.decoder(location)
-    weights = dec.T @ weights @ dec.conj()
-    if noise is not None:
-        weights = segment_noise_adjoint(weights, noise, "error")
+    carried = np.empty((code.n,) + weights.shape, dtype=complex)
+    for location in range(1, code.n + 1):
+        dec = code.decoder(location)
+        carried[location - 1] = dec.T @ weights @ dec.conj()
+    # In place: a second buffer of the stack's size (0.5 MB for setting C)
+    # and its release each sweep cost the allocator hundreds of page faults.
+    return carried if noise is None else segment_noise_adjoint(carried, noise, "error", out=carried)
+
+
+def _transfer_map(weights: np.ndarray, rho: np.ndarray, location: int) -> np.ndarray:
+    """Per readout: 16 weights that turn an error's Pauli pairs into that coherence.
+
+    Write the error on `location` as U = sum_a u_a sigma_a over the Paulis
+    in BRANCH_LABELS order.  It sends rho to sum_ab u_a conj(u_b) sigma_a rho
+    sigma_b, and every later step is linear, so each branch coherence of the
+    final state is outer(u, conj u).ravel() @ T[row], where T[row][a, b] is
+    that coherence of the image of sigma_a rho sigma_b.  Unlike the entries
+    of kron(U, conj U), the products u_a conj(u_b) keep full relative
+    precision at small angles.
+
+    `weights` holds one input's readouts at `location` from
+    _heisenberg_weights, shape (L, 32, 32), and `rho` that input's encoded
+    density; the result T has shape (L, 16).
+    """
+    n = rho.shape[-1].bit_length() - 1
     # m[n, p, q, k, l]: readout n paired with rho, where the error qubit's
     # ket/bra index is (p, q) on the weights side and (k, l) on rho's.
-    hi, lo = 2 ** (location - 1), 2 ** (code.n - location)
+    hi, lo = 2 ** (location - 1), 2 ** (n - location)
     w = weights.reshape(-1, hi, 2, lo, hi, 2, lo).transpose(0, 2, 5, 1, 3, 4, 6)
     r = rho.reshape(hi, 2, lo, hi, 2, lo).transpose(1, 4, 0, 2, 3, 5)
-    m = w.reshape(4 * len(labels), -1) @ r.reshape(4, -1).T
-    return dict(zip(labels, m.reshape(len(labels), 16) @ _pauli_pairs().T))
+    m = w.reshape(4 * len(weights), -1) @ r.reshape(4, -1).T
+    return m.reshape(len(weights), 16) @ _pauli_pairs().T
 
 
 @functools.cache
@@ -445,15 +468,24 @@ def _pauli_pairs() -> np.ndarray:
 def _sweep(code: CodeSpec, setting: str, grid: np.ndarray, noise: NoiseModel | None) -> SweepResult:
     """Shared sweep loop over the setting's SWEEP_COMBOS, averaged per location.
 
-    Every grid point of a (location, error_type, input_k) leg comes from one
-    transfer map (see _transfer_map); run_point is the per-point oracle.
+    One Heisenberg pass serves the whole sweep: the readouts of every
+    (input, branch label) the setting reads go back through the decode
+    noise once, each location's decoder and the error noise once, as one
+    stack (_heisenberg_weights), and the encoded inputs get the encode noise
+    once, as another.  Pairing them gives each (location, input) its
+    transfer map (_transfer_map), and every grid point of a leg is a 16-term
+    dot product with it; run_point is the per-point oracle.  The fits run
+    the fit_* kernels on the per-location means, checked once.
     """
     combos = SWEEP_COMBOS[setting]
     # Branches each input is read in: the E branch plus its error types.
-    readouts = {}
+    branches = {}
     for error_type, input_k in combos:
-        readouts.setdefault(input_k, ["E"]).append(error_type)
-    encoded = {k: _encoded_density(code, INPUTS[k], noise) for k in readouts}
+        branches.setdefault(input_k, ["E"]).append(error_type)
+    readouts = [(k, label) for k, labels in branches.items() for label in labels]
+    row = {readout: r for r, readout in enumerate(readouts)}
+    weights = _heisenberg_weights(code, readouts, noise)
+    encoded = _encoded_densities(code, list(branches), noise)
     # Row n holds u_a conj(u_b) for the Pauli expansion u of grid point n's error.
     pairs = {}
     for error_type in sorted({t for t, _ in combos}):
@@ -461,13 +493,14 @@ def _sweep(code: CodeSpec, setting: str, grid: np.ndarray, noise: NoiseModel | N
         pairs[error_type] = (u[:, :, None] * u.conj()[:, None, :]).reshape(len(grid), 16)
     obs = np.empty((code.n, len(combos), 5, len(grid)))
     for location in range(1, code.n + 1):
-        maps = {
-            k: _transfer_map(code, rho, INPUTS[k], location, noise, readouts[k])
-            for k, rho in encoded.items()
-        }
+        # Each input's readouts are consecutive rows of the weight stack.
+        maps = np.concatenate([
+            _transfer_map(weights[location - 1, row[k, "E"] : row[k, "E"] + len(labels)], rho, location)
+            for (k, labels), rho in zip(branches.items(), encoded)
+        ])
         for c, (error_type, input_k) in enumerate(combos):
-            z0 = pairs[error_type] @ maps[input_k]["E"]
-            z1 = pairs[error_type] @ maps[input_k][error_type]
+            z0 = pairs[error_type] @ maps[row[input_k, "E"]]
+            z1 = pairs[error_type] @ maps[row[input_k, error_type]]
             obs[location - 1, c] = z0.real, z1.real, np.abs(z0), np.abs(z1), np.abs(z0 + z1)
     # The records view reads obs when it is first read, so obs must not change.
     obs.flags.writeable = False
@@ -477,15 +510,20 @@ def _sweep(code: CodeSpec, setting: str, grid: np.ndarray, noise: NoiseModel | N
     i0, i1, ii = means[:, 2], means[:, 3], means[:, 4]
     if np.any(i0 + i1 <= _NO_SIGNAL):
         raise ValueError("zero signal: cannot estimate an angle")
+    # The one check on the fit inputs: the grid is checked by _sweep_grid,
+    # every row below is one-dimensional, and the angles are finite when
+    # the means are.
+    if not np.all(np.isfinite(means)):
+        raise ValueError("fit inputs must be finite")
     angles = _angles(i0, i1)
     cos2, sin2 = np.cos(grid / 2.0) ** 2, np.sin(grid / 2.0) ** 2
     fits = {}
     for location, (m0, m1, m, theta) in enumerate(zip(i0, i1, ii, angles), start=1):
-        line = fit_line(grid, theta)
+        line = _line_fit(grid, theta)
         fits[location] = LocationFit(
-            *fit_scale(m0, cos2),
-            *fit_scale(m1, sin2),
-            *fit_constant(m),
+            *_scale_fit(m0, cos2),
+            *_scale_fit(m1, sin2),
+            *_constant_fit(m),
             line.slope,
             line.slope_stderr,
             line.intercept,

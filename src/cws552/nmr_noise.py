@@ -279,14 +279,15 @@ def _damp_in_place(rhos: np.ndarray, qubit: int, gamma: float, adjoint: bool = F
         t[..., :, 1, :, :, 1, :] *= 1.0 - gamma
 
 
-def _channel(rhos: np.ndarray, mask, gammas, adjoint: bool = False) -> np.ndarray:
+def _channel(rhos: np.ndarray, mask, gammas, adjoint: bool = False, out: np.ndarray | None = None) -> np.ndarray:
     """Dephasing by `mask`, then amplitude damping with per-qubit `gammas`.
 
     `rhos` is a matrix or a stack of them, shape (..., 2^n, 2^n); the result
-    is a new array and `rhos` is left untouched.  All these single-qubit
-    channels commute, so the adjoint runs them in the same order.
+    goes to `out` (a C-contiguous complex array of that shape, `rhos` itself
+    allowed) or else to a new array, leaving `rhos` untouched.  All these
+    single-qubit channels commute, so the adjoint runs them in the same order.
     """
-    out = np.multiply(rhos, mask, dtype=complex)
+    out = np.multiply(rhos, mask, out=out, dtype=complex)
     for qubit, gamma in enumerate(gammas, start=1):
         if gamma:
             _damp_in_place(out, qubit, gamma, adjoint)
@@ -302,13 +303,17 @@ def apply_segment_noise(rhos: np.ndarray, model: NoiseModel, segment: str) -> np
     return _channel(rhos, *_segment_channel(rhos, model, segment))
 
 
-def segment_noise_adjoint(weights: np.ndarray, model: NoiseModel, segment: str) -> np.ndarray:
+def segment_noise_adjoint(
+    weights: np.ndarray, model: NoiseModel, segment: str, out: np.ndarray | None = None
+) -> np.ndarray:
     """Heisenberg picture of apply_segment_noise on readout weights W.
 
     The result A satisfies sum(A * rho) == sum(W * apply_segment_noise(rho))
     for every rho; like the forward kernel it takes stacks (..., 2^n, 2^n).
+    A is written to `out` when given, which may be `weights` itself: a large
+    stack is then carried back without a second buffer of its size.
     """
-    return _channel(weights, *_segment_channel(weights, model, segment), adjoint=True)
+    return _channel(weights, *_segment_channel(weights, model, segment), adjoint=True, out=out)
 
 
 def _segment_channel(rhos: np.ndarray, model: NoiseModel, segment: str):

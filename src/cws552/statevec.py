@@ -11,6 +11,7 @@ of its X/Y qubits and z those of its Z/Y qubits; `pauli_apply` computes it.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -141,13 +142,21 @@ def _apply_matrix(vec: np.ndarray, mat: np.ndarray, axes: Sequence[int], n: int)
     """
     batch = vec.ndim == 2
     cols = vec.shape[1] if batch else 1
-    k = len(axes)
-    t = vec.reshape([2] * n + [cols])
-    t = np.moveaxis(t, axes, range(k))
+    forward, inverse = _transposes(tuple(axes), n)
+    t = vec.reshape([2] * n + [cols]).transpose(forward)
     shape = t.shape
-    t = mat @ t.reshape(2**k, -1)
-    t = np.moveaxis(t.reshape(shape), range(k), axes)
+    t = mat @ t.reshape(2 ** len(axes), -1)
+    t = t.reshape(shape).transpose(inverse)
     return t.reshape(2**n, cols) if batch else t.reshape(2**n)
+
+
+@functools.cache
+def _transposes(axes: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The permutation that moves `axes` (in order) to the front of an
+    (n + 1)-axis tensor, keeping the other axes in order, and its inverse:
+    np.moveaxis(t, axes, range(len(axes))) and back, worked out once."""
+    forward = axes + tuple(i for i in range(n + 1) if i not in axes)
+    return forward, tuple(forward.index(i) for i in range(n + 1))
 
 
 def _axes_for(qubits: Sequence[int], n: int | None = None, what: str = "qubit") -> list[int]:

@@ -413,6 +413,25 @@ def test_grid_and_input_k_take_integers_and_finite_angles(code, call, match):
         call(code)
 
 
+@pytest.mark.parametrize("noise", [None, NoiseModel.default()], ids=["noiseless", "default"])
+@pytest.mark.parametrize("run", [run_setting_b, run_setting_c], ids=["B", "C"])
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        pytest.param([], "need at least two points", id="empty"),
+        pytest.param([1.0], "need at least two points", id="one-point"),
+        pytest.param([0.5, 0.5], "x values are degenerate", id="repeated"),
+        pytest.param([0.0, 1e-300], "x values are degenerate", id="spread-underflows"),
+        pytest.param([0.0, 2 * math.pi], "theory curve is identically zero on the grid", id="sin2-zero"),
+        # both the line and the sin^2 scale fail: the line fit is checked first
+        pytest.param([0.0, 0.0], "x values are degenerate", id="line-before-scale"),
+    ],
+)
+def test_sweep_fits_reject_degenerate_grids(code, run, noise, grid, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run(code, grid, noise)
+
+
 def test_sweep_without_signal_raises(code):
     with pytest.raises(ValueError, match="zero signal"):
         run_setting_b(code, default_grid(5), NoiseModel.uniform_attenuation(0.0))

@@ -432,6 +432,18 @@ class TestSegmentKernel:
             backward = np.sum(segment_noise_adjoint(weights, model, segment) * rho, axis=(1, 2))
             np.testing.assert_allclose(backward, forward, rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("model", [NoiseModel.default(), damped_default()], ids=["dephasing", "damping"])
+    def test_adjoint_in_place_equals_a_new_array(self, model):
+        weights = np.random.default_rng(61).normal(size=(2, 3, 32, 32)) * (1 + 1j)
+        weights[0, 0, 1, 2] = -0.0
+        expected = segment_noise_adjoint(weights, model, "error")
+        got = segment_noise_adjoint(weights, model, "error", out=weights)
+        assert got is weights
+        # float.hex tells -0.0 from 0.0
+        assert [x.hex() for x in got.view(float).ravel().tolist()] == [
+            x.hex() for x in expected.view(float).ravel().tolist()
+        ]
+
     @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),

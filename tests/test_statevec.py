@@ -13,6 +13,7 @@ from cws552.statevec import (
     X,
     Y,
     Z,
+    _apply_matrix,
     apply_gate,
     apply_gate_mixed,
     cnot,
@@ -139,6 +140,32 @@ class TestKernelConsistency:
             op = kron_pauli(5, labels)
             assert np.array_equal(pauli_apply(vec, labels), op @ vec), word
             assert np.array_equal(pauli_apply(batch, labels), op @ batch), word
+
+    def test_apply_matrix_equals_moveaxis_application(self):
+        """The cached transposes do what np.moveaxis to the front and back
+        does, bit for bit, signed zeros included."""
+
+        def via_moveaxis(vec, mat, axes, n):
+            cols = vec.shape[1] if vec.ndim == 2 else 1
+            t = np.moveaxis(vec.reshape([2] * n + [cols]), axes, range(len(axes)))
+            t = np.moveaxis((mat @ t.reshape(2 ** len(axes), -1)).reshape(t.shape), range(len(axes)), axes)
+            return t.reshape(vec.shape)
+
+        def hexed(a):
+            return [x.hex() for x in a.view(float).ravel().tolist()]
+
+        rng = np.random.default_rng(37)
+        for trial in range(200):
+            n = int(rng.integers(1, 7))
+            k = int(rng.integers(1, min(n, 3) + 1))
+            axes = [int(a) for a in rng.permutation(n)[:k]]
+            shape = (2**n, int(rng.integers(1, 5))) if trial % 2 else (2**n,)
+            vec = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            vec[rng.random(shape) < 0.2] = -0.0
+            mat = random_unitary(rng, 2**k)
+            got = _apply_matrix(vec, mat, axes, n)
+            assert got.shape == vec.shape
+            assert hexed(got) == hexed(via_moveaxis(vec, mat, axes, n)), (n, axes, shape)
 
     def test_pauli_apply_on_few_qubits_and_sparse_labels(self):
         rng = np.random.default_rng(31)

@@ -1,14 +1,27 @@
-"""The transfer-map sweep engine against the per-point oracle run_point."""
+"""The transfer-map sweep engine against the per-point oracle run_point, and
+its one-pass Heisenberg engine against the per-(location, input) engine."""
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from cws552.code552 import build_code
-from cws552.error_model import ErrorSpec
-from cws552.experiment import run_point, run_setting_b, run_setting_c
-from cws552.nmr_noise import NoiseModel
+from cws552 import experiment, nmr_noise
+from cws552.code552 import BRANCH_LABELS, _branch_target_index, build_code, encode
+from cws552.error_model import ErrorSpec, typed_expansions
+from cws552.experiment import (
+    INPUTS,
+    SWEEP_COMBOS,
+    fit_constant,
+    fit_line,
+    fit_scale,
+    run_point,
+    run_setting_b,
+    run_setting_c,
+)
+from cws552.nmr_noise import NoiseModel, apply_segment_noise, segment_noise_adjoint
+from cws552.statevec import PAULI_BY_LABEL
 
 CODE = build_code()
 T1_TIMES = (5.0, 8.0, 7.0, 6.0, 9.0)
@@ -85,3 +98,141 @@ def test_small_angles_keep_relative_precision():
             assert abs(rec.obs.i1 - expected) <= 1e-12 * expected, rec
         for fit in result.fits.values():
             assert abs(fit.slope - 1.0) < 1e-12 and abs(fit.intercept) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The one-pass engine against the per-(location, input) engine it replaced.
+
+LOCATION_FIT_FIELDS = (
+    "alpha0", "alpha0_stderr", "alpha1", "alpha1_stderr", "ibar", "ibar_stderr",
+    "slope", "slope_stderr", "intercept", "intercept_stderr",
+)
+BENCH_T1 = dataclasses.replace(NoiseModel.default(), t1=T1_TIMES, amplitude_damping=True)
+GOLDEN_T1 = dataclasses.replace(BENCH_T1, depolarizing=0.1, coherence_scale=0.9)
+ENGINE_MODELS = {
+    "none": None,
+    "default": NoiseModel.default(),
+    "attenuation": NoiseModel.uniform_attenuation(0.15),
+    "bench-t1": BENCH_T1,
+    "golden-t1": GOLDEN_T1,
+}
+
+
+def per_leg_transfer_map(code, rho, profile, location, noise, labels):
+    """The transfer map of one (location, input) leg, built on its own: the
+    readouts of that input alone go back through the decode noise, the
+    decoder and the error noise, then are paired with rho."""
+    dim = 2**code.n
+    scale = 2.0 if noise is None else 2.0 * noise.offdiagonal_factor()
+    r0, r1 = profile.pair
+    weights = np.zeros((len(labels), dim, dim), dtype=complex)
+    for row, label in enumerate(labels):
+        weights[row, _branch_target_index(label, r1), _branch_target_index(label, r0)] = scale
+    if noise is not None:
+        weights = segment_noise_adjoint(weights, noise, "decode")
+    dec = code.decoder(location)
+    weights = dec.T @ weights @ dec.conj()
+    if noise is not None:
+        weights = segment_noise_adjoint(weights, noise, "error")
+    hi, lo = 2 ** (location - 1), 2 ** (code.n - location)
+    w = weights.reshape(-1, hi, 2, lo, hi, 2, lo).transpose(0, 2, 5, 1, 3, 4, 6)
+    r = rho.reshape(hi, 2, lo, hi, 2, lo).transpose(1, 4, 0, 2, 3, 5)
+    m = w.reshape(4 * len(labels), -1) @ r.reshape(4, -1).T
+    paulis = [PAULI_BY_LABEL[label] for label in BRANCH_LABELS]
+    pauli_pairs = np.array([np.kron(a, b.conj()).ravel() for a in paulis for b in paulis])
+    return dict(zip(labels, m.reshape(len(labels), 16) @ pauli_pairs.T))
+
+
+def per_leg_sweep(code, setting, grid, noise):
+    """obs and per-location fits as the sweep made them with one transfer map
+    per (location, input) and the public fit_* functions."""
+    combos = SWEEP_COMBOS[setting]
+    readouts = {}
+    for error_type, input_k in combos:
+        readouts.setdefault(input_k, ["E"]).append(error_type)
+    encoded = {}
+    for k in readouts:
+        psi = encode(code, INPUTS[k].register).amplitudes
+        rho = np.outer(psi, psi.conj())
+        encoded[k] = rho if noise is None else apply_segment_noise(rho, noise, "encode")
+    pairs = {}
+    for error_type in sorted({t for t, _ in combos}):
+        u = typed_expansions(error_type, grid)
+        pairs[error_type] = (u[:, :, None] * u.conj()[:, None, :]).reshape(len(grid), 16)
+    obs = np.empty((code.n, len(combos), 5, len(grid)))
+    for location in range(1, code.n + 1):
+        maps = {
+            k: per_leg_transfer_map(code, rho, INPUTS[k], location, noise, readouts[k])
+            for k, rho in encoded.items()
+        }
+        for c, (error_type, input_k) in enumerate(combos):
+            z0 = pairs[error_type] @ maps[input_k]["E"]
+            z1 = pairs[error_type] @ maps[input_k][error_type]
+            obs[location - 1, c] = z0.real, z1.real, np.abs(z0), np.abs(z1), np.abs(z0 + z1)
+    means = obs.mean(axis=1)
+    i0, i1, ii = means[:, 2], means[:, 3], means[:, 4]
+    angles = 2.0 * np.arctan2(np.sqrt(i1), np.sqrt(i0))
+    cos2, sin2 = np.cos(grid / 2.0) ** 2, np.sin(grid / 2.0) ** 2
+    fits = {}
+    for location, (m0, m1, m, theta) in enumerate(zip(i0, i1, ii, angles), start=1):
+        line = fit_line(grid, theta)
+        fits[location] = (
+            *fit_scale(m0, cos2), *fit_scale(m1, sin2), *fit_constant(m),
+            line.slope, line.slope_stderr, line.intercept, line.intercept_stderr,
+        )
+    return obs, fits
+
+
+def engine_and_oracle(setting, grid, noise):
+    run = run_setting_b if setting == "B" else run_setting_c
+    result = run(CODE, grid=grid, noise=noise)
+    fits = {loc: tuple(getattr(fit, f) for f in LOCATION_FIT_FIELDS) for loc, fit in result.fits.items()}
+    return (result.obs, fits), per_leg_sweep(CODE, setting, np.array(grid, dtype=float), noise)
+
+
+@pytest.mark.parametrize("n_points", [5, 13, 1001])
+@pytest.mark.parametrize("noise", list(ENGINE_MODELS.values()), ids=list(ENGINE_MODELS))
+@pytest.mark.parametrize("setting", ["B", "C"])
+def test_one_pass_engine_is_bit_identical_to_the_per_leg_engine(setting, noise, n_points):
+    # float.hex tells -0.0 from 0.0, which == does not
+    def hexed(obs, fits):
+        return [x.hex() for x in obs.ravel().tolist()], {k: [x.hex() for x in v] for k, v in fits.items()}
+
+    (obs, fits), (want_obs, want_fits) = engine_and_oracle(setting, np.linspace(0.0, np.pi, n_points), noise)
+    assert obs.shape == want_obs.shape
+    assert hexed(obs, fits) == hexed(want_obs, want_fits)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(grid=grids, setting=st.sampled_from(["B", "C"]), noise=noise_models)
+def test_one_pass_engine_matches_the_per_leg_engine(grid, setting, noise):
+    assume(grid[-1] - grid[0] > 1e-3)
+    (obs, fits), (want_obs, want_fits) = engine_and_oracle(setting, grid, noise)
+    np.testing.assert_allclose(obs, want_obs, rtol=0, atol=1e-14)
+    assert sorted(fits) == sorted(want_fits)
+    for location, want in want_fits.items():
+        np.testing.assert_allclose(fits[location], want, rtol=0, atol=1e-14, err_msg=f"location {location}")
+
+
+@pytest.mark.parametrize("setting", ["B", "C"])
+def test_one_heisenberg_pass_per_sweep(setting, monkeypatch):
+    """Under T1 a sweep carries its readouts back once: two adjoint segment
+    calls (decode, error), one forward call (encode) and five damping slice
+    updates per call, whatever the setting reads."""
+    calls = {"segment_noise_adjoint": 0, "apply_segment_noise": 0, "_damp_in_place": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(experiment, "segment_noise_adjoint")
+    counted(experiment, "apply_segment_noise")
+    counted(nmr_noise, "_damp_in_place")
+    run = run_setting_b if setting == "B" else run_setting_c
+    run(CODE, grid=np.linspace(0.0, np.pi, 5), noise=BENCH_T1)
+    assert calls == {"segment_noise_adjoint": 2, "apply_segment_noise": 1, "_damp_in_place": 15}
