@@ -34,18 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .code552 import BRANCH_LABELS, SYNDROME_MAP, CodeSpec, _branch_target_index, _reals, decode, encode
-from .error_model import ErrorSpec, error_unitary, typed_expansions
+from .error_model import ErrorSpec, error_unitary, pauli_expand, typed_expansions
 from .nmr_noise import NoiseModel, _final_knobs, apply_segment_noise, run_noisy_qecc, segment_noise_adjoint
-from .statevec import (
-    PAULI_BY_LABEL,
-    GateOp,
-    MixedState,
-    PureState,
-    _apply_matrix,
-    _as_unitary,
-    _axes_for,
-    apply_gate,
-)
+from .statevec import PAULI_BY_LABEL, GateOp, MixedState, PureState, _as_unitary, _axes_for, apply_gate
 
 ERROR_TYPES = ("X", "Y", "Z")
 SETTING_A_PAULIS = ("E", "Z", "X", "Y")
@@ -177,43 +168,32 @@ class SettingARow:
 def run_setting_a(code: CodeSpec, noise: NoiseModel | None = None) -> list[SettingARow]:
     """Apply each exact Pauli at each location to input k=2 and read syndromes.
 
-    Each location's four Pauli runs go through the pipeline together as one
-    stack of four states, with final_state's arithmetic step for step, so
-    every row is bit-identical to reading final_state's output row by row;
-    final_state stays the oracle.
+    Setting A runs on the sweep engine: its five readouts (the four branch
+    populations and the register fidelity) go back through the final knobs,
+    the decode noise, each decoder and the error noise in one Heisenberg
+    pass (_heisenberg_weights).  Each location's transfer map, paired with
+    the Pauli expansions of E, Z, X and Y, gives its four rows; final_state
+    is the per-row oracle.  Under noise a decoder that is not unitary is
+    rejected, as the density-matrix pipeline rejects it.
     """
-    profile = INPUTS[2]
-    v = profile.register.amplitudes
-    n = code.n
-    dim = 2**n
-    # The Pauli unitaries do not depend on the location.
-    gates = [GateOp.single(1, error_unitary(ErrorSpec.pauli(1, label))).matrix for label in SETTING_A_PAULIS]
-    if noise is None:
-        psi = encode(code, profile.register).amplitudes
-    else:
-        (rho,) = _encoded_densities(code, [profile.k], noise)
+    if noise is not None:
+        for location in range(1, code.n + 1):
+            _as_unitary(code.decoder(location), 2**code.n)
+    # Readouts W, each read as sum(W * state), on axes (q1, q2 q3 q4, q5) of
+    # ket and bra: the populations of syndrome branches 00, 01, 10, 11 on
+    # qubits (1, 5), then the fidelity <v|register|v> with the input v.
+    v = INPUTS[2].register.amplitudes
+    readouts = np.zeros((5, 2, 8, 2, 2, 8, 2), dtype=complex)
+    for j, l in itertools.product((0, 1), repeat=2):
+        readouts[2 * j + l, j, :, l, j, :, l] = np.eye(8)
+        readouts[4, j, :, l, j, :, l] = np.outer(v.conj(), v)
+    weights = _heisenberg_weights(code, readouts.reshape(5, 32, 32), noise)
+    (rho,) = _encoded_densities(code, [2], noise)
+    pairs = _pair_rows(np.array([pauli_expand(ErrorSpec.pauli(1, label)).coefficients() for label in SETTING_A_PAULIS]))
     rows = []
-    for location in range(1, n + 1):
-        axes = [location - 1]
-        dec = code.decoder(location)
-        if noise is None:
-            cols = np.stack([_apply_matrix(psi, u, axes, n) for u in gates])[:, :, None]
-            # A stack of matrix-vector products, as decode computes each one;
-            # a single dec @ cols.T would round differently.
-            cols = np.matmul(dec, cols)[:, :, 0]
-            rhos = cols[:, :, None] * cols.conj()[:, None, :]
-        else:
-            us = np.stack([_apply_matrix(np.eye(dim, dtype=complex), u, axes, n) for u in gates])
-            rhos = apply_segment_noise(us @ rho @ us.conj().transpose(0, 2, 1), noise, "error")
-            dec = _as_unitary(dec, dim)
-            rhos = apply_segment_noise(dec @ rhos @ dec.conj().T, noise, "decode")
-            rhos = _final_knobs(rhos, noise.depolarizing, noise.coherence_scale)
-        # Axes (stack, q1, q2 q3 q4, q5) on the ket and the bra side: the
-        # syndrome qubits (1, 5) bracket the register (2, 3, 4).
-        pops = np.real(np.diagonal(rhos, axis1=1, axis2=2)).reshape(-1, 2, 8, 2).sum(axis=2)
-        pops = pops.reshape(-1, 4)  # column 2 j + l holds branch jl
-        registers = np.einsum("sjaljbl->sab", rhos.reshape(-1, 2, 8, 2, 2, 8, 2))
-        fidelities = np.real((registers @ v) @ v.conj())
+    for location in range(1, code.n + 1):
+        values = (pairs @ _transfer_map(weights[location - 1], rho, location).T).real
+        pops, fidelities = values[:, :4], values[:, 4]  # column 2 j + l holds branch jl
         for label, b, pop, fid in zip(
             SETTING_A_PAULIS, pops.argmax(axis=1).tolist(), pops.max(axis=1).tolist(), fidelities.tolist()
         ):
@@ -402,29 +382,22 @@ def _encoded_densities(code: CodeSpec, input_ks: Sequence[int], noise: NoiseMode
     return rhos if noise is None else apply_segment_noise(rhos, noise, "encode")
 
 
-def _heisenberg_weights(code: CodeSpec, readouts: Sequence[tuple[int, str]], noise: NoiseModel | None) -> np.ndarray:
+def _heisenberg_weights(code: CodeSpec, readouts: np.ndarray, noise: NoiseModel | None) -> np.ndarray:
     """Readout weights carried back to just after the error gate, per location.
 
-    Readout r = (input_k, branch label) reads that input's coherence in that
-    branch from the final state as sum(W_r * state), W_r zero but for one
-    element.  The stack of all W_r goes back through decode-segment noise
-    once, through each location's decoder, then through error-segment noise
-    once; the result has shape (n, len(readouts), 32, 32), location 1 first.
+    Each readout W in the stack `readouts` (R, 32, 32) reads one number off
+    the final state as sum(W * state).  The stack goes back through the
+    final knobs and the decode-segment noise once, through each location's
+    decoder, then through the error-segment noise once, each step by its
+    adjoint; the result has shape (n, R, 32, 32), location 1 first.
     """
-    dim = 2**code.n
-    # The read elements are off-diagonal, where depolarizing and
-    # coherence_scale act as one scalar factor.
-    scale = 2.0 if noise is None else 2.0 * noise.offdiagonal_factor()
-    weights = np.zeros((len(readouts), dim, dim), dtype=complex)
-    for row, (input_k, label) in enumerate(readouts):
-        r0, r1 = INPUTS[input_k].pair
-        weights[row, _branch_target_index(label, r1), _branch_target_index(label, r0)] = scale
     if noise is not None:
-        weights = segment_noise_adjoint(weights, noise, "decode")
-    carried = np.empty((code.n,) + weights.shape, dtype=complex)
+        readouts = _final_knobs(readouts, noise.depolarizing, noise.coherence_scale, adjoint=True)
+        readouts = segment_noise_adjoint(readouts, noise, "decode")
+    carried = np.empty((code.n,) + readouts.shape, dtype=complex)
     for location in range(1, code.n + 1):
         dec = code.decoder(location)
-        carried[location - 1] = dec.T @ weights @ dec.conj()
+        carried[location - 1] = dec.T @ readouts @ dec.conj()
     # In place: a second buffer of the stack's size (0.5 MB for setting C)
     # and its release each sweep cost the allocator hundreds of page faults.
     return carried if noise is None else segment_noise_adjoint(carried, noise, "error", out=carried)
@@ -455,6 +428,11 @@ def _transfer_map(weights: np.ndarray, rho: np.ndarray, location: int) -> np.nda
     return m.reshape(len(weights), 16) @ _pauli_pairs().T
 
 
+def _pair_rows(u: np.ndarray) -> np.ndarray:
+    """Row n holds u_a conj(u_b), (a, b) raveled, for the Pauli expansion u[n] of one error."""
+    return (u[:, :, None] * u.conj()[:, None, :]).reshape(len(u), 16)
+
+
 @functools.cache
 def _pauli_pairs() -> np.ndarray:
     """Row (a, b) is kron(sigma_a, conj sigma_b) raveled, sigma over BRANCH_LABELS.
@@ -465,14 +443,24 @@ def _pauli_pairs() -> np.ndarray:
     return np.array([np.kron(a, b.conj()).ravel() for a in paulis for b in paulis])
 
 
+def _coherence_readouts(code: CodeSpec, readouts: Sequence[tuple[int, str]]) -> np.ndarray:
+    """Stack (len(readouts), 32, 32): readout (k, label) reads input k's
+    coherence in that branch, normalized by the input coherence (which is 1/2)."""
+    stack = np.zeros((len(readouts), 2**code.n, 2**code.n), dtype=complex)
+    for r, (input_k, label) in enumerate(readouts):
+        r0, r1 = INPUTS[input_k].pair
+        stack[r, _branch_target_index(label, r1), _branch_target_index(label, r0)] = 2.0
+    return stack
+
+
 def _sweep(code: CodeSpec, setting: str, grid: np.ndarray, noise: NoiseModel | None) -> SweepResult:
     """Shared sweep loop over the setting's SWEEP_COMBOS, averaged per location.
 
     One Heisenberg pass serves the whole sweep: the readouts of every
-    (input, branch label) the setting reads go back through the decode
-    noise once, each location's decoder and the error noise once, as one
-    stack (_heisenberg_weights), and the encoded inputs get the encode noise
-    once, as another.  Pairing them gives each (location, input) its
+    (input, branch label) the setting reads go back through the final knobs
+    and the decode noise once, each location's decoder and the error noise
+    once, as one stack (_heisenberg_weights), and the encoded inputs get the
+    encode noise once, as another.  Pairing them gives each (location, input) its
     transfer map (_transfer_map), and every grid point of a leg is a 16-term
     dot product with it; run_point is the per-point oracle.  The fits run
     the fit_* kernels on the per-location means, checked once.
@@ -484,13 +472,11 @@ def _sweep(code: CodeSpec, setting: str, grid: np.ndarray, noise: NoiseModel | N
         branches.setdefault(input_k, ["E"]).append(error_type)
     readouts = [(k, label) for k, labels in branches.items() for label in labels]
     row = {readout: r for r, readout in enumerate(readouts)}
-    weights = _heisenberg_weights(code, readouts, noise)
+    # A temporary, freed (CPython 3.11+) once past the decode noise: held for
+    # the whole sweep, it cost 188 page faults per 41-point setting-C sweep.
+    weights = _heisenberg_weights(code, _coherence_readouts(code, readouts), noise)
     encoded = _encoded_densities(code, list(branches), noise)
-    # Row n holds u_a conj(u_b) for the Pauli expansion u of grid point n's error.
-    pairs = {}
-    for error_type in sorted({t for t, _ in combos}):
-        u = typed_expansions(error_type, grid)
-        pairs[error_type] = (u[:, :, None] * u.conj()[:, None, :]).reshape(len(grid), 16)
+    pairs = {t: _pair_rows(typed_expansions(t, grid)) for t in sorted({t for t, _ in combos})}
     obs = np.empty((code.n, len(combos), 5, len(grid)))
     for location in range(1, code.n + 1):
         # Each input's readouts are consecutive rows of the weight stack.

@@ -13,8 +13,10 @@ which scales every coherence of qubit q by exp(-t/T2_q) and fixes all
 populations.  One kernel applies a segment's noise to a density matrix or a
 stack of them: the dephasing of all qubits is one elementwise mask per
 (model, segment), optional T1 amplitude damping a slice update per qubit.
-Its adjoint carries readout weights backward (the Heisenberg picture), which
-the sweep engine uses.
+The optional depolarizing and coherence-scaling knobs act once on the final
+state.  The segment kernel and the knobs each have an adjoint that carries
+readout weights backward (the Heisenberg picture); the sweep engine behind
+settings A, B and C runs on these adjoints.
 
 Spectra come from the free-induction signal of one observed spin,
 M(t) = Tr[rho(t) (X_j + i Y_j)] * exp(-t/T2star_j), discretely Fourier
@@ -208,11 +210,6 @@ class NoiseModel:
         (axis,) = _axes_for((qubit,), len(self.t1))
         return 1.0 - float(np.exp(-self.duration(segment) / self.t1[axis]))
 
-    def offdiagonal_factor(self) -> float:
-        """What the final depolarizing and coherence_scale knobs multiply every
-        off-diagonal element by."""
-        return (1.0 - self.depolarizing) * self.coherence_scale
-
     @cached_property
     def _segment_channels(self) -> dict[str, tuple[np.ndarray, tuple[float, ...]]]:
         """Per segment: the folded dephasing mask and the per-qubit T1 gammas
@@ -341,28 +338,28 @@ def apply_amplitude_damping(state: MixedState, qubit: int, gamma: float) -> Mixe
     return MixedState(state.n_qubits, _channel(state.matrix, 1.0, gammas))
 
 
-def _final_knobs(rhos: np.ndarray, depolarizing: float, coherence_scale: float) -> np.ndarray:
+def _final_knobs(rhos: np.ndarray, depolarizing: float, coherence_scale: float, adjoint: bool = False) -> np.ndarray:
     """Depolarizing, then coherence scaling, on a density matrix or a stack
     (..., 2^n, 2^n); a knob at its no-op value (0 or 1) is skipped and the
-    strengths are taken as already checked."""
+    strengths are taken as already checked.
+
+    The adjoint acts on readout weights W, so that sum(W * knobs(rho)) =
+    sum(adjoint(W) * rho) for rho of trace one: where the state mixes in
+    I/dim, W gains tr(W)/dim on its diagonal, and coherence scaling is its
+    own adjoint.  The knobs commute on such rho, so the order is kept.
+    """
     dim = rhos.shape[-1]
     if depolarizing > 0.0:
-        rhos = (1.0 - depolarizing) * rhos + depolarizing * np.eye(dim, dtype=complex) / dim
+        eye = np.eye(dim, dtype=complex)
+        if adjoint:
+            eye = eye * np.trace(rhos, axis1=-2, axis2=-1)[..., None, None]
+        rhos = (1.0 - depolarizing) * rhos + depolarizing * eye / dim
     if coherence_scale < 1.0:
         idx = np.arange(dim)
         diag = np.zeros_like(rhos)
         diag[..., idx, idx] = rhos[..., idx, idx]
         rhos = coherence_scale * rhos + (1.0 - coherence_scale) * diag
     return rhos
-
-
-def scale_coherences(state: MixedState, gamma: float) -> MixedState:
-    """Multiply every off-diagonal element by gamma; populations unchanged."""
-    return MixedState(state.n_qubits, _final_knobs(state.matrix, 0.0, _unit_interval("gamma", gamma)))
-
-
-def depolarize(state: MixedState, p: float) -> MixedState:
-    return MixedState(state.n_qubits, _final_knobs(state.matrix, _unit_interval("p", p), 1.0))
 
 
 def run_noisy_qecc(code: CodeSpec, register: PureState, error: ErrorSpec, model: NoiseModel) -> MixedState:
@@ -402,7 +399,8 @@ def simulate_spectrum(
     if state.n_qubits != n:
         raise ValueError(f"state has {state.n_qubits} qubits, system has {n} spins")
     (axis,) = _axes_for((observe,), n, "observe")
-    t_max, dt = _reals("t_max and dt", [t_max, dt], "positive")
+    # As Python floats, whose division overflows to inf without a warning.
+    t_max, dt = _reals("t_max and dt", [t_max, dt], "positive").tolist()
     if np.max(np.abs(system.nu)) >= 0.5 / dt:
         raise ValueError(
             f"dt {dt} aliases shifts up to {np.max(np.abs(system.nu))} Hz; need dt < 1/(2 max|nu|)"
@@ -416,6 +414,8 @@ def simulate_spectrum(
     weights = 2.0 * state.matrix[upper, lower]
     freqs_pair = -(e[upper] - e[lower]) / (2.0 * np.pi)
 
+    if t_max / dt == float("inf"):
+        raise ValueError(f"t_max / dt overflows: t_max {t_max!r}, dt {dt!r}")
     n_samples = int(round(t_max / dt))
     if n_samples < 2:
         raise ValueError("need at least two samples")

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from test_sweep_engine import noise_models
 
 from cws552 import experiment
@@ -176,21 +176,12 @@ GOLDEN_T1 = dataclasses.replace(
 )
 
 
-@pytest.mark.parametrize(
-    "noise",
-    [None, NoiseModel.default(), NoiseModel.uniform_attenuation(0.15), GOLDEN_T1],
-    ids=["noiseless", "default", "attenuation", "t1"],
-)
-def test_setting_a_is_bit_identical_to_the_per_row_oracle(code, noise):
-    # float.hex tells -0.0 from 0.0, which == does not
-    def hexed(rows):
-        return [(*row[:4], row[4].hex(), row[5].hex()) for row in rows]
-
-    assert hexed(setting_a_tuples(run_setting_a(code, noise))) == hexed(setting_a_oracle(code, noise))
-
-
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(noise=noise_models)
+@example(noise=None)
+@example(noise=NoiseModel.default())
+@example(noise=NoiseModel.uniform_attenuation(0.15))
+@example(noise=GOLDEN_T1)
 def test_setting_a_matches_the_per_row_oracle(noise):
     code = build_code()
     got, want = setting_a_tuples(run_setting_a(code, noise)), setting_a_oracle(code, noise)

@@ -13,13 +13,12 @@ from cws552.nmr_noise import (
     SEGMENTS,
     NmrSystem,
     NoiseModel,
+    _final_knobs,
     apply_amplitude_damping,
     apply_dephasing,
     apply_segment_noise,
-    depolarize,
     energies,
     run_noisy_qecc,
-    scale_coherences,
     segment_noise_adjoint,
     simulate_spectrum,
 )
@@ -229,17 +228,17 @@ class TestDephasing:
 class TestAuxiliaryChannels:
     def test_scale_coherences(self):
         rng = np.random.default_rng(17)
-        rho = random_density(rng, 2)
-        out = scale_coherences(rho, 0.25)
-        np.testing.assert_allclose(np.diag(out.matrix), np.diag(rho.matrix), atol=1e-15)
-        off = rho.matrix - np.diag(np.diag(rho.matrix))
-        np.testing.assert_allclose(out.matrix - np.diag(np.diag(out.matrix)), 0.25 * off, atol=1e-15)
+        rho = random_density(rng, 2).matrix
+        out = _final_knobs(rho, 0.0, 0.25)
+        np.testing.assert_allclose(np.diag(out), np.diag(rho), atol=1e-15)
+        off = rho - np.diag(np.diag(rho))
+        np.testing.assert_allclose(out - np.diag(np.diag(out)), 0.25 * off, atol=1e-15)
 
     def test_depolarize_limits(self):
         rng = np.random.default_rng(19)
-        rho = random_density(rng, 2)
-        np.testing.assert_array_equal(depolarize(rho, 0.0).matrix, rho.matrix)
-        np.testing.assert_allclose(depolarize(rho, 1.0).matrix, np.eye(4) / 4, atol=1e-15)
+        rho = random_density(rng, 2).matrix
+        np.testing.assert_array_equal(_final_knobs(rho, 0.0, 1.0), rho)
+        np.testing.assert_allclose(_final_knobs(rho, 1.0, 1.0), np.eye(4) / 4, atol=1e-15)
 
     def test_amplitude_damping_moves_population_down(self):
         one = PureState.basis("1").density()
@@ -431,6 +430,15 @@ class TestSegmentKernel:
             forward = np.sum(weights * apply_segment_noise(rho, model, segment), axis=(1, 2))
             backward = np.sum(segment_noise_adjoint(weights, model, segment) * rho, axis=(1, 2))
             np.testing.assert_allclose(backward, forward, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("p, c", [(0.1, 0.9), (1.0, 1.0), (0.0, 0.15)])
+    def test_final_knobs_adjoint_pairs_with_the_forward_knobs(self, p, c):
+        rng = np.random.default_rng(67)
+        rho = random_density(rng, 5).matrix
+        weights = rng.normal(size=(3, 32, 32)) + 1j * rng.normal(size=(3, 32, 32))
+        forward = np.sum(weights * _final_knobs(rho, p, c), axis=(1, 2))
+        backward = np.sum(_final_knobs(weights, p, c, adjoint=True) * rho, axis=(1, 2))
+        np.testing.assert_allclose(backward, forward, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("model", [NoiseModel.default(), damped_default()], ids=["dephasing", "damping"])
     def test_adjoint_in_place_equals_a_new_array(self, model):
@@ -637,9 +645,9 @@ def test_noise_and_system_numbers_must_be_real_arrays(build):
         pytest.param(lambda: NoiseModel(t2=(1.0,), schedule=SCHEDULE, depolarizing=float("nan")), id="depolarizing-nan"),
         pytest.param(lambda: apply_dephasing(PureState.basis("0").density(), 1, "0.1"), id="lambda-string"),
         pytest.param(lambda: apply_amplitude_damping(PureState.basis("0").density(), 1, True), id="gamma-bool"),
-        pytest.param(lambda: scale_coherences(PureState.basis("0").density(), "0.5"), id="scale-string"),
-        pytest.param(lambda: depolarize(PureState.basis("0").density(), True), id="p-bool"),
-        pytest.param(lambda: depolarize(PureState.basis("0").density(), -0.1), id="p-negative"),
+        pytest.param(lambda: NoiseModel.uniform_attenuation("0.5"), id="scale-string"),
+        pytest.param(lambda: NoiseModel(t2=(1.0,), schedule=SCHEDULE, depolarizing=True), id="p-bool"),
+        pytest.param(lambda: NoiseModel(t2=(1.0,), schedule=SCHEDULE, depolarizing=-0.1), id="p-negative"),
     ],
 )
 def test_strengths_must_be_real_numbers_in_the_unit_interval(call):

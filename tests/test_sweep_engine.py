@@ -123,7 +123,7 @@ def per_leg_transfer_map(code, rho, profile, location, noise, labels):
     readouts of that input alone go back through the decode noise, the
     decoder and the error noise, then are paired with rho."""
     dim = 2**code.n
-    scale = 2.0 if noise is None else 2.0 * noise.offdiagonal_factor()
+    scale = 2.0 if noise is None else 2.0 * ((1.0 - noise.depolarizing) * noise.coherence_scale)
     r0, r1 = profile.pair
     weights = np.zeros((len(labels), dim, dim), dtype=complex)
     for row, label in enumerate(labels):
