@@ -18,11 +18,15 @@ qubits (2,3,4) untouched.
 
 The encoder is synthesized as a basis permutation (carrying each register
 input |0,b,0> to the low member of the matching codeword pair) followed by a
-Hadamard on qubit 1 and a fan-out of CNOTs from qubit 1 to qubits 2..5.  Each
-per-location decoder is the unitary that maps the 20 orthonormal states
-{P_q phi_b} onto syndrome-tagged register basis states, completed on the
-remaining 12 dimensions by Gram-Schmidt against the computational basis in
-index order, so the whole construction is deterministic.
+Hadamard on qubit 1 and a fan-out of CNOTs from qubit 1 to qubits 2..5.
+
+The code is codeword stabilized: phi_b = X^{c_b}|GHZ_5>, so each decoder is
+a signed index map.  A branch image P_q phi_b lies on the two strings of
+pair b with P_q's flip applied, and its conjugate is the decoder row at its
+syndrome-tagged register target.  The 12 strings that no image touches go,
+in index order, to the 12 free targets in sorted order.  The result is
+unitary because the 20 images are orthonormal and span exactly the 20
+strings they touch, so the rows are orthonormal and cover every string.
 """
 from __future__ import annotations
 
@@ -187,28 +191,13 @@ def _decoder_matrix(codewords: np.ndarray, location: int) -> np.ndarray:
             f"(deviation {gram_err:.3e}); decoder construction is ill-defined"
         )
 
-    # Complete the image vectors (rows of `basis`) to a full basis by
-    # projecting out the span so far from each unit vector in index order.
-    # Two passes keep the completion orthonormal to machine precision.
+    # Adding onto zeros rather than assigning keeps every zero entry +0.0,
+    # which the exported code pins.
     dim = sources.shape[0]
-    basis = np.zeros((dim, dim), dtype=complex)
-    basis[:n_sources] = sources.T
-    count = n_sources
-    for idx in range(dim):
-        v = np.zeros(dim, dtype=complex)
-        v[idx] = 1.0
-        for _ in range(2):
-            v -= (basis[:count].conj() @ v) @ basis[:count]
-        norm = np.linalg.norm(v)
-        if norm > 1e-6:
-            basis[count] = v / norm
-            count += 1
-    if count != dim:
-        raise RuntimeError("basis completion failed to span the full space")
-
     free_targets = sorted(set(range(dim)) - set(target_indices))
     decoder = np.zeros((dim, dim), dtype=complex)
-    decoder[target_indices + free_targets] += basis.conj()
+    decoder[target_indices] += sources.conj().T
+    decoder[free_targets, np.flatnonzero(~sources.any(axis=1))] = 1.0
 
     unitary_err = np.max(np.abs(decoder.conj().T @ decoder - np.eye(dim)))
     if unitary_err > GRAM_ATOL:

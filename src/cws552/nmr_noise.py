@@ -36,6 +36,9 @@ from .statevec import GateOp, MixedState, PureState, _axes_for, _spin_signs, app
 
 SEGMENTS = ("encode", "error", "decode")
 
+# Most (transition, sample) entries a spectrum's signal may hold: 256 MiB of complex128.
+SPECTRUM_SIZE_CAP = 2**24
+
 
 def _unit_interval(name: str, value) -> float:
     """`value` as a float in [0, 1]: the one check on channel strengths."""
@@ -417,6 +420,11 @@ def simulate_spectrum(
     if t_max / dt == float("inf"):
         raise ValueError(f"t_max / dt overflows: t_max {t_max!r}, dt {dt!r}")
     n_samples = int(round(t_max / dt))
+    if len(lower) * n_samples > SPECTRUM_SIZE_CAP:
+        raise ValueError(
+            f"t_max / dt = {t_max / dt:.6g} samples for {len(lower)} transitions exceeds the cap of "
+            f"{SPECTRUM_SIZE_CAP} transition-samples: t_max {t_max!r}, dt {dt!r}"
+        )
     if n_samples < 2:
         raise ValueError("need at least two samples")
     times = np.arange(n_samples) * dt

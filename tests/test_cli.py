@@ -288,6 +288,19 @@ def test_spectrum_with_a_sample_count_that_overflows_exits_with_an_error(tmp_pat
     assert not out.exists()
 
 
+def test_spectrum_with_a_sample_count_over_the_cap_exits_with_an_error(tmp_path, capsys):
+    system_path = tmp_path / "sys5.json"
+    system_path.write_text(json.dumps(NmrSystem.placeholder_five_spin().to_json_dict()))
+    out = tmp_path / "spec.csv"
+    argv = ["spectrum", "--system", str(system_path), "--state", "qecc:X:3", "--out", str(out)]
+    assert main([*argv, "--t-max", "1e300", "--dt", "1e-3"]) == 1
+    assert capsys.readouterr().err == (
+        "error: t_max / dt = 1e+303 samples for 16 transitions exceeds the cap of 16777216 "
+        "transition-samples: t_max 1e+300, dt 0.001\n"
+    )
+    assert not out.exists()
+
+
 def test_qecc_state_spec_requires_five_spins(tmp_path, capsys):
     system_path = tmp_path / "sys2.json"
     system_path.write_text(

@@ -1,4 +1,5 @@
 """Tests for the code construction, encode/decode, and the brute-force verifiers."""
+import hashlib
 import json
 from dataclasses import replace
 from itertools import combinations, product
@@ -169,7 +170,7 @@ def test_decode_rotation_splits_into_two_branches(code):
 
 
 def test_error_images_are_orthonormal_at_every_location(code):
-    # what makes the unitary-completion decoder well defined
+    # what makes the index-map decoder unitary
     for q in range(1, 6):
         images = []
         for label in ("E", "X", "Z", "Y"):
@@ -206,7 +207,18 @@ def loop_decoder(location):
 def test_decoders_match_loop_gram_schmidt_reference(code):
     # the completion rows are arbitrary but exported, so they are pinned too
     for q in range(1, 6):
-        np.testing.assert_allclose(code.decoder(q), loop_decoder(q), rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(code.decoder(q), loop_decoder(q))
+
+
+# sha256 of the five decoders' little-endian complex128 bytes, location order.
+# No entry involves rounding, so the bytes, signed zeros included, are the
+# same on every IEEE platform.
+DECODER_BYTES_SHA256 = "f79d3c9ef5629cfa65e454f099ecf6d2260fd5e3ff095d39ec8ffe372bf75a25"
+
+
+def test_decoder_bytes_are_pinned(code):
+    data = b"".join(np.asarray(d, dtype="<c16").tobytes() for d in code.decoders)
+    assert hashlib.sha256(data).hexdigest() == DECODER_BYTES_SHA256
 
 
 @settings(max_examples=60, deadline=None)
@@ -304,6 +316,62 @@ def test_erasure_c_matrices_match_exact_codeword_pair_oracle(code):
                 # Knill-Laflamme for an erasure, exactly: C_PQ = delta_PQ, no cross terms
                 np.testing.assert_array_equal(exact, eye * (p == q))
                 assert np.max(np.abs(exact - loc.c_matrix[i, j] * eye)) <= 1e-15, (loc.location, p, q)
+
+
+def cws_form(assignment):
+    """<phi_a| P |phi_b> for the Pauli P = {qubit: label}, in exact integers.
+
+    Write P = i^{#Y} X^x Z^z and let c_b be either string of pair b.  The
+    entry is i^{#Y} (-1)^{popcount(z & c_b)} when popcount(z) is even and
+    c_a ^ x ^ c_b is 00000 or 11111, and 0 otherwise.
+    """
+    x = z = n_y = 0
+    for q, label in assignment.items():
+        bit = 1 << (5 - q)
+        x |= bit if label in "XY" else 0
+        z |= bit if label in "ZY" else 0
+        n_y += label == "Y"
+    strings = [int(lo, 2) for lo, _ in HAND_PAIRS]
+    form = np.zeros((5, 5), dtype=complex)
+    if bin(z).count("1") % 2 == 0:
+        for a, c_a in enumerate(strings):
+            for b, c_b in enumerate(strings):
+                if c_a ^ x ^ c_b in (0b00000, 0b11111):
+                    form[a, b] = (1, 1j, -1, -1j)[n_y % 4] * (-1) ** bin(z & c_b).count("1")
+    return form
+
+
+def test_cws_form_matches_dense_paulis():
+    # the integer oracle against the kron-chain route, on all 4^5 Paulis
+    for labels in product("EXYZ", repeat=5):
+        assignment = dict(zip(range(1, 6), labels))
+        op = hand_pauli(assignment)
+        dense = np.array([[np.vdot(hand_codeword(a), op @ hand_codeword(b)) for b in range(5)] for a in range(5)])
+        assert np.max(np.abs(dense - cws_form(assignment))) <= 1e-15, labels
+
+
+def test_weight_one_paulis_are_exact_scalars_on_the_code_space():
+    for q in range(1, 6):
+        for label in "XYZ":
+            form = cws_form({q: label})
+            np.testing.assert_array_equal(form, form[0, 0] * np.eye(5))
+
+
+def test_distance_scan_matches_the_cws_oracle(code):
+    def violation(form):
+        return np.max(np.abs(form - np.mean(np.diag(form)) * np.eye(5)))
+
+    first = next(
+        (tuple(zip(support, labels)), violation(cws_form(dict(zip(support, labels)))))
+        for weight in range(1, 6)
+        for support in combinations(range(1, 6), weight)
+        for labels in product("XYZ", repeat=weight)
+        if violation(cws_form(dict(zip(support, labels)))) > 0
+    )
+    assert first == (((1, "X"), (2, "X")), 1.0)
+    result = verify_distance(code)
+    assert (result.distance, result.witness) == (2, first[0])
+    assert abs(result.witness_violation - first[1]) <= 1e-15
 
 
 def test_distance_is_two_with_weight_two_witness(code):

@@ -598,6 +598,15 @@ class TestSpectrum:
         with pytest.raises(ValueError, match="t_max and dt must be finite"):
             simulate_spectrum(PureState.basis("00").density(), two_spin_system(), observe=1, t_max=t_max, dt=dt)
 
+    def test_rejects_a_signal_over_the_size_cap(self):
+        # Two spins give two transitions, so one sample over half the cap is
+        # rejected before anything is allocated.
+        dt = 2.0**-8
+        with pytest.raises(ValueError, match=r"t_max / dt = 8\.38861e\+06 samples for 2 transitions exceeds the cap of 16777216"):
+            simulate_spectrum(
+                PureState.basis("00").density(), two_spin_system(), observe=1, t_max=(2**23 + 1) * dt, dt=dt
+            )
+
     def test_frequencies_ascend(self):
         sys2 = two_spin_system()
         rho = PureState.basis("00").density()
