@@ -126,6 +126,8 @@ def cmd_sweep(args, config: dict) -> int:
         raise ValueError("setting must be A, B, or C")
     grid_n = _pick(args.grid, config, "grid", 13, int)
     theta_max = _pick(args.theta_max, config, "theta_max", float(np.pi), float)
+    # Setting A runs no angle grid, but its summary records the grid options.
+    grid = experiment.default_grid(grid_n, theta_max)
     noise_path = _pick(args.noise, config, "noise", None)
     out_dir = _pick(args.out, config, "out", None)
     if out_dir is None:
@@ -156,7 +158,6 @@ def cmd_sweep(args, config: dict) -> int:
         print(f"wrote {csv_path} and {json_path}")
         return 0
 
-    grid = experiment.default_grid(grid_n, theta_max)
     runner = experiment.run_setting_b if setting == "B" else experiment.run_setting_c
     result = runner(code, grid, noise)
     csv_path = os.path.join(out_dir, f"setting_{setting}.csv")

@@ -16,9 +16,16 @@ two-qubit syndrome on qubits (1,5): identity -> |00>, bit flip -> |01>,
 phase flip -> |10>, bit+phase flip -> |11>, while the register returns to
 qubits (2,3,4) untouched.
 
-The encoder is synthesized as a basis permutation (carrying each register
-input |0,b,0> to the low member of the matching codeword pair) followed by a
-Hadamard on qubit 1 and a fan-out of CNOTs from qubit 1 to qubits 2..5.
+The encoder is an exact index map.  Register input |0,b,0> goes to r, the
+member of pair b whose qubit 1 is 0 (the smaller string); the other 27
+inputs go, in index order, to the 27 free strings in sorted order.  Input
+column with target r is (|r'> + s|r' XOR 11111>)/sqrt(2), where r' is r with
+qubit 1 cleared and s = -1 exactly when qubit 1 of r is set.  That is the
+circuit "permute |src> to |r>, Hadamard on qubit 1, CNOT from qubit 1 to
+each of qubits 2..5" written out column by column: the Hadamard splits r
+into r' and r' with qubit 1 set, signed by qubit 1 of r, and the CNOTs flip
+qubits 2..5 on the second branch.  Register input b lands on r' = r, so its
+column is (|r> + |r XOR 11111>)/sqrt(2) = phi_b.
 
 The code is codeword stabilized: phi_b = X^{c_b}|GHZ_5>, so each decoder is
 a signed index map.  A branch image P_q phi_b lies on the two strings of
@@ -38,7 +45,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .statevec import PureState, _axes_for, cnot, gate_matrix, h, pauli_apply
+from .statevec import PureState, _axes_for, pauli_apply
 
 N_QUBITS = 5
 DIMENSION = 5
@@ -110,39 +117,20 @@ def _input_index(b: int) -> int:
     return int(LOGICAL_STRINGS[b], 2) << 1
 
 
-def _representative(pair: tuple[str, str]) -> str:
-    """The member of a codeword pair whose first bit is 0.
-
-    The Hadamard/CNOT fan-out stage branches on qubit 1, so the permutation
-    stage must land on the qubit-1 = 0 member of each pair.
-    """
-    return pair[0] if pair[0][0] == "0" else pair[1]
-
-
-def _basis_permutation() -> np.ndarray:
-    """Permutation sending each |0,b,0> to the representative of pair b.
-
-    The remaining 27 basis states are matched up in increasing index order,
-    which fixes one deterministic completion out of the many valid ones.
-    """
-    mapping = {}
-    for b, pair in enumerate(CODEWORD_PAIRS):
-        mapping[_input_index(b)] = int(_representative(pair), 2)
-    free_sources = [i for i in range(32) if i not in mapping]
-    free_targets = [i for i in range(32) if i not in set(mapping.values())]
-    mapping.update(zip(free_sources, free_targets))
-    perm = np.zeros((32, 32), dtype=complex)
-    for src, dst in mapping.items():
-        perm[dst, src] = 1.0
-    return perm
-
-
 def _encoder_matrix() -> np.ndarray:
-    u = _basis_permutation()
-    u = gate_matrix(h(1), N_QUBITS) @ u
-    for target in (2, 3, 4, 5):
-        u = gate_matrix(cnot(1, target), N_QUBITS) @ u
-    return u
+    """The encoder as an exact index map; the module docstring gives the rule."""
+    dim, top = 2**N_QUBITS, 1 << (N_QUBITS - 1)
+    mapping = {_input_index(b): min(int(bits, 2) for bits in pair) for b, pair in enumerate(CODEWORD_PAIRS)}
+    free_sources = [i for i in range(dim) if i not in mapping]
+    free_targets = sorted(set(range(dim)) - set(mapping.values()))
+    mapping.update(zip(free_sources, free_targets))
+    sources, targets = np.array(list(mapping)), np.array(list(mapping.values()))
+    low = targets & ~top  # the target with qubit 1 cleared
+    amp = 1.0 / np.sqrt(2.0)
+    encoder = np.zeros((dim, dim), dtype=complex)
+    encoder[low, sources] = amp
+    encoder[low ^ (dim - 1), sources] = np.where(targets & top, -amp, amp)
+    return encoder
 
 
 def _branch_target_index(label: str, b: int) -> int:
@@ -217,7 +205,7 @@ def build_code() -> CodeSpec:
         encoder=_encoder_matrix(),
         decoders=tuple(_decoder_matrix(matrix, q) for q in range(1, N_QUBITS + 1)),
     )
-    # The synthesized encoder must reproduce the codewords exactly.
+    # The encoder must reproduce the codewords exactly.
     if _encoder_deviation(code) > 1e-12:
         raise RuntimeError("encoder does not map the register inputs onto their codewords")
     return code
@@ -227,6 +215,8 @@ def encode(code: CodeSpec, register: PureState) -> PureState:
     """Map a register state with support on the logical basis to the codespace."""
     if register.n_qubits != len(REGISTER_QUBITS):
         raise ValueError(f"register state must have {len(REGISTER_QUBITS)} qubits")
+    if not np.isfinite(register.amplitudes).all():
+        raise ValueError("register state has non-finite amplitudes")
     outside = np.max(np.abs(register.amplitudes[DIMENSION:]))
     if outside > SUPPORT_ATOL:
         raise ValueError(
@@ -341,9 +331,9 @@ _REAL = (int, float, np.integer, np.floating)
 
 def _reals(name: str, values, sign: str = "", ndim: int = 1) -> np.ndarray:
     """`values` as an `ndim`-dimensional float array: the one check on the
-    numbers of noise models, spin systems and code files.  Entries are real
-    numbers (not bools or strings), finite, and "positive" or "nonnegative"
-    as `sign` asks.  A ragged array fails the dimension check."""
+    numbers of errors, noise models, spin systems and code files.  Entries
+    are real numbers (not bools or strings), finite, and "positive" or
+    "nonnegative" as `sign` asks.  A ragged array fails the dimension check."""
     arr = np.asarray(values, dtype=object)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be a {ndim}-dimensional array of real numbers, got shape {arr.shape}")
@@ -352,7 +342,8 @@ def _reals(name: str, values, sign: str = "", ndim: int = 1) -> np.ndarray:
         bad = next(v for v in arr.flat if isinstance(v, bool) or not isinstance(v, _REAL))
         raise ValueError(f"{name} must be real numbers, got {bad!r}")
     arr = arr.astype(float)
-    if not np.isfinite(arr).all():
+    # Counting is quicker than .all() on the short arrays most callers pass.
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise ValueError(f"{name} must be finite")
     if sign == "positive" and np.any(arr <= 0) or sign == "nonnegative" and np.any(arr < 0):
         raise ValueError(f"{name} must be {sign}")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .code552 import _reals
 from .statevec import E2, X, Y, Z, _axes_for
 
 AXIS_BY_TYPE = {"X": (1.0, 0.0, 0.0), "Y": (0.0, 1.0, 0.0), "Z": (0.0, 0.0, 1.0)}
@@ -34,15 +35,13 @@ class ErrorSpec:
 
     def __post_init__(self):
         _axes_for((self.location,), what="location")
-        ax = tuple(float(c) for c in self.axis)
+        alpha, theta, *ax = _reals("alpha, theta and axis", [self.alpha, self.theta, *self.axis]).tolist()
         if len(ax) != 3:
-            raise ValueError("axis must have three components")
-        if abs(np.linalg.norm(ax) - 1.0) > AXIS_NORM_ATOL:
-            raise ValueError(f"axis must be a unit vector, got norm {np.linalg.norm(ax)!r}")
-        alpha, theta = float(self.alpha), float(self.theta)
-        if not (math.isfinite(alpha) and math.isfinite(theta)):
-            raise ValueError(f"alpha and theta must be finite, got alpha={alpha!r}, theta={theta!r}")
-        object.__setattr__(self, "axis", ax)
+            raise ValueError(f"axis must have three components, got {len(ax)}")
+        norm = math.hypot(*ax)
+        if abs(norm - 1.0) > AXIS_NORM_ATOL:
+            raise ValueError(f"axis must be a unit vector, got norm {norm!r}")
+        object.__setattr__(self, "axis", tuple(ax))
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "location", int(self.location))

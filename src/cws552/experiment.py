@@ -49,6 +49,11 @@ SWEEP_COMBOS = {
 
 _TYPE_AXIS_ATOL = 1e-9
 
+# Most points `default_grid` builds.  `cws552 sweep --setting B` holds about
+# 6 kB a point, so the cap bounds it near 60 MB; the grids in use have at
+# most 1001 points.
+GRID_SIZE_CAP = 10**4
+
 
 @dataclass(frozen=True)
 class InputProfile:
@@ -202,10 +207,12 @@ def run_setting_a(code: CodeSpec, noise: NoiseModel | None = None) -> list[Setti
 
 
 def default_grid(n_points: int = 13, theta_max: float = float(np.pi)) -> np.ndarray:
-    """Uniform error-angle grid of `n_points` (an integer, at least two) on
-    [0, theta_max], theta_max finite and positive."""
+    """Uniform error-angle grid of `n_points` (an integer from two to
+    GRID_SIZE_CAP) on [0, theta_max], theta_max finite and positive."""
     if isinstance(n_points, bool) or not isinstance(n_points, (int, np.integer)) or n_points < 2:
         raise ValueError(f"grid needs an integer number of points, at least two, got {n_points!r}")
+    if n_points > GRID_SIZE_CAP:
+        raise ValueError(f"grid of {n_points} points exceeds the cap of {GRID_SIZE_CAP} points")
     (theta_max,) = _reals("theta_max", [theta_max], "positive")
     return np.linspace(0.0, theta_max, n_points)
 

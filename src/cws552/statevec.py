@@ -23,7 +23,6 @@ E2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
-H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 PAULI_BY_LABEL = {"E": E2, "X": X, "Y": Y, "Z": Z}
 
@@ -80,37 +79,23 @@ class MixedState:
 class GateOp:
     """A unitary on an ordered tuple of qubits, first listed qubit = MSB.
 
-    Build it through the constructors, which check the labels and the matrix;
-    `controlled` folds its controls into the matrix.
+    The constructor is the one check: the labels go through `_axes_for`, and
+    the matrix must be a finite 2^k x 2^k unitary for k labels.  `single` is
+    the one-qubit shorthand.
     """
 
     qubits: tuple[int, ...]
     matrix: np.ndarray
 
+    def __post_init__(self):
+        labels = tuple(self.qubits)
+        _axes_for(labels)
+        object.__setattr__(self, "qubits", labels)
+        object.__setattr__(self, "matrix", _as_unitary(self.matrix, 2 ** len(labels)))
+
     @classmethod
     def single(cls, qubit: int, matrix: np.ndarray) -> "GateOp":
-        return cls.unitary((qubit,), matrix)
-
-    @classmethod
-    def controlled(
-        cls, controls: Sequence[int], target: int, matrix: np.ndarray
-    ) -> "GateOp":
-        """`matrix` on `target` when every control qubit is |1>."""
-        mat = _as_unitary(matrix, 2)
-        labels = tuple(controls) + (target,)
-        _axes_for(labels)
-        if not controls:
-            raise ValueError("controlled gate needs at least one control")
-        dim = 2 ** len(labels)
-        full = np.eye(dim, dtype=complex)
-        full[dim - 2 :, dim - 2 :] = mat
-        return cls(labels, full)
-
-    @classmethod
-    def unitary(cls, qubits: Sequence[int], matrix: np.ndarray) -> "GateOp":
-        labels = tuple(qubits)
-        _axes_for(labels)
-        return cls(labels, _as_unitary(matrix, 2 ** len(labels)))
+        return cls((qubit,), matrix)
 
 
 def _as_unitary(matrix: np.ndarray, dim: int) -> np.ndarray:
@@ -123,14 +108,6 @@ def _as_unitary(matrix: np.ndarray, dim: int) -> np.ndarray:
     if err > UNITARY_ATOL:
         raise ValueError(f"matrix is not unitary (deviation {err:.3e})")
     return mat
-
-
-def h(qubit: int) -> GateOp:
-    return GateOp.single(qubit, H)
-
-
-def cnot(control: int, target: int) -> GateOp:
-    return GateOp.controlled((control,), target, X)
 
 
 def _apply_matrix(vec: np.ndarray, mat: np.ndarray, axes: Sequence[int], n: int) -> np.ndarray:

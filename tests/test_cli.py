@@ -6,6 +6,7 @@ import pytest
 
 from cws552.cli import main
 from cws552.code552 import build_code, code_to_json_dict
+from cws552.experiment import GRID_SIZE_CAP
 from cws552.nmr_noise import NmrSystem, NoiseModel
 
 
@@ -298,6 +299,15 @@ def test_spectrum_with_a_sample_count_over_the_cap_exits_with_an_error(tmp_path,
         "error: t_max / dt = 1e+303 samples for 16 transitions exceeds the cap of 16777216 "
         "transition-samples: t_max 1e+300, dt 0.001\n"
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting, count", [("B", GRID_SIZE_CAP + 1), ("C", 10**12), ("A", 10**12)])
+def test_sweep_with_a_grid_over_the_cap_exits_with_an_error(tmp_path, capsys, setting, count):
+    # Setting A runs no grid, but its summary records the option, so it is checked too.
+    out = tmp_path / "out"
+    assert main(["sweep", "--setting", setting, "--grid", str(count), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: grid of {count} points exceeds the cap of {GRID_SIZE_CAP} points\n"
     assert not out.exists()
 
 

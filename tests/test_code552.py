@@ -26,7 +26,7 @@ from cws552.code552 import (
     verify_erasure_correctability,
 )
 from cws552.error_model import ErrorSpec, error_unitary, pauli_expand
-from cws552.statevec import GateOp, PureState, apply_gate, fidelity_with_pure, partial_trace
+from cws552.statevec import GateOp, PureState, apply_gate, fidelity_with_pure, gate_matrix, partial_trace
 
 PAULI_2x2 = {
     "E": np.eye(2, dtype=complex),
@@ -127,6 +127,46 @@ def test_encoder_matrix_on_all_zeros(code):
     np.testing.assert_allclose(code.encoder[:, 0], hand_codeword(0), atol=1e-12)
 
 
+H_GATE = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+CNOT_GATE = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+
+
+def circuit_encoder():
+    """Reference encoder as a circuit of dense products: a basis permutation
+    taking |0,b,0> to the qubit-1 = 0 member of pair b (the other inputs to the
+    free strings, both in index order), then a Hadamard on qubit 1 and CNOTs
+    from qubit 1 to qubits 2..5."""
+    mapping = {
+        int("0" + bits + "0", 2): int(lo if lo[0] == "0" else hi, 2)
+        for bits, (lo, hi) in zip(LOGICAL_STRINGS, HAND_PAIRS)
+    }
+    free_sources = [i for i in range(32) if i not in mapping]
+    free_targets = [i for i in range(32) if i not in mapping.values()]
+    mapping.update(zip(free_sources, free_targets))
+    u = np.zeros((32, 32), dtype=complex)
+    for src, dst in mapping.items():
+        u[dst, src] = 1.0
+    u = gate_matrix(GateOp.single(1, H_GATE), 5) @ u
+    for target in (2, 3, 4, 5):
+        u = gate_matrix(GateOp((1, target), CNOT_GATE), 5) @ u
+    return u
+
+
+def test_encoder_matches_the_hadamard_cnot_circuit(code):
+    np.testing.assert_array_equal(code.encoder, circuit_encoder())
+
+
+# sha256 of the encoder's little-endian complex128 bytes.  Every entry is 0 or
+# +-1/sqrt(2), both correctly rounded, so the bytes are the same on every IEEE
+# platform.
+ENCODER_BYTES_SHA256 = "2a8d7bca8447047d3a617b6f95ff5ec65fc4aad790363037ded9b81fa4a485fd"
+
+
+def test_encoder_bytes_are_pinned(code):
+    data = np.asarray(code.encoder, dtype="<c16").tobytes()
+    assert hashlib.sha256(data).hexdigest() == ENCODER_BYTES_SHA256
+
+
 def test_encoder_and_decoders_are_unitary(code):
     np.testing.assert_allclose(code.encoder.conj().T @ code.encoder, np.eye(32), atol=1e-12)
     for q in range(1, 6):
@@ -141,6 +181,20 @@ def test_encode_rejects_support_outside_logical_basis(code):
         encode(code, PureState(3, bad))
     with pytest.raises(ValueError, match="register"):
         encode(code, PureState.basis("00"))
+
+
+@pytest.mark.parametrize(
+    "index, value",
+    [(5, np.nan), (6, np.nan), (7, np.nan), (0, np.nan), (2, np.inf)],
+    ids=["nan-on-101", "nan-on-110", "nan-on-111", "nan-on-000", "inf-on-010"],
+)
+def test_encode_rejects_non_finite_amplitudes(code, index, value):
+    # A NaN on 101, 110 or 111 compares false against the support tolerance,
+    # so the finite check, not the support check, has to catch it.
+    amps = np.zeros(8, dtype=complex)
+    amps[index] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        encode(code, PureState(3, amps))
 
 
 def test_decode_without_error_returns_clean_syndrome(code):

@@ -111,6 +111,27 @@ def test_rejects_non_finite_angles():
         ErrorSpec(2, float("inf"), 0.5, (0.0, 0.0, 1.0))
 
 
+@pytest.mark.parametrize(
+    "alpha, theta, axis",
+    [
+        pytest.param(0.0, 0.5, (np.nan, 0.0, 1.0), id="nan-axis"),
+        pytest.param(0.0, 0.5, (0.0, np.inf, 0.0), id="inf-axis"),
+        pytest.param(True, 0.5, (0.0, 0.0, 1.0), id="bool-alpha"),
+        pytest.param(0.0, "0.5", (0.0, 0.0, 1.0), id="str-theta"),
+        pytest.param(0.0, 0.5, ("1", 0, 0), id="str-axis"),
+        pytest.param(0.0, 0.5, (True, False, False), id="bool-axis"),
+    ],
+)
+def test_rejects_numbers_that_are_not_finite_reals(alpha, theta, axis):
+    with pytest.raises(ValueError, match="real numbers|finite"):
+        ErrorSpec(1, alpha, theta, axis)
+
+
+def test_rejects_an_axis_without_three_components():
+    with pytest.raises(ValueError, match="three components"):
+        ErrorSpec(1, 0.0, 0.5, (1.0, 0.0))
+
+
 def test_typed_expansions_match_pauli_expand():
     thetas = np.linspace(-1.0, 4.0, 7)
     for kind in ("X", "Y", "Z"):

@@ -2,6 +2,7 @@
 import csv
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -386,6 +387,20 @@ def test_default_grid():
         default_grid(1)
     with pytest.raises(ValueError):
         default_grid(5, theta_max=0.0)
+
+
+def test_default_grid_rejects_a_count_over_the_cap_before_allocating():
+    cap = experiment.GRID_SIZE_CAP
+    assert len(default_grid(cap)) == cap
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            default_grid(cap + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"grid of {cap + 1} points exceeds the cap of {cap} points"
+    assert peak < 8 * cap // 4  # the grid itself would take 8 bytes a point
 
 
 @pytest.mark.parametrize(

@@ -16,10 +16,8 @@ from cws552.statevec import (
     _apply_matrix,
     apply_gate,
     apply_gate_mixed,
-    cnot,
     fidelity_with_pure,
     gate_matrix,
-    h,
     partial_trace,
     pauli_apply,
 )
@@ -36,6 +34,14 @@ def kron_pauli(n, labels):
 
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
+H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+TOFFOLI = np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 5, 7, 6]]
+
+
+def controlled(u):
+    """|0><0| (x) E + |1><1| (x) u: `u` on the second qubit when the first is |1>."""
+    return np.block([[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), u]])
 
 
 def random_state(rng, n):
@@ -55,41 +61,40 @@ class TestGates:
         np.testing.assert_allclose(state.amplitudes[int("00100", 2)], 1.0)
 
     def test_h_makes_equal_superposition(self):
-        state = apply_gate(PureState.basis("00000"), h(1))
+        state = apply_gate(PureState.basis("00000"), GateOp.single(1, H))
         expected = np.zeros(32, dtype=complex)
         expected[0] = expected[16] = 1 / np.sqrt(2)
         np.testing.assert_allclose(state.amplitudes, expected, atol=1e-15)
 
     def test_cnot_entangles(self):
-        state = apply_gate(PureState.basis("00"), h(1))
-        state = apply_gate(state, cnot(1, 2))
+        state = apply_gate(PureState.basis("00"), GateOp.single(1, H))
+        state = apply_gate(state, GateOp((1, 2), CNOT))
         expected = np.array([1, 0, 0, 1]) / np.sqrt(2)
         np.testing.assert_allclose(state.amplitudes, expected, atol=1e-15)
 
     def test_cnot_control_zero_is_identity(self):
-        state = apply_gate(PureState.basis("01"), cnot(1, 2))
+        state = apply_gate(PureState.basis("01"), GateOp((1, 2), CNOT))
         np.testing.assert_allclose(state.amplitudes, PureState.basis("01").amplitudes)
 
     def test_toffoli_needs_both_controls(self):
-        on = apply_gate(PureState.basis("110"), GateOp.controlled((1, 2), 3, X))
-        off = apply_gate(PureState.basis("100"), GateOp.controlled((1, 2), 3, X))
+        on = apply_gate(PureState.basis("110"), GateOp((1, 2, 3), TOFFOLI))
+        off = apply_gate(PureState.basis("100"), GateOp((1, 2, 3), TOFFOLI))
         np.testing.assert_allclose(on.amplitudes, PureState.basis("111").amplitudes)
         np.testing.assert_allclose(off.amplitudes, PureState.basis("100").amplitudes)
 
     def test_swap_subset(self):
-        state = apply_gate(PureState.basis("10000"), GateOp.unitary([1, 2], SWAP))
+        state = apply_gate(PureState.basis("10000"), GateOp([1, 2], SWAP))
         np.testing.assert_allclose(state.amplitudes, PureState.basis("01000").amplitudes)
 
     def test_identity_subset_is_noop(self):
         rng = np.random.default_rng(7)
         state = random_state(rng, 4)
-        out = apply_gate(state, GateOp.unitary([2, 4], np.eye(4, dtype=complex)))
+        out = apply_gate(state, GateOp([2, 4], np.eye(4, dtype=complex)))
         np.testing.assert_allclose(out.amplitudes, state.amplitudes)
 
     def test_subset_qubit_order_matters(self):
-        # CNOT with conrol listed second acts as a reversed CNOT
-        cx = gate_matrix(cnot(1, 2), 2)
-        state = apply_gate(PureState.basis("01"), GateOp.unitary([2, 1], cx))
+        # CNOT with control listed second acts as a reversed CNOT
+        state = apply_gate(PureState.basis("01"), GateOp((2, 1), CNOT))
         np.testing.assert_allclose(state.amplitudes, PureState.basis("11").amplitudes)
 
 
@@ -99,7 +104,7 @@ class TestKernelConsistency:
         state = random_state(rng, 5)
         u = random_unitary(rng, 2)
         via_gate = apply_gate(state, GateOp.single(3, u))
-        via_subset = apply_gate(state, GateOp.unitary([3], u))
+        via_subset = apply_gate(state, GateOp([3], u))
         assert np.array_equal(via_gate.amplitudes, via_subset.amplitudes)
 
     def test_norm_preserved_by_random_circuits(self):
@@ -109,20 +114,20 @@ class TestKernelConsistency:
             for _ in range(6):
                 k = int(rng.integers(1, 3))
                 qubits = list(rng.choice(5, size=k, replace=False) + 1)
-                state = apply_gate(state, GateOp.unitary(qubits, random_unitary(rng, 2**k)))
+                state = apply_gate(state, GateOp(qubits, random_unitary(rng, 2**k)))
             assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
 
     def test_unitary_then_inverse_roundtrips(self):
         rng = np.random.default_rng(17)
         state = random_state(rng, 5)
         u = random_unitary(rng, 8)
-        forward = apply_gate(state, GateOp.unitary([2, 3, 5], u))
-        back = apply_gate(forward, GateOp.unitary([2, 3, 5], u.conj().T))
+        forward = apply_gate(state, GateOp([2, 3, 5], u))
+        back = apply_gate(forward, GateOp([2, 3, 5], u.conj().T))
         np.testing.assert_allclose(back.amplitudes, state.amplitudes, atol=1e-10)
 
     def test_gate_matrix_matches_columnwise_application(self):
         rng = np.random.default_rng(19)
-        gate = GateOp.controlled((2,), 4, random_unitary(rng, 2))
+        gate = GateOp((2, 4), controlled(random_unitary(rng, 2)))
         full = gate_matrix(gate, 4)
         for idx in range(16):
             basis = np.zeros(16, dtype=complex)
@@ -187,7 +192,7 @@ class TestMixedStates:
     def test_mixed_evolution_matches_pure(self):
         rng = np.random.default_rng(29)
         state = random_state(rng, 3)
-        gate = GateOp.unitary((1, 3), random_unitary(rng, 4))
+        gate = GateOp((1, 3), random_unitary(rng, 4))
         rho_out = apply_gate_mixed(state.density(), gate)
         pure_out = apply_gate(state, gate)
         np.testing.assert_allclose(rho_out.matrix, pure_out.density().matrix, atol=1e-12)
@@ -200,7 +205,7 @@ class TestMixedStates:
         np.testing.assert_allclose(reduced.matrix, [[0, 0], [0, 1]], atol=1e-15)
 
     def test_partial_trace_of_bell_is_maximally_mixed(self):
-        state = apply_gate(apply_gate(PureState.basis("00"), h(1)), cnot(1, 2))
+        state = apply_gate(apply_gate(PureState.basis("00"), GateOp.single(1, H)), GateOp((1, 2), CNOT))
         reduced = partial_trace(state.density(), [1])
         np.testing.assert_allclose(reduced.matrix, np.eye(2) / 2, atol=1e-15)
 
@@ -228,13 +233,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="unitary"):
             GateOp.single(1, np.array([[1, 0], [0, 2]], dtype=complex))
         with pytest.raises(ValueError, match="unitary"):
-            GateOp.unitary((1, 2), np.ones((4, 4), dtype=complex))
+            GateOp((1, 2), np.ones((4, 4), dtype=complex))
+        with pytest.raises(ValueError, match="unitary"):
+            GateOp((1,), np.zeros((2, 2)))
 
     def test_rejects_non_finite_matrix(self):
         with pytest.raises(ValueError, match="non-finite"):
             GateOp.single(1, np.array([[np.nan, 0], [0, 1]], dtype=complex))
         with pytest.raises(ValueError, match="non-finite"):
-            GateOp.unitary((1, 2), np.diag([1, 1, 1, np.inf]).astype(complex))
+            GateOp((1, 2), np.diag([1, 1, 1, np.inf]).astype(complex))
+        with pytest.raises(ValueError, match="non-finite"):
+            GateOp((1,), np.full((2, 2), np.nan))
 
     def test_rejects_out_of_range_qubit(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -254,13 +263,13 @@ class TestValidation:
 
     def test_rejects_repeated_labels(self):
         with pytest.raises(ValueError, match="repeated"):
-            GateOp.unitary((2, 2), np.eye(4, dtype=complex))
-        with pytest.raises(ValueError, match="repeated"):
-            GateOp.controlled((1,), 1, X)
+            GateOp((2, 2), np.eye(4, dtype=complex))
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError, match="matrix"):
-            GateOp.unitary((1, 2), np.eye(2, dtype=complex))
+            GateOp((1, 2), np.eye(2, dtype=complex))
+        with pytest.raises(ValueError, match="matrix"):
+            GateOp((1,), np.eye(4))
         with pytest.raises(ValueError):
             PureState(2, np.zeros(3))
 
@@ -283,7 +292,7 @@ RHO5 = PureState.basis("00000").density()
         pytest.param(lambda: partial_trace(RHO5, (2, 2)), id="partial_trace-repeated"),
         pytest.param(lambda: pauli_apply(RHO5.matrix[0], {2.5: "X"}), id="pauli_apply-float"),
         pytest.param(lambda: GateOp.single(True, X), id="GateOp-bool"),
-        pytest.param(lambda: GateOp.unitary(("1", 2), np.eye(4)), id="GateOp-str"),
+        pytest.param(lambda: GateOp(("1", 2), np.eye(4)), id="GateOp-str"),
         pytest.param(lambda: NoiseModel.default().lam(2.5, "encode"), id="lam-float"),
         pytest.param(lambda: apply_dephasing(RHO5, True, 0.1), id="apply_dephasing-bool"),
         pytest.param(lambda: apply_amplitude_damping(RHO5, 2.0, 0.1), id="apply_amplitude_damping-float"),
