@@ -1,8 +1,9 @@
 """Command line interface: verify, sweep, spectrum, export-code.
 
-Configuration can come from a JSON file (--config) whose keys are the chosen
-subcommand's option names; explicit flags win over file values.  All outputs
-are deterministic for a fixed configuration.
+Each subcommand's options are declared once, in `_COMMANDS`, which drives both
+the argparse flags and the keys of the JSON config file (--config); explicit
+flags win over file values.  A command that fails writes nothing, and all
+outputs are deterministic for a fixed configuration.
 """
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,6 +30,22 @@ from .statevec import MixedState, PureState
 ORTHO_TOL = 1e-12
 ACTION_TOL = 1e-10
 
+_REQUIRED = object()  # the default of an option that the flag or the config file must give
+
+
+class Option(NamedTuple):
+    """One subcommand option: its flag is --name (dashes for underscores) and
+    its config key is name.  `help` may show the default through `{}`."""
+
+    kind: type
+    default: object
+    help: str | None = None
+    choices: tuple | None = None
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
 
 def _read_json(path: str):
     """The JSON document at `path`; every JSON input is read here."""
@@ -35,139 +53,110 @@ def _read_json(path: str):
         return json.load(fh)
 
 
-def _load_config(path: str | None, keys: set[str]) -> dict:
-    """The config file's object; every key must be one of `keys`."""
-    if path is None:
-        return {}
-    doc = _read_json(path)
-    code552._check_keys(doc, "config", optional=keys)
-    return doc
+def _write_json(path: str, doc) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
-def _pick(flag_value, config: dict, key: str, default, kind: type = str):
-    """Flag beats config file beats built-in default; a config value must be a
-    `kind` (an int is taken for a float)."""
-    if flag_value is not None:
-        return flag_value
-    if key not in config:
-        return default
-    value = config[key]
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-        raise ValueError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
-    return float(value) if kind is float else value
+def _resolve(options: dict[str, Option], args, config: dict) -> argparse.Namespace:
+    """Each option's value: the flag, else the config value (which must be of
+    the option's kind; an int is taken for a float), else the default."""
+    code552._check_keys(config, "config", optional=options)
+    values = {}
+    for name, opt in options.items():
+        value = getattr(args, name)
+        if value is None and name in config:
+            value = config[name]
+            accepted = (int, float) if opt.kind is float else opt.kind
+            if isinstance(value, bool) != (opt.kind is bool) or not isinstance(value, accepted):
+                raise ValueError(f"config key {name!r} must be {opt.kind.__name__}, got {value!r}")
+            value = opt.kind(value)
+        if value is None:
+            value = opt.default
+        if value is _REQUIRED:
+            raise ValueError(f"{_flag(name)} is required" + (f" ({opt.help})" if opt.help else ""))
+        if opt.choices and value not in opt.choices:
+            raise ValueError(f"{name} must be {', '.join(opt.choices[:-1])}, or {opt.choices[-1]}")
+        values[name] = value
+    return argparse.Namespace(**values)
 
 
-def cmd_verify(args, config: dict) -> int:
-    code_path = _pick(args.code, config, "code", None)
-    code = build_code() if code_path is None else code_from_json_dict(_read_json(code_path))
-
-    ortho = codeword_orthonormality_deviation(code)
-    ortho_ok = ortho <= ORTHO_TOL
-    enc_dev = code552._encoder_deviation(code)
-    enc_ok = enc_dev <= ACTION_TOL
-    dec_dev = code552._decoder_deviation(code)
-    dec_ok = dec_dev <= ACTION_TOL
+def cmd_verify(opts) -> int:
+    code = build_code() if opts.code is None else code_from_json_dict(_read_json(opts.code))
+    report = {
+        key: {"deviation": deviation, "passed": deviation <= tol}
+        for key, deviation, tol in (
+            ("orthonormality", codeword_orthonormality_deviation(code), ORTHO_TOL),
+            ("encoder", code552._encoder_deviation(code), ACTION_TOL),
+            ("decoders", code552._decoder_deviation(code), ACTION_TOL),
+        )
+    }
     erasure = verify_erasure_correctability(code)
+    report["erasure"] = {
+        "passed": erasure.passed,
+        "labels": list(erasure.labels),
+        "locations": {
+            str(loc.location): {
+                "passed": loc.passed,
+                "max_violation": loc.max_violation,
+                "c_matrix": code552._complex_to_pairs(loc.c_matrix),
+            }
+            for loc in erasure.locations
+        },
+    }
     dist = verify_distance(code)
-    dist_ok = dist.distance == code552.DISTANCE and dist.witness is not None
-    passed = ortho_ok and enc_ok and dec_ok and erasure.passed and dist_ok
+    report["distance"] = {
+        "value": dist.distance,
+        "passed": dist.distance == code552.DISTANCE and dist.witness is not None,
+        "witness": [[q, lab] for q, lab in dist.witness] if dist.witness else None,
+        "witness_violation": dist.witness_violation,
+    }
+    report["passed"] = all(part["passed"] for part in report.values())
 
-    if _pick(args.json, config, "json", False, bool):
-        report = {
-            "passed": passed,
-            "orthonormality": {"deviation": ortho, "passed": ortho_ok},
-            "encoder": {"deviation": enc_dev, "passed": enc_ok},
-            "decoders": {"deviation": dec_dev, "passed": dec_ok},
-            "erasure": {
-                "passed": erasure.passed,
-                "labels": list(erasure.labels),
-                "locations": {
-                    str(loc.location): {
-                        "passed": loc.passed,
-                        "max_violation": loc.max_violation,
-                        "c_matrix": code552._complex_to_pairs(loc.c_matrix),
-                    }
-                    for loc in erasure.locations
-                },
-            },
-            "distance": {
-                "value": dist.distance,
-                "passed": dist_ok,
-                "witness": [[q, lab] for q, lab in dist.witness] if dist.witness else None,
-                "witness_violation": dist.witness_violation,
-            },
-        }
+    if opts.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        def line(name, ok, detail):
-            print(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
+        def line(name, part, detail):
+            print(f"{name}: {'PASS' if part['passed'] else 'FAIL'} ({detail})")
 
-        line("codeword orthonormality", ortho_ok, f"max deviation {ortho:.3e}")
-        line("encoder action on logical basis", enc_ok, f"max deviation {enc_dev:.3e}")
-        line("decoder branch action", dec_ok, f"max deviation {dec_dev:.3e}")
-        for loc in erasure.locations:
-            line(
-                f"erasure correctability at location {loc.location}",
-                loc.passed,
-                f"max violation {loc.max_violation:.3e}",
-            )
-        witness = (
-            " ".join(f"{lab}{q}" for q, lab in dist.witness) if dist.witness else "none"
-        )
-        line("distance", dist_ok, f"d = {dist.distance}, witness {witness}")
-        print(f"overall: {'PASS' if passed else 'FAIL'}")
-    return 0 if passed else 1
+        for key, name in (
+            ("orthonormality", "codeword orthonormality"),
+            ("encoder", "encoder action on logical basis"),
+            ("decoders", "decoder branch action"),
+        ):
+            line(name, report[key], f"max deviation {report[key]['deviation']:.3e}")
+        for loc, part in report["erasure"]["locations"].items():
+            line(f"erasure correctability at location {loc}", part, f"max violation {part['max_violation']:.3e}")
+        dist = report["distance"]
+        witness = " ".join(f"{lab}{q}" for q, lab in dist["witness"]) if dist["witness"] else "none"
+        line("distance", dist, f"d = {dist['value']}, witness {witness}")
+        print(f"overall: {'PASS' if report['passed'] else 'FAIL'}")
+    return 0 if report["passed"] else 1
 
 
-def cmd_sweep(args, config: dict) -> int:
-    setting = _pick(args.setting, config, "setting", None)
-    if setting not in ("A", "B", "C"):
-        raise ValueError("setting must be A, B, or C")
-    grid_n = _pick(args.grid, config, "grid", 13, int)
-    theta_max = _pick(args.theta_max, config, "theta_max", float(np.pi), float)
+def cmd_sweep(opts) -> int:
     # Setting A runs no angle grid, but its summary records the grid options.
-    grid = experiment.default_grid(grid_n, theta_max)
-    noise_path = _pick(args.noise, config, "noise", None)
-    out_dir = _pick(args.out, config, "out", None)
-    if out_dir is None:
-        raise ValueError("an output directory is required (--out)")
-    os.makedirs(out_dir, exist_ok=True)
-
-    noise = nmr_noise.NoiseModel.from_json_dict(_read_json(noise_path)) if noise_path else None
+    grid = experiment.default_grid(opts.grid, opts.theta_max)
+    noise = nmr_noise.NoiseModel.from_json_dict(_read_json(opts.noise)) if opts.noise else None
     code = build_code()
+    summary = {"setting": opts.setting, "grid": opts.grid, "theta_max": opts.theta_max,
+               "noise": noise.to_json_dict() if noise else None}
+    if opts.setting == "A":
+        table = experiment.run_setting_a(code, noise)
+        write_table, kind = experiment.write_setting_a_csv, "summary"
+        summary.update(rows=len(table), all_match=all(r.matches for r in table))
+    else:
+        runner = experiment.run_setting_b if opts.setting == "B" else experiment.run_setting_c
+        table = runner(code, grid, noise)
+        write_table, kind = experiment.write_sweep_csv, "fits"
+        summary.update(experiment.fit_summary(table))
 
-    meta = {
-        "setting": setting,
-        "grid": grid_n,
-        "theta_max": theta_max,
-        "noise": noise.to_json_dict() if noise else None,
-    }
-
-    if setting == "A":
-        rows = experiment.run_setting_a(code, noise)
-        csv_path = os.path.join(out_dir, "setting_A.csv")
-        experiment.write_setting_a_csv(rows, csv_path)
-        summary = dict(meta)
-        summary["rows"] = len(rows)
-        summary["all_match"] = all(r.matches for r in rows)
-        json_path = os.path.join(out_dir, "setting_A_summary.json")
-        with open(json_path, "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {csv_path} and {json_path}")
-        return 0
-
-    runner = experiment.run_setting_b if setting == "B" else experiment.run_setting_c
-    result = runner(code, grid, noise)
-    csv_path = os.path.join(out_dir, f"setting_{setting}.csv")
-    experiment.write_sweep_csv(result, csv_path)
-    summary = dict(meta)
-    summary.update(experiment.fit_summary(result))
-    json_path = os.path.join(out_dir, f"setting_{setting}_fits.json")
-    with open(json_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    os.makedirs(opts.out, exist_ok=True)
+    csv_path = os.path.join(opts.out, f"setting_{opts.setting}.csv")
+    json_path = os.path.join(opts.out, f"setting_{opts.setting}_{kind}.json")
+    write_table(table, csv_path)
+    _write_json(json_path, summary)
     print(f"wrote {csv_path} and {json_path}")
     return 0
 
@@ -198,52 +187,61 @@ def _state_from_spec(spec: str, n_spins: int) -> MixedState:
             raise ValueError("qecc state specs need a five-spin system")
         return experiment.final_state(build_code(), experiment.INPUTS[2].register, ErrorSpec.pauli(int(location), label))
     if len(spec) != n_spins or set(spec) - set(_SINGLE_STATES):
-        raise ValueError(
-            f"state spec must be {n_spins} chars over 0/1/+/- or qecc:LABEL:LOC, got {spec!r}"
-        )
+        raise ValueError(f"state spec must be {n_spins} chars over 0/1/+/- or qecc:LABEL:LOC, got {spec!r}")
     amps = np.array([1.0 + 0j])
     for ch in spec:
         amps = np.kron(amps, _SINGLE_STATES[ch])
     return PureState(n_spins, amps).density()
 
 
-def cmd_spectrum(args, config: dict) -> int:
-    system_path = _pick(args.system, config, "system", None)
-    if system_path is None:
-        raise ValueError("an NMR system file is required (--system)")
-    observe = _pick(args.observe, config, "observe", 1, int)
-    state_spec = _pick(args.state, config, "state", None)
-    if state_spec is None:
-        raise ValueError("a state spec is required (--state)")
-    t_max = _pick(args.t_max, config, "t_max", 2.0, float)
-    dt = _pick(args.dt, config, "dt", 0.001, float)
-    out_path = _pick(args.out, config, "out", None)
-    if out_path is None:
-        raise ValueError("an output file is required (--out)")
-
-    system = nmr_noise.NmrSystem.from_json_dict(_read_json(system_path))
-    state = _state_from_spec(state_spec, system.n_spins)
-    spectrum = nmr_noise.simulate_spectrum(state, system, observe, t_max, dt)
-    with open(out_path, "w", newline="") as fh:
+def cmd_spectrum(opts) -> int:
+    system = nmr_noise.NmrSystem.from_json_dict(_read_json(opts.system))
+    state = _state_from_spec(opts.state, system.n_spins)
+    spectrum = nmr_noise.simulate_spectrum(state, system, opts.observe, opts.t_max, opts.dt)
+    with open(opts.out, "w", newline="") as fh:
         fh.write("frequency_hz,real,imag,magnitude\n")
         for freq, amp in spectrum:
-            fh.write(
-                f"{freq:.17g},{amp.real:.17g},{amp.imag:.17g},{abs(amp):.17g}\n"
-            )
-    print(f"wrote {out_path}")
+            fh.write(f"{freq:.17g},{amp.real:.17g},{amp.imag:.17g},{abs(amp):.17g}\n")
+    print(f"wrote {opts.out}")
     return 0
 
 
-def cmd_export_code(args, config: dict) -> int:
-    out_path = _pick(args.out, config, "out", None)
-    if out_path is None:
-        raise ValueError("an output file is required (--out)")
-    code = build_code()
-    with open(out_path, "w") as fh:
-        json.dump(code_to_json_dict(code), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {out_path}")
+def cmd_export_code(opts) -> int:
+    _write_json(opts.out, code_to_json_dict(build_code()))
+    print(f"wrote {opts.out}")
     return 0
+
+
+class Command(NamedTuple):
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    options: dict[str, Option]
+
+
+_COMMANDS = {
+    "verify": Command(cmd_verify, "check code validity and distance", {
+        "json": Option(bool, False, "machine-readable report"),
+        "code": Option(str, None, "verify a code exported to JSON instead of rebuilding"),
+    }),
+    "sweep": Command(cmd_sweep, "run an experiment setting and write CSV/JSON", {
+        "setting": Option(str, _REQUIRED, choices=("A", "B", "C")),
+        "grid": Option(int, 13, "number of theta points (default {})"),
+        "theta_max": Option(float, float(np.pi), "sweep upper limit in radians (default pi)"),
+        "noise": Option(str, None, "noise model JSON file"),
+        "out": Option(str, _REQUIRED, "output directory"),
+    }),
+    "spectrum": Command(cmd_spectrum, "simulate an NMR spectrum of a prepared state", {
+        "system": Option(str, _REQUIRED, "NMR system JSON file"),
+        "observe": Option(int, 1, "spin to observe (1-based)"),
+        "state": Option(str, _REQUIRED, "product string over 0/1/+/- or qecc:LABEL:LOC"),
+        "t_max": Option(float, 2.0, "acquisition time in seconds (default {})"),
+        "dt": Option(float, 0.001, "sample spacing in seconds (default {})"),
+        "out": Option(str, _REQUIRED, "output CSV file"),
+    }),
+    "export-code": Command(cmd_export_code, "write the code spec to JSON", {
+        "out": Option(str, _REQUIRED, "output JSON file"),
+    }),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -253,45 +251,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON file with default option values")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="check code validity and distance")
-    p_verify.add_argument("--json", action="store_true", default=None, help="machine-readable report")
-    p_verify.add_argument("--code", help="verify a code exported to JSON instead of rebuilding")
-
-    p_sweep = sub.add_parser("sweep", help="run an experiment setting and write CSV/JSON")
-    p_sweep.add_argument("--setting", choices=("A", "B", "C"))
-    p_sweep.add_argument("--grid", type=int, help="number of theta points (default 13)")
-    p_sweep.add_argument("--theta-max", dest="theta_max", type=float, help="sweep upper limit in radians (default pi)")
-    p_sweep.add_argument("--noise", help="noise model JSON file")
-    p_sweep.add_argument("--out", help="output directory")
-
-    p_spec = sub.add_parser("spectrum", help="simulate an NMR spectrum of a prepared state")
-    p_spec.add_argument("--system", help="NMR system JSON file")
-    p_spec.add_argument("--observe", type=int, help="spin to observe (1-based)")
-    p_spec.add_argument("--state", help="product string over 0/1/+/- or qecc:LABEL:LOC")
-    p_spec.add_argument("--t-max", dest="t_max", type=float, help="acquisition time in seconds (default 2.0)")
-    p_spec.add_argument("--dt", type=float, help="sample spacing in seconds (default 0.001)")
-    p_spec.add_argument("--out", help="output CSV file")
-
-    p_export = sub.add_parser("export-code", help="write the code spec to JSON")
-    p_export.add_argument("--out", help="output JSON file")
+    for command, spec in _COMMANDS.items():
+        p = sub.add_parser(command, help=spec.help)
+        for name, opt in spec.options.items():
+            help_text = opt.help and opt.help.format(opt.default)
+            kind = {"action": "store_true"} if opt.kind is bool else {"type": opt.kind, "choices": opt.choices}
+            p.add_argument(_flag(name), dest=name, default=None, help=help_text, **kind)
     return parser
 
 
-_COMMANDS = {
-    "verify": cmd_verify,
-    "sweep": cmd_sweep,
-    "spectrum": cmd_spectrum,
-    "export-code": cmd_export_code,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
     try:
-        config = _load_config(args.config, set(vars(args)) - {"config", "command"})
-        return _COMMANDS[args.command](args, config)
+        config = _read_json(args.config) if args.config is not None else {}
+        return command.run(_resolve(command.options, args, config))
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -42,6 +42,8 @@ class PureState:
             raise ValueError(
                 f"expected {2**self.n_qubits} amplitudes, got shape {amps.shape}"
             )
+        if not np.isfinite(amps).all():
+            raise ValueError("state has non-finite amplitudes")
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
@@ -69,6 +71,8 @@ class MixedState:
         dim = 2**self.n_qubits
         if mat.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got shape {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise ValueError("density matrix has non-finite entries")
         object.__setattr__(self, "matrix", mat)
 
     def populations(self) -> np.ndarray:

@@ -199,13 +199,20 @@ def test_config_rejects_keys_the_command_does_not_take(tmp_path, capsys, doc):
         ("spectrum", {"system": "sys.json", "state": "00", "dt": [0.1]}),
         ("spectrum", {"system": "sys.json", "state": "00", "observe": 1.0}),
         ("verify", {"json": "yes"}),
+        ("verify", {"code": 5}),
+        ("sweep", {"setting": "B", "out": 7}),
+        ("spectrum", {"system": ["sys.json"], "state": "00"}),
+        ("spectrum", {"system": "sys.json", "state": 0}),
+        ("spectrum", {"system": "sys.json", "state": "00", "t_max": "2.0"}),
+        ("spectrum", {"system": "sys.json", "state": "00", "out": False}),
+        ("export-code", {"out": ["code.json"]}),
     ],
 )
 def test_config_rejects_values_of_the_wrong_type(tmp_path, capsys, command, doc):
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "out"
     if command != "verify":
-        doc = dict(doc, out=str(out))
+        doc = {"out": str(out), **doc}
     cfg.write_text(json.dumps(doc))
     assert main(["--config", str(cfg), command]) == 1
     err = capsys.readouterr().err
@@ -254,6 +261,61 @@ def test_error_paths_return_nonzero(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"setting": "Q", "out": str(tmp_path / "q")}))
     assert main(["--config", str(cfg), "sweep"]) == 1
+
+
+# The value each required option gets when it is not the one left out;
+# paths are relative to the test's tmp_path.
+REQUIRED_OPTIONS = {
+    "sweep": {"setting": "B", "out": "out"},
+    "spectrum": {"system": "sys5.json", "state": "00000", "out": "spec.csv"},
+    "export-code": {"out": "code.json"},
+}
+
+
+@pytest.mark.parametrize(
+    "command, missing", [(command, name) for command, options in REQUIRED_OPTIONS.items() for name in options]
+)
+def test_a_missing_required_option_exits_with_an_error_naming_its_flag(tmp_path, capsys, command, missing):
+    (tmp_path / "sys5.json").write_text(json.dumps(NmrSystem.placeholder_five_spin().to_json_dict()))
+    argv = [command]
+    for name, value in REQUIRED_OPTIONS[command].items():
+        if name != missing:
+            argv += [f"--{name}", str(tmp_path / value) if name in ("system", "out") else value]
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --{missing} is required") and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_an_unknown_setting_stops_in_argparse_as_a_flag_and_exits_1_from_a_config(tmp_path, capsys):
+    out = tmp_path / "q"
+    with pytest.raises(SystemExit) as stop:
+        main(["sweep", "--setting", "Q", "--out", str(out)])
+    assert stop.value.code == 2
+    capsys.readouterr()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"setting": "Q", "out": str(out)}))
+    assert main(["--config", str(cfg), "sweep"]) == 1
+    assert capsys.readouterr().err == "error: setting must be A, B, or C\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "noise_doc, message",
+    [
+        pytest.param(dict(NoiseModel.default().to_json_dict(), t2=[0.85, 1.1]), "noise model covers 2 qubits, state has 5", id="two-qubit-t2"),
+        pytest.param(None, "No such file or directory", id="missing-file"),
+    ],
+)
+def test_a_failed_sweep_creates_no_output_directory(tmp_path, capsys, noise_doc, message):
+    noise_path = tmp_path / "noise.json"
+    if noise_doc is not None:
+        noise_path.write_text(json.dumps(noise_doc))
+    out = tmp_path / "out"
+    assert main(["sweep", "--setting", "B", "--noise", str(noise_path), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

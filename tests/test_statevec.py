@@ -9,6 +9,7 @@ from cws552.error_model import ErrorSpec
 from cws552.nmr_noise import NmrSystem, NoiseModel, apply_amplitude_damping, apply_dephasing, simulate_spectrum
 from cws552.statevec import (
     GateOp,
+    MixedState,
     PureState,
     X,
     Y,
@@ -244,6 +245,13 @@ class TestValidation:
             GateOp((1, 2), np.diag([1, 1, 1, np.inf]).astype(complex))
         with pytest.raises(ValueError, match="non-finite"):
             GateOp((1,), np.full((2, 2), np.nan))
+        # States are checked when built too, so no gate turns one into NaNs.
+        with pytest.raises(ValueError, match="non-finite"):
+            PureState(1, [np.nan, 0])
+        with pytest.raises(ValueError, match="non-finite"):
+            PureState(2, [0, 0, np.inf, 0])
+        with pytest.raises(ValueError, match="non-finite"):
+            MixedState(1, np.diag([1.0, np.inf]))
 
     def test_rejects_out_of_range_qubit(self):
         with pytest.raises(ValueError, match="out of range"):
