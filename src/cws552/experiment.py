@@ -193,11 +193,11 @@ def run_setting_a(code: CodeSpec, noise: NoiseModel | None = None) -> list[Setti
         readouts[2 * j + l, j, :, l, j, :, l] = np.eye(8)
         readouts[4, j, :, l, j, :, l] = np.outer(v.conj(), v)
     weights = _heisenberg_weights(code, readouts.reshape(5, 32, 32), noise)
-    (rho,) = _encoded_densities(code, [2], noise)
+    rhos = _encoded_densities(code, [2], noise)
     pairs = _pair_rows(np.array([pauli_expand(ErrorSpec.pauli(1, label)).coefficients() for label in SETTING_A_PAULIS]))
     rows = []
     for location in range(1, code.n + 1):
-        values = (pairs @ _transfer_map(weights[location - 1], rho, location).T).real
+        values = (pairs @ _transfer_map(weights[location - 1], rhos, location).T).real
         pops, fidelities = values[:, :4], values[:, 4]  # column 2 j + l holds branch jl
         for label, b, pop, fid in zip(
             SETTING_A_PAULIS, pops.argmax(axis=1).tolist(), pops.max(axis=1).tolist(), fidelities.tolist()
@@ -304,46 +304,54 @@ def _fit_arrays(*arrays: Sequence[float]) -> list[np.ndarray]:
     return out
 
 
-# The fit kernels take float arrays that are already checked (one-dimensional,
-# equally long, finite): the public fit_* functions check their inputs first,
-# and the sweep checks its per-location means once.
+# The fit kernels fit each row of checked float arrays over the last axis:
+# fit_* pass one checked row, the sweep its (location, point) means, checked
+# once.  Each reduction runs along a contiguous row, which rounds as alone.
 
 
-def _scale_fit(ys: np.ndarray, t: np.ndarray) -> tuple[float, float]:
-    if ys.size < 2:
-        raise ValueError("need at least two points")
-    ss = float(t @ t)
-    if ss < 1e-30:
-        raise ValueError("theory curve is identically zero on the grid")
-    scale = float(ys @ t) / ss
-    resid = ys - scale * t
-    sigma2 = float(resid @ resid) / (ys.size - 1)
-    return scale, float(np.sqrt(sigma2 / ss))
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, one BLAS ddot per row as a 1-D a @ b
+    runs; a gemv (a @ b), np.sum(a * b, -1) or einsum would round differently."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _constant_fit(vals: np.ndarray) -> tuple[float, float]:
-    if vals.size < 1:
-        raise ValueError("need at least one value")
-    mean = float(np.mean(vals))
-    if vals.size == 1:
-        return mean, 0.0
-    return mean, float(np.std(vals, ddof=1) / np.sqrt(vals.size))
-
-
-def _line_fit(xs: np.ndarray, ys: np.ndarray) -> "LineFit":
-    n = xs.size
+def _scale_fit(ys: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    n = ys.shape[-1]
     if n < 2:
         raise ValueError("need at least two points")
-    sxx = float(np.sum((xs - xs.mean()) ** 2))
-    if sxx < 1e-30:
+    ss = _dot(t, t)
+    if np.any(ss < 1e-30):
+        raise ValueError("theory curve is identically zero on the grid")
+    scale = _dot(ys, t) / ss
+    resid = ys - scale[..., None] * t
+    return scale, np.sqrt(_dot(resid, resid) / (n - 1) / ss)
+
+
+def _constant_fit(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    n = vals.shape[-1]
+    if n < 1:
+        raise ValueError("need at least one value")
+    mean = np.mean(vals, axis=-1)
+    if n == 1:
+        return mean, np.zeros_like(mean)
+    return mean, np.std(vals, axis=-1, ddof=1) / np.sqrt(n)
+
+
+def _line_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Slope, intercept and their standard errors, in LineFit's order."""
+    n = xs.shape[-1]
+    if n < 2:
+        raise ValueError("need at least two points")
+    x_mean, y_mean = xs.mean(axis=-1), ys.mean(axis=-1)
+    dx = xs - x_mean[..., None]
+    sxx = np.sum(dx**2, axis=-1)
+    if np.any(sxx < 1e-30):
         raise ValueError("x values are degenerate")
-    slope = float(np.sum((xs - xs.mean()) * (ys - ys.mean())) / sxx)
-    intercept = float(ys.mean() - slope * xs.mean())
-    resid = ys - (slope * xs + intercept)
-    sigma2 = float(resid @ resid) / (n - 2) if n > 2 else 0.0
-    slope_stderr = float(np.sqrt(sigma2 / sxx))
-    intercept_stderr = float(np.sqrt(sigma2 * (1.0 / n + xs.mean() ** 2 / sxx)))
-    return LineFit(slope, intercept, slope_stderr, intercept_stderr)
+    slope = np.sum(dx * (ys - y_mean[..., None]), axis=-1) / sxx
+    intercept = y_mean - slope * x_mean
+    resid = ys - (slope[..., None] * xs + intercept[..., None])
+    sigma2 = _dot(resid, resid) / (n - 2) if n > 2 else np.zeros_like(slope)
+    return slope, intercept, np.sqrt(sigma2 / sxx), np.sqrt(sigma2 * (1.0 / n + x_mean**2 / sxx))
 
 
 def fit_scale(measured: Sequence[float], theory: Sequence[float]) -> tuple[float, float]:
@@ -352,17 +360,17 @@ def fit_scale(measured: Sequence[float], theory: Sequence[float]) -> tuple[float
     Minimizes sum (m_i - s * t_i)^2; the standard error comes from the
     residual variance with one fitted parameter.
     """
-    return _scale_fit(*_fit_arrays(measured, theory))
+    return tuple(map(float, _scale_fit(*_fit_arrays(measured, theory))))
 
 
 def fit_constant(values: Sequence[float]) -> tuple[float, float]:
     """Sample mean and its standard error."""
-    return _constant_fit(*_fit_arrays(values))
+    return tuple(map(float, _constant_fit(*_fit_arrays(values))))
 
 
 def fit_line(xs: Sequence[float], ys: Sequence[float]) -> "LineFit":
     """Ordinary least squares y = a x + b with standard errors."""
-    return _line_fit(*_fit_arrays(xs, ys))
+    return LineFit(*map(float, _line_fit(*_fit_arrays(xs, ys))))
 
 
 @dataclass(frozen=True)
@@ -410,7 +418,7 @@ def _heisenberg_weights(code: CodeSpec, readouts: np.ndarray, noise: NoiseModel 
     return carried if noise is None else segment_noise_adjoint(carried, noise, "error", out=carried)
 
 
-def _transfer_map(weights: np.ndarray, rho: np.ndarray, location: int) -> np.ndarray:
+def _transfer_map(weights: np.ndarray, rhos: np.ndarray, location: int) -> np.ndarray:
     """Per readout: 16 weights that turn an error's Pauli pairs into that coherence.
 
     Write the error on `location` as U = sum_a u_a sigma_a over the Paulis
@@ -421,18 +429,22 @@ def _transfer_map(weights: np.ndarray, rho: np.ndarray, location: int) -> np.nda
     of kron(U, conj U), the products u_a conj(u_b) keep full relative
     precision at small angles.
 
-    `weights` holds one input's readouts at `location` from
-    _heisenberg_weights, shape (L, 32, 32), and `rho` that input's encoded
-    density; the result T has shape (L, 16).
+    `rhos` holds the encoded densities of I inputs, shape (I, 32, 32), and
+    `weights` their readouts at `location` from _heisenberg_weights, each
+    input's L readouts consecutive: shape (I L, 32, 32).  The result T has
+    shape (I L, 16), one row per readout.
     """
-    n = rho.shape[-1].bit_length() - 1
-    # m[n, p, q, k, l]: readout n paired with rho, where the error qubit's
-    # ket/bra index is (p, q) on the weights side and (k, l) on rho's.
+    inputs, n = len(rhos), rhos.shape[-1].bit_length() - 1
+    if len(weights) % inputs:
+        raise ValueError(f"{len(weights)} readouts do not split evenly over {inputs} inputs")
+    # m[i, l, p, q, k, l']: readout l of input i paired with rho i, where the
+    # error qubit's ket/bra index is (p, q) on the weights side and (k, l')
+    # on rho's.  Each item of both stacked products is one input's product.
     hi, lo = 2 ** (location - 1), 2 ** (n - location)
-    w = weights.reshape(-1, hi, 2, lo, hi, 2, lo).transpose(0, 2, 5, 1, 3, 4, 6)
-    r = rho.reshape(hi, 2, lo, hi, 2, lo).transpose(1, 4, 0, 2, 3, 5)
-    m = w.reshape(4 * len(weights), -1) @ r.reshape(4, -1).T
-    return m.reshape(len(weights), 16) @ _pauli_pairs().T
+    w = weights.reshape(inputs, -1, hi, 2, lo, hi, 2, lo).transpose(0, 1, 3, 6, 2, 4, 5, 7)
+    r = rhos.reshape(inputs, hi, 2, lo, hi, 2, lo).transpose(0, 2, 5, 1, 3, 4, 6)
+    m = w.reshape(inputs, -1, hi * lo * hi * lo) @ r.reshape(inputs, 4, -1).swapaxes(1, 2)
+    return (m.reshape(inputs, -1, 16) @ _pauli_pairs().T).reshape(-1, 16)
 
 
 def _pair_rows(u: np.ndarray) -> np.ndarray:
@@ -460,18 +472,24 @@ def _coherence_readouts(code: CodeSpec, readouts: Sequence[tuple[int, str]]) -> 
     return stack
 
 
-def _sweep(code: CodeSpec, setting: str, grid: np.ndarray, noise: NoiseModel | None) -> SweepResult:
-    """Shared sweep loop over the setting's SWEEP_COMBOS, averaged per location.
+def _sweep(code: CodeSpec, setting: str, grid: np.ndarray | None, noise: NoiseModel | None) -> SweepResult:
+    """Shared sweep over the setting's SWEEP_COMBOS, averaged per location.
 
     One Heisenberg pass serves the whole sweep: the readouts of every
     (input, branch label) the setting reads go back through the final knobs
     and the decode noise once, each location's decoder and the error noise
     once, as one stack (_heisenberg_weights), and the encoded inputs get the
-    encode noise once, as another.  Pairing them gives each (location, input) its
-    transfer map (_transfer_map), and every grid point of a leg is a 16-term
-    dot product with it; run_point is the per-point oracle.  The fits run
-    the fit_* kernels on the per-location means, checked once.
+    encode noise once, as another.  Pairing them gives each location the
+    maps of all its inputs in one call (_transfer_map), one stacked product
+    per combo its observables at every location and point, and each fit
+    kernel runs once on the (location, point) means.  Each product is a
+    stack of items shaped as one leg's or location's, which round as alone.
+    run_point is the per-point oracle.
     """
+    # The sweep's own read-only copy of the grid, so later edits to the
+    # caller's array reach neither SweepResult.grid nor its records.
+    grid = default_grid() if grid is None else _reals("grid", grid)
+    grid.flags.writeable = False
     combos = SWEEP_COMBOS[setting]
     # Branches each input is read in: the E branch plus its error types.
     branches = {}
@@ -483,56 +501,33 @@ def _sweep(code: CodeSpec, setting: str, grid: np.ndarray, noise: NoiseModel | N
     # the whole sweep, it cost 188 page faults per 41-point setting-C sweep.
     weights = _heisenberg_weights(code, _coherence_readouts(code, readouts), noise)
     encoded = _encoded_densities(code, list(branches), noise)
+    # Each input's readouts are consecutive rows, equally many per input.
+    maps = np.stack([_transfer_map(weights[q], encoded, q + 1) for q in range(code.n)])
     pairs = {t: _pair_rows(typed_expansions(t, grid)) for t in sorted({t for t, _ in combos})}
     obs = np.empty((code.n, len(combos), 5, len(grid)))
-    for location in range(1, code.n + 1):
-        # Each input's readouts are consecutive rows of the weight stack.
-        maps = np.concatenate([
-            _transfer_map(weights[location - 1, row[k, "E"] : row[k, "E"] + len(labels)], rho, location)
-            for (k, labels), rho in zip(branches.items(), encoded)
-        ])
-        for c, (error_type, input_k) in enumerate(combos):
-            z0 = pairs[error_type] @ maps[row[input_k, "E"]]
-            z1 = pairs[error_type] @ maps[row[input_k, error_type]]
-            obs[location - 1, c] = z0.real, z1.real, np.abs(z0), np.abs(z1), np.abs(z0 + z1)
+    for c, (error_type, input_k) in enumerate(combos):
+        # (n, 16) @ (16, 1) per location and branch: one gemv each.
+        z = pairs[error_type] @ maps[:, [row[input_k, "E"], row[input_k, error_type]], :, None]
+        z0, z1 = z[:, 0, :, 0], z[:, 1, :, 0]
+        obs[:, c] = np.stack([z0.real, z1.real, np.abs(z0), np.abs(z1), np.abs(z0 + z1)], axis=1)
     # The records view reads obs when it is first read, so obs must not change.
     obs.flags.writeable = False
-    # The combo mean is a fresh array, so each location's row below is
-    # contiguous; a strided row would change the dot products' rounding.
     means = obs.mean(axis=1)
     i0, i1, ii = means[:, 2], means[:, 3], means[:, 4]
     if np.any(i0 + i1 <= _NO_SIGNAL):
         raise ValueError("zero signal: cannot estimate an angle")
-    # The one check on the fit inputs: the grid is checked by _sweep_grid,
-    # every row below is one-dimensional, and the angles are finite when
-    # the means are.
+    # The one check on the fit inputs: the grid is checked above, and the
+    # angles are finite when the means are.
     if not np.all(np.isfinite(means)):
         raise ValueError("fit inputs must be finite")
-    angles = _angles(i0, i1)
     cos2, sin2 = np.cos(grid / 2.0) ** 2, np.sin(grid / 2.0) ** 2
-    fits = {}
-    for location, (m0, m1, m, theta) in enumerate(zip(i0, i1, ii, angles), start=1):
-        line = _line_fit(grid, theta)
-        fits[location] = LocationFit(
-            *_scale_fit(m0, cos2),
-            *_scale_fit(m1, sin2),
-            *_constant_fit(m),
-            line.slope,
-            line.slope_stderr,
-            line.intercept,
-            line.intercept_stderr,
-        )
+    slope, intercept, slope_stderr, intercept_stderr = _line_fit(grid, _angles(i0, i1))
+    columns = (
+        *_scale_fit(i0, cos2), *_scale_fit(i1, sin2), *_constant_fit(ii),
+        slope, slope_stderr, intercept, intercept_stderr,
+    )
+    fits = {location: LocationFit(*values) for location, values in enumerate(np.stack(columns, 1).tolist(), start=1)}
     return SweepResult(setting, grid, obs, _PointRecords(setting, grid, obs), fits, noise)
-
-
-def _sweep_grid(grid: np.ndarray | None) -> np.ndarray:
-    """The sweep's own read-only copy of `grid`, so later edits to the caller's
-    array reach neither SweepResult.grid nor its records."""
-    grid = default_grid() if grid is None else np.array(grid, dtype=float)
-    if grid.ndim != 1 or not np.all(np.isfinite(grid)):
-        raise ValueError("grid must be a one-dimensional array of finite angles")
-    grid.flags.writeable = False
-    return grid
 
 
 def run_setting_b(
@@ -541,7 +536,7 @@ def run_setting_b(
     noise: NoiseModel | None = None,
 ) -> SweepResult:
     """Sweep x/y/z-axis rotations on input k=2, averaging over the axis."""
-    return _sweep(code, "B", _sweep_grid(grid), noise)
+    return _sweep(code, "B", grid, noise)
 
 
 def run_setting_c(
@@ -550,7 +545,7 @@ def run_setting_c(
     noise: NoiseModel | None = None,
 ) -> SweepResult:
     """Sweep y-axis rotations over all three inputs, averaging over the input."""
-    return _sweep(code, "C", _sweep_grid(grid), noise)
+    return _sweep(code, "C", grid, noise)
 
 
 SWEEP_CSV_COLUMNS = (

@@ -114,6 +114,35 @@ def test_sweeps_reject_non_finite_grid(code):
             run(code, grid=[0.0, 1.0, np.inf])
 
 
+@pytest.mark.parametrize("run", [run_setting_b, run_setting_c], ids=["B", "C"])
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        pytest.param(["0.5", "1.0", "2.0"], "grid must be real numbers, got '0.5'", id="string"),
+        pytest.param([True, False, True], "grid must be real numbers, got True", id="bool"),
+        pytest.param([0.5, 1j, 2.0], "grid must be real numbers, got 1j", id="complex"),
+        pytest.param(np.array([0.0, 1.0, 2.0]) + 0j, "grid must be real numbers, got 0j", id="complex-array"),
+    ],
+)
+def test_sweeps_take_only_real_numbers_as_the_grid(code, run, grid, message):
+    with pytest.raises(ValueError) as info:
+        run(code, grid=grid)
+    assert str(info.value) == message
+
+
+def test_a_float_grid_is_still_checked_for_shape_and_finiteness_and_copied(code):
+    """A floating-point array skips the per-entry type walk but no other check."""
+    with pytest.raises(ValueError, match=r"^grid must be a 1-dimensional array of real numbers, got shape \(2, 2\)$"):
+        run_setting_b(code, grid=np.ones((2, 2)))
+    with pytest.raises(ValueError, match="^grid must be finite$"):
+        run_setting_c(code, grid=np.array([0.0, 1.0, np.inf], dtype=np.float32))
+    grid = np.linspace(0.0, 1.0, 3, dtype=np.float32)
+    result = run_setting_b(code, grid=grid)
+    grid[0] = 5.0
+    assert result.grid.dtype == np.float64 and result.grid.tolist() == np.float32([0.0, 0.5, 1.0]).tolist()
+    assert not result.grid.flags.writeable
+
+
 def test_sweep_rejects_noise_model_of_wrong_size(code):
     model = NoiseModel(t2=(1.0,) * 3, schedule=tuple((s, 0.1) for s in ("encode", "error", "decode")))
     with pytest.raises(ValueError, match="covers 3 qubits"):

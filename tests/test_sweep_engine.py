@@ -1,5 +1,7 @@
 """The transfer-map sweep engine against the per-point oracle run_point, and
-its one-pass Heisenberg engine against the per-(location, input) engine."""
+its one-pass Heisenberg engine against the per-(location, input) engine.
+The batched transfer map and fit kernels are held bit for bit to one call
+per input and per row."""
 import dataclasses
 
 import numpy as np
@@ -17,6 +19,7 @@ from cws552.experiment import (
     fit_line,
     fit_scale,
     run_point,
+    run_setting_a,
     run_setting_b,
     run_setting_c,
 )
@@ -134,13 +137,19 @@ def per_leg_transfer_map(code, rho, profile, location, noise, labels):
     weights = dec.T @ weights @ dec.conj()
     if noise is not None:
         weights = segment_noise_adjoint(weights, noise, "error")
-    hi, lo = 2 ** (location - 1), 2 ** (code.n - location)
+    return dict(zip(labels, one_input_transfer_map(weights, rho, location)))
+
+
+def one_input_transfer_map(weights, rho, location):
+    """The transfer map of one input's readouts `weights` (L, 32, 32) paired
+    with its density rho, as two plain matrix products."""
+    hi, lo = 2 ** (location - 1), 2 ** (CODE.n - location)
     w = weights.reshape(-1, hi, 2, lo, hi, 2, lo).transpose(0, 2, 5, 1, 3, 4, 6)
     r = rho.reshape(hi, 2, lo, hi, 2, lo).transpose(1, 4, 0, 2, 3, 5)
-    m = w.reshape(4 * len(labels), -1) @ r.reshape(4, -1).T
+    m = w.reshape(4 * len(weights), -1) @ r.reshape(4, -1).T
     paulis = [PAULI_BY_LABEL[label] for label in BRANCH_LABELS]
     pauli_pairs = np.array([np.kron(a, b.conj()).ravel() for a in paulis for b in paulis])
-    return dict(zip(labels, m.reshape(len(labels), 16) @ pauli_pairs.T))
+    return m.reshape(len(weights), 16) @ pauli_pairs.T
 
 
 def per_leg_sweep(code, setting, grid, noise):
@@ -236,3 +245,79 @@ def test_one_heisenberg_pass_per_sweep(setting, monkeypatch):
     run = run_setting_b if setting == "B" else run_setting_c
     run(CODE, grid=np.linspace(0.0, np.pi, 5), noise=BENCH_T1)
     assert calls == {"segment_noise_adjoint": 2, "apply_segment_noise": 1, "_damp_in_place": 15}
+
+
+def transfer_map_calls(setting, noise, monkeypatch):
+    """The (weights, rhos, location) of every _transfer_map call one run of
+    the setting makes, in call order."""
+    calls = []
+    inner = experiment._transfer_map
+
+    def recorded(weights, rhos, location):
+        calls.append((weights.copy(), rhos.copy(), location))
+        return inner(weights, rhos, location)
+
+    monkeypatch.setattr(experiment, "_transfer_map", recorded)
+    if setting == "A":
+        run_setting_a(CODE, noise)
+    else:
+        (run_setting_b if setting == "B" else run_setting_c)(CODE, grid=np.linspace(0.0, np.pi, 5), noise=noise)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("noise", list(ENGINE_MODELS.values()), ids=list(ENGINE_MODELS))
+@pytest.mark.parametrize("setting", ["A", "B", "C"])
+def test_the_batched_transfer_map_equals_one_map_per_input(setting, noise, monkeypatch):
+    """All of a location's inputs in one call give, bit for bit, the maps of
+    one call per input: each input's products keep their own shapes."""
+    calls = transfer_map_calls(setting, noise, monkeypatch)
+    assert [location for _, _, location in calls] == list(range(1, CODE.n + 1))
+    for weights, rhos, location in calls:
+        per_input = len(weights) // len(rhos)
+        want = np.concatenate([
+            one_input_transfer_map(weights[i * per_input : (i + 1) * per_input], rho, location)
+            for i, rho in enumerate(rhos)
+        ])
+        got = experiment._transfer_map(weights, rhos, location)
+        assert got.shape == want.shape == (len(weights), 16)
+        assert got.tobytes() == want.tobytes(), location
+
+
+def test_the_transfer_map_rejects_readouts_that_do_not_split_over_the_inputs():
+    weights, rhos = np.zeros((5, 32, 32), dtype=complex), np.zeros((2, 32, 32), dtype=complex)
+    with pytest.raises(ValueError, match="^5 readouts do not split evenly over 2 inputs$"):
+        experiment._transfer_map(weights, rhos, 1)
+
+
+@pytest.mark.parametrize("setting", ["B", "C"])
+def test_one_transfer_map_call_per_location(setting, monkeypatch):
+    """A sweep pairs each location's readouts with all its inputs at once:
+    five calls, whether it reads one input (B) or three (C)."""
+    assert len(transfer_map_calls(setting, BENCH_T1, monkeypatch)) == CODE.n
+
+
+@pytest.mark.parametrize("n", [2, 3, 41, 1001])
+def test_the_fit_kernels_round_each_row_like_a_one_dimensional_fit(n):
+    """The sweep fits all five locations in one kernel call.  Each row must
+    equal the public fit on that row alone, and each row's dot product must
+    be the BLAS ddot of a 1-D `row @ t`, which a gemv, np.sum or einsum over
+    the stack would not round like."""
+    rng = np.random.default_rng(n)
+    ys = rng.normal(size=(5, n))
+    xs = np.linspace(0.0, np.pi, n)
+    t = np.sin(xs / 2.0) ** 2 + 0.1
+
+    def hexed(values):
+        return [float(v).hex() for v in values]
+
+    scale = np.transpose(experiment._scale_fit(ys, t))
+    line = np.transpose(experiment._line_fit(xs, ys))
+    constant = np.transpose(experiment._constant_fit(ys))
+    dots = experiment._dot(ys, t)
+    for k, row in enumerate(ys):
+        assert hexed(scale[k]) == hexed(fit_scale(row, t))
+        fit = fit_line(xs, row)
+        assert hexed(line[k]) == hexed((fit.slope, fit.intercept, fit.slope_stderr, fit.intercept_stderr))
+        assert hexed(constant[k]) == hexed(fit_constant(row))
+        assert float(dots[k]).hex() == float(row @ t).hex()
