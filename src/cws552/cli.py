@@ -11,6 +11,8 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -19,7 +21,6 @@ from . import code552, experiment, nmr_noise
 from .code552 import (
     build_code,
     code_from_json_dict,
-    code_to_json_dict,
     codeword_orthonormality_deviation,
     verify_distance,
     verify_erasure_correctability,
@@ -53,10 +54,77 @@ def _read_json(path: str):
         return json.load(fh)
 
 
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _float_text(x: float) -> str:
+    """json's spelling of a float: its repr, or NaN, Infinity or -Infinity."""
+    text = float.__repr__(x)
+    return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+
+
+def _array_pieces(arr: np.ndarray, level: int, out: list) -> None:
+    """A float64 array with no empty axis as nested lists whose opening
+    bracket sits at indent `level`.  The text before each number is fixed by
+    how many trailing axes start over there, so it comes from the shape."""
+    k = arr.ndim
+    ind = ["\n" + "  " * t for t in range(level + k + 1)]
+    # Before a number where exactly the last m axes start over: closes[m], a
+    # comma, the indent of axis k - 1 - m and opens[m].
+    opens = ["".join("[" + ind[level + t + 1] for t in range(k - m, k)) for m in range(k + 1)]
+    closes = ["".join(ind[level + t] + "]" for t in range(k - 1, k - 1 - m, -1)) for m in range(k + 1)]
+    texts, stride = [""] * arr.size, 1
+    for m in range(k):
+        texts[::stride] = [closes[m] + "," + ind[level + k - m] + opens[m]] * (arr.size // stride)
+        stride *= arr.shape[k - 1 - m]
+    texts[0] = opens[k]
+    numbers = map(float.__repr__ if np.isfinite(arr).all() else _float_text, arr.ravel().tolist())
+    out.extend(chain.from_iterable(zip(texts, numbers)))
+    out.append(closes[k])
+
+
+def _json_pieces(obj, level: int, out: list) -> None:
+    if isinstance(obj, np.ndarray) and obj.dtype == np.float64:
+        if obj.size and obj.ndim:
+            _array_pieces(obj, level, out)
+        else:
+            _json_pieces(obj.tolist(), level, out)
+    elif isinstance(obj, (list, tuple, dict)):
+        if isinstance(obj, dict):
+            if not all(isinstance(key, str) for key in obj):
+                raise TypeError("keys must be str")
+            items, brackets = [(encode_basestring_ascii(k) + ": ", v) for k, v in sorted(obj.items())], "{}"
+        else:
+            items, brackets = [("", v) for v in obj], "[]"
+        inner = "\n" + "  " * (level + 1)
+        for i, (head, value) in enumerate(items):
+            out.append(("," if i else brackets[0]) + inner + head)
+            _json_pieces(value, level + 1, out)
+        out.append(inner[:-2] + brackets[1] if items else brackets)
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None or isinstance(obj, bool):
+        out.append(_CONSTANTS[obj])
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_float_text(obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_text(doc) -> str:
+    """`doc` as json.dumps(doc, indent=2, sort_keys=True) spells it, byte for
+    byte, with each float64 array taken as its nested lists; keys must be str.
+    json indents in pure Python, number by number; this renders arrays whole."""
+    out: list[str] = []
+    _json_pieces(doc, 0, out)
+    return "".join(out)
+
+
 def _write_json(path: str, doc) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(doc) + "\n")
 
 
 def _resolve(options: dict[str, Option], args, config: dict) -> argparse.Namespace:
@@ -115,7 +183,7 @@ def cmd_verify(opts) -> int:
     report["passed"] = all(part["passed"] for part in report.values())
 
     if opts.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_json_text(report))
     else:
         def line(name, part, detail):
             print(f"{name}: {'PASS' if part['passed'] else 'FAIL'} ({detail})")
@@ -200,14 +268,14 @@ def cmd_spectrum(opts) -> int:
     spectrum = nmr_noise.simulate_spectrum(state, system, opts.observe, opts.t_max, opts.dt)
     with open(opts.out, "w", newline="") as fh:
         fh.write("frequency_hz,real,imag,magnitude\n")
-        for freq, amp in spectrum:
-            fh.write(f"{freq:.17g},{amp.real:.17g},{amp.imag:.17g},{abs(amp):.17g}\n")
+        row = "%.17g,%.17g,%.17g,%.17g\n"
+        fh.writelines(row % (freq, amp.real, amp.imag, abs(amp)) for freq, amp in spectrum)
     print(f"wrote {opts.out}")
     return 0
 
 
 def cmd_export_code(opts) -> int:
-    _write_json(opts.out, code_to_json_dict(build_code()))
+    _write_json(opts.out, code552._code_document(build_code()))
     print(f"wrote {opts.out}")
     return 0
 

@@ -321,9 +321,9 @@ def verify_distance(code: CodeSpec) -> DistanceResult:
     return DistanceResult(distance=code.n + 1, witness=None, witness_violation=0.0)
 
 
-def _complex_to_pairs(arr: np.ndarray) -> list:
-    stacked = np.stack([arr.real, arr.imag], axis=-1)
-    return stacked.tolist()
+def _complex_to_pairs(arr: np.ndarray) -> np.ndarray:
+    """`arr` as a float array whose last axis holds [re, im] pairs."""
+    return np.stack([arr.real, arr.imag], axis=-1)
 
 
 _REAL = (int, float, np.integer, np.floating)
@@ -380,15 +380,23 @@ def _complex_array(name: str, doc, shape: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def code_to_json_dict(code: CodeSpec) -> dict:
-    """JSON-ready dict: the layout, then complex entries as [re, im] and
-    matrices row-major, one codeword per row."""
+def _code_document(code: CodeSpec) -> dict:
+    """The code file: the layout, then complex entries as [re, im] pairs in
+    float arrays, matrices row-major, one codeword per row."""
     return {
         **deepcopy(CODE_LAYOUT),
         "codewords": _complex_to_pairs(code.codewords.T),
         "encoder": _complex_to_pairs(code.encoder),
         "decoders": {str(q + 1): _complex_to_pairs(d) for q, d in enumerate(code.decoders)},
     }
+
+
+def code_to_json_dict(code: CodeSpec) -> dict:
+    """JSON-ready dict: the code file with its arrays as nested lists."""
+    doc = _code_document(code)
+    doc.update(codewords=doc["codewords"].tolist(), encoder=doc["encoder"].tolist(),
+               decoders={q: d.tolist() for q, d in doc["decoders"].items()})
+    return doc
 
 
 def code_from_json_dict(doc: dict) -> CodeSpec:

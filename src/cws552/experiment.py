@@ -293,14 +293,13 @@ class SweepResult:
 
 
 def _fit_arrays(*arrays: Sequence[float]) -> list[np.ndarray]:
-    """The inputs of a fit as float arrays: one-dimensional, equally long and finite."""
-    out = [np.asarray(a, dtype=float) for a in arrays]
-    if any(a.ndim != 1 for a in out):
+    """The inputs of a fit as float arrays: one-dimensional, real numbers
+    (not bools or strings), finite and equally long."""
+    if any(np.asarray(a, dtype=object).ndim != 1 for a in arrays):
         raise ValueError("fit inputs must be one-dimensional")
+    out = [_reals("fit inputs", a) for a in arrays]
     if len({a.size for a in out}) > 1:
         raise ValueError(f"fit inputs differ in length: {[a.size for a in out]}")
-    if not all(np.all(np.isfinite(a)) for a in out):
-        raise ValueError("fit inputs must be finite")
     return out
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 import csv
+import hashlib
 import json
 
 import pytest
@@ -535,3 +536,27 @@ def test_verify_json_of_an_export_matches_the_built_code(tmp_path, capsys):
     built = capsys.readouterr().out
     assert main(["verify", "--json", "--code", str(path)]) == 0
     assert capsys.readouterr().out == built
+
+
+# sha256 of export-code's file.  The codewords, encoder and decoders are exact
+# index maps whose bytes are pinned on every platform (tests/test_code552.py),
+# so the file is too: this equals export_code/code.json in tests/golden/.
+CODE_JSON_SHA256 = "33d8bfd0c56076deff0ab1b275f7b6446648a01cb12d96d4a922b69ed85f5720"
+
+
+def test_export_code_writes_the_pinned_bytes_on_every_platform(tmp_path, capsys):
+    path = tmp_path / "code.json"
+    assert main(["export-code", "--out", str(path)]) == 0
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == CODE_JSON_SHA256
+    assert data.decode() == json.dumps(code_to_json_dict(build_code()), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("from_file", [False, True])
+def test_verify_json_is_spelled_as_json_dumps_spells_it(tmp_path, capsys, from_file):
+    path = tmp_path / "code.json"
+    assert main(["export-code", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--json", *(["--code", str(path)] if from_file else [])]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"

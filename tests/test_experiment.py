@@ -2,6 +2,7 @@
 import csv
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -406,6 +407,24 @@ def test_fits_reject_non_finite_inputs(fit, bad):
     if fit != "fit_constant":
         with pytest.raises(ValueError, match="finite"):
             FITS[fit]([0.0, bad, 2.0], [0.5, 0.6, 0.7])
+
+
+@pytest.mark.parametrize(
+    "call, bad",
+    [
+        (lambda: fit_constant(["0.5", "1.5"]), "'0.5'"),
+        (lambda: fit_scale([True, False, True], [1.0, 2.0, 3.0]), "True"),
+        (lambda: fit_line([0.0, 1.0, 2.0], [0.5, 0.6, False]), "False"),
+        (lambda: fit_constant([1j, 2.0]), "1j"),
+        (lambda: fit_constant([[1.0], [1.0, 2.0]]), "[1.0]"),
+    ],
+    ids=["string", "bool", "bool-ys", "complex", "ragged"],
+)
+def test_fits_take_only_real_numbers(call, bad):
+    """A string or bool is not coerced to a float, and a complex number or a
+    ragged list fails with the input check's message rather than numpy's."""
+    with pytest.raises(ValueError, match=re.escape(f"fit inputs must be real numbers, got {bad}")):
+        call()
 
 
 def test_default_grid():
