@@ -4,15 +4,7 @@ Encoding, single-qubit errors at a known location, decoding with syndrome
 readout, amplitude observables with scalar fits, and an NMR-style dephasing
 noise model with spectrum simulation.
 """
-from .statevec import (
-    GateOp,
-    MixedState,
-    PureState,
-    apply_gate,
-    apply_gate_mixed,
-    gate_matrix,
-    partial_trace,
-)
+from .statevec import GateOp, MixedState, PureState, apply_gate, partial_trace
 from .code552 import (
     CodeSpec,
     SYNDROME_MAP,
@@ -25,13 +17,7 @@ from .code552 import (
     verify_erasure_correctability,
 )
 from .error_model import ErrorSpec, PauliExpansion, error_unitary, pauli_expand
-from .nmr_noise import (
-    NmrSystem,
-    NoiseModel,
-    apply_dephasing,
-    run_noisy_qecc,
-    simulate_spectrum,
-)
+from .nmr_noise import NmrSystem, NoiseModel, simulate_spectrum
 from .experiment import (
     Observables,
     SweepResult,
@@ -58,9 +44,7 @@ __all__ = [
     "PureState",
     "SweepResult",
     "SYNDROME_MAP",
-    "apply_dephasing",
     "apply_gate",
-    "apply_gate_mixed",
     "build_code",
     "code_from_json_dict",
     "code_to_json_dict",
@@ -70,10 +54,8 @@ __all__ = [
     "fit_constant",
     "fit_line",
     "fit_scale",
-    "gate_matrix",
     "partial_trace",
     "pauli_expand",
-    "run_noisy_qecc",
     "run_point",
     "run_setting_a",
     "run_setting_b",

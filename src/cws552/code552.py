@@ -45,7 +45,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .statevec import PureState, _axes_for, pauli_apply
+from .statevec import PureState, _as_unitary, _axes_for, pauli_apply
 
 N_QUBITS = 5
 DIMENSION = 5
@@ -96,9 +96,10 @@ DISTANCE_ATOL = 1e-10
 @dataclass(frozen=True)
 class CodeSpec:
     """Concrete realization of the code: the codewords as the columns of one
-    2^n x K matrix, the encoder, and the decoder for each location.  The
-    layout is fixed by the module constants; n and register_qubits repeat
-    two of them on the class for callers that hold only a code."""
+    2^n x K matrix, the 2^n x 2^n encoder, and the decoder for each location,
+    all finite.  The layout is fixed by the module constants; n and
+    register_qubits repeat two of them on the class for callers that hold
+    only a code."""
 
     n: ClassVar[int] = N_QUBITS
     register_qubits: ClassVar[tuple[int, ...]] = REGISTER_QUBITS
@@ -107,9 +108,47 @@ class CodeSpec:
     encoder: np.ndarray
     decoders: tuple[np.ndarray, ...]
 
+    def __post_init__(self):
+        """The one check on a code's arrays; it keeps read-only complex copies."""
+        dim = 2**self.n
+        if len(self.decoders) != self.n:
+            raise ValueError(f"code needs {self.n} decoders, one per location, got {len(self.decoders)}")
+        object.__setattr__(self, "codewords", _frozen_matrix("codewords", self.codewords, dim))
+        object.__setattr__(self, "encoder", _frozen_matrix("encoder", self.encoder, dim, dim))
+        decoders = tuple(_frozen_matrix(f"decoder {q}", d, dim, dim) for q, d in enumerate(self.decoders, 1))
+        object.__setattr__(self, "decoders", decoders)
+
     def decoder(self, location: int) -> np.ndarray:
         (axis,) = _axes_for((location,), self.n, "location")
         return self.decoders[axis]
+
+    def check_unitary(self) -> None:
+        """Raise ValueError unless the encoder and every decoder are unitary.
+
+        Every simulation runs this; a code object runs the check once and
+        keeps the verdict, which holds because its arrays are read-only.
+        """
+        if "_unitary" in self.__dict__:
+            return
+        names = ["encoder", *(f"decoder {q}" for q in range(1, self.n + 1))]
+        for name, matrix in zip(names, (self.encoder, *self.decoders)):
+            try:
+                _as_unitary(matrix, 2**self.n)
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
+        self.__dict__["_unitary"] = True
+
+
+def _frozen_matrix(name: str, value, rows: int, cols: int | None = None) -> np.ndarray:
+    """`value` as a finite, read-only complex copy: a `rows` x `cols` matrix,
+    or any width when `cols` is None."""
+    arr = np.array(value, dtype=complex, order="C")
+    if arr.ndim != 2 or arr.shape[0] != rows or cols not in (None, arr.shape[1]):
+        raise ValueError(f"{name} must be a {rows} x {cols or 'K'} matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} has non-finite entries")
+    arr.flags.writeable = False
+    return arr
 
 
 def _input_index(b: int) -> int:
@@ -186,12 +225,6 @@ def _decoder_matrix(codewords: np.ndarray, location: int) -> np.ndarray:
     decoder = np.zeros((dim, dim), dtype=complex)
     decoder[target_indices] += sources.conj().T
     decoder[free_targets, np.flatnonzero(~sources.any(axis=1))] = 1.0
-
-    unitary_err = np.max(np.abs(decoder.conj().T @ decoder - np.eye(dim)))
-    if unitary_err > GRAM_ATOL:
-        raise RuntimeError(
-            f"decoder for location {location} is not unitary (deviation {unitary_err:.3e})"
-        )
     return decoder
 
 
@@ -413,7 +446,7 @@ def code_from_json_dict(doc: dict) -> CodeSpec:
     _check_keys(doc["decoders"], "decoders", locations)
     dim = 2**N_QUBITS
     return CodeSpec(
-        codewords=_complex_array("codewords", doc["codewords"], (DIMENSION, dim)).T.copy(),
+        codewords=_complex_array("codewords", doc["codewords"], (DIMENSION, dim)).T,
         encoder=_complex_array("encoder", doc["encoder"], (dim, dim)),
         decoders=tuple(_complex_array(f"decoder {q}", doc["decoders"][q], (dim, dim)) for q in locations),
     )

@@ -36,7 +36,7 @@ import numpy as np
 from .code552 import BRANCH_LABELS, SYNDROME_MAP, CodeSpec, _branch_target_index, _reals, decode, encode
 from .error_model import ErrorSpec, error_unitary, pauli_expand, typed_expansions
 from .nmr_noise import NoiseModel, _final_knobs, apply_segment_noise, run_noisy_qecc, segment_noise_adjoint
-from .statevec import PAULI_BY_LABEL, GateOp, MixedState, PureState, _as_unitary, _axes_for, apply_gate
+from .statevec import PAULI_BY_LABEL, GateOp, MixedState, PureState, _axes_for, apply_gate
 
 ERROR_TYPES = ("X", "Y", "Z")
 SETTING_A_PAULIS = ("E", "Z", "X", "Y")
@@ -102,9 +102,10 @@ def final_state(
     """Encode `register`, apply `error` at its location, decode: the 5-qubit output.
 
     Without noise the pipeline runs on the state vector; with noise it is
-    run_noisy_qecc.
+    run_noisy_qecc.  The code is checked first (CodeSpec.check_unitary).
     """
     _axes_for((error.location,), code.n, "location")
+    code.check_unitary()
     if noise is not None:
         return run_noisy_qecc(code, register, error, noise)
     psi = encode(code, register)
@@ -173,17 +174,11 @@ class SettingARow:
 def run_setting_a(code: CodeSpec, noise: NoiseModel | None = None) -> list[SettingARow]:
     """Apply each exact Pauli at each location to input k=2 and read syndromes.
 
-    Setting A runs on the sweep engine: its five readouts (the four branch
-    populations and the register fidelity) go back through the final knobs,
-    the decode noise, each decoder and the error noise in one Heisenberg
-    pass (_heisenberg_weights).  Each location's transfer map, paired with
-    the Pauli expansions of E, Z, X and Y, gives its four rows; final_state
-    is the per-row oracle.  Under noise a decoder that is not unitary is
-    rejected, as the density-matrix pipeline rejects it.
+    Setting A runs on the sweep engine (_transfer_maps) with five readouts:
+    the four branch populations and the register fidelity.  Each location's
+    transfer map, paired with the Pauli expansions of E, Z, X and Y, gives
+    its four rows; final_state is the per-row oracle.
     """
-    if noise is not None:
-        for location in range(1, code.n + 1):
-            _as_unitary(code.decoder(location), 2**code.n)
     # Readouts W, each read as sum(W * state), on axes (q1, q2 q3 q4, q5) of
     # ket and bra: the populations of syndrome branches 00, 01, 10, 11 on
     # qubits (1, 5), then the fidelity <v|register|v> with the input v.
@@ -192,12 +187,11 @@ def run_setting_a(code: CodeSpec, noise: NoiseModel | None = None) -> list[Setti
     for j, l in itertools.product((0, 1), repeat=2):
         readouts[2 * j + l, j, :, l, j, :, l] = np.eye(8)
         readouts[4, j, :, l, j, :, l] = np.outer(v.conj(), v)
-    weights = _heisenberg_weights(code, readouts.reshape(5, 32, 32), noise)
-    rhos = _encoded_densities(code, [2], noise)
+    maps = _transfer_maps(code, readouts.reshape(5, 32, 32), [2], noise)
     pairs = _pair_rows(np.array([pauli_expand(ErrorSpec.pauli(1, label)).coefficients() for label in SETTING_A_PAULIS]))
     rows = []
     for location in range(1, code.n + 1):
-        values = (pairs @ _transfer_map(weights[location - 1], rhos, location).T).real
+        values = (pairs @ maps[location - 1].T).real
         pops, fidelities = values[:, :4], values[:, 4]  # column 2 j + l holds branch jl
         for label, b, pop, fid in zip(
             SETTING_A_PAULIS, pops.argmax(axis=1).tolist(), pops.max(axis=1).tolist(), fidelities.tolist()
@@ -388,33 +382,35 @@ def _angles(i0, i1):
     return 2.0 * np.arctan2(np.sqrt(i1), np.sqrt(i0))
 
 
-def _encoded_densities(code: CodeSpec, input_ks: Sequence[int], noise: NoiseModel | None) -> np.ndarray:
-    """Stack (len(input_ks), 32, 32): each input's density matrix after encode
-    and the encode segment's noise."""
-    psis = [encode(code, INPUTS[k].register).amplitudes for k in input_ks]
-    rhos = np.stack([np.outer(psi, psi.conj()) for psi in psis])
-    return rhos if noise is None else apply_segment_noise(rhos, noise, "encode")
-
-
-def _heisenberg_weights(code: CodeSpec, readouts: np.ndarray, noise: NoiseModel | None) -> np.ndarray:
-    """Readout weights carried back to just after the error gate, per location.
+def _transfer_maps(code: CodeSpec, readouts: np.ndarray, input_ks: Sequence[int], noise: NoiseModel | None) -> np.ndarray:
+    """The engine of settings A, B and C: the transfer map of every readout
+    at every location, shape (n, R, 16), location 1 first.
 
     Each readout W in the stack `readouts` (R, 32, 32) reads one number off
-    the final state as sum(W * state).  The stack goes back through the
-    final knobs and the decode-segment noise once, through each location's
-    decoder, then through the error-segment noise once, each step by its
-    adjoint; the result has shape (n, R, 32, 32), location 1 first.
+    the final state as sum(W * state), each input's readouts consecutive.
+    Once the code is checked, the stack goes back through the final knobs
+    and the decode noise, each location's decoder and the error noise, each
+    step by its adjoint; the encoded inputs get the encode noise.  One
+    _transfer_map call per location pairs the two.
     """
+    code.check_unitary()
     if noise is not None:
         readouts = _final_knobs(readouts, noise.depolarizing, noise.coherence_scale, adjoint=True)
         readouts = segment_noise_adjoint(readouts, noise, "decode")
-    carried = np.empty((code.n,) + readouts.shape, dtype=complex)
+    weights = np.empty((code.n,) + readouts.shape, dtype=complex)
     for location in range(1, code.n + 1):
         dec = code.decoder(location)
-        carried[location - 1] = dec.T @ readouts @ dec.conj()
-    # In place: a second buffer of the stack's size (0.5 MB for setting C)
-    # and its release each sweep cost the allocator hundreds of page faults.
-    return carried if noise is None else segment_noise_adjoint(carried, noise, "error", out=carried)
+        weights[location - 1] = dec.T @ readouts @ dec.conj()
+    del readouts  # held to the end, it cost 188 page faults per 41-point C sweep
+    if noise is not None:
+        # In place: a second buffer of the stack's size (0.5 MB for setting C)
+        # and its release each sweep cost the allocator hundreds of page faults.
+        weights = segment_noise_adjoint(weights, noise, "error", out=weights)
+    psis = [encode(code, INPUTS[k].register).amplitudes for k in input_ks]
+    rhos = np.stack([np.outer(psi, psi.conj()) for psi in psis])
+    if noise is not None:
+        rhos = apply_segment_noise(rhos, noise, "encode")
+    return np.stack([_transfer_map(weights[q], rhos, q + 1) for q in range(code.n)])
 
 
 def _transfer_map(weights: np.ndarray, rhos: np.ndarray, location: int) -> np.ndarray:
@@ -429,7 +425,7 @@ def _transfer_map(weights: np.ndarray, rhos: np.ndarray, location: int) -> np.nd
     precision at small angles.
 
     `rhos` holds the encoded densities of I inputs, shape (I, 32, 32), and
-    `weights` their readouts at `location` from _heisenberg_weights, each
+    `weights` their readouts at `location` from _transfer_maps, each
     input's L readouts consecutive: shape (I L, 32, 32).  The result T has
     shape (I L, 16), one row per readout.
     """
@@ -474,16 +470,12 @@ def _coherence_readouts(code: CodeSpec, readouts: Sequence[tuple[int, str]]) -> 
 def _sweep(code: CodeSpec, setting: str, grid: np.ndarray | None, noise: NoiseModel | None) -> SweepResult:
     """Shared sweep over the setting's SWEEP_COMBOS, averaged per location.
 
-    One Heisenberg pass serves the whole sweep: the readouts of every
-    (input, branch label) the setting reads go back through the final knobs
-    and the decode noise once, each location's decoder and the error noise
-    once, as one stack (_heisenberg_weights), and the encoded inputs get the
-    encode noise once, as another.  Pairing them gives each location the
-    maps of all its inputs in one call (_transfer_map), one stacked product
-    per combo its observables at every location and point, and each fit
-    kernel runs once on the (location, point) means.  Each product is a
-    stack of items shaped as one leg's or location's, which round as alone.
-    run_point is the per-point oracle.
+    One engine call (_transfer_maps) gives each location the maps of every
+    (input, branch label) the setting reads, one stacked product per combo
+    its observables at every location and point, and each fit kernel runs
+    once on the (location, point) means.  Each product is a stack of items
+    shaped as one leg's or location's, which round as alone.  run_point is
+    the per-point oracle.
     """
     # The sweep's own read-only copy of the grid, so later edits to the
     # caller's array reach neither SweepResult.grid nor its records.
@@ -496,12 +488,8 @@ def _sweep(code: CodeSpec, setting: str, grid: np.ndarray | None, noise: NoiseMo
         branches.setdefault(input_k, ["E"]).append(error_type)
     readouts = [(k, label) for k, labels in branches.items() for label in labels]
     row = {readout: r for r, readout in enumerate(readouts)}
-    # A temporary, freed (CPython 3.11+) once past the decode noise: held for
-    # the whole sweep, it cost 188 page faults per 41-point setting-C sweep.
-    weights = _heisenberg_weights(code, _coherence_readouts(code, readouts), noise)
-    encoded = _encoded_densities(code, list(branches), noise)
-    # Each input's readouts are consecutive rows, equally many per input.
-    maps = np.stack([_transfer_map(weights[q], encoded, q + 1) for q in range(code.n)])
+    # Passed as a temporary, so that (CPython 3.11+) the engine frees it.
+    maps = _transfer_maps(code, _coherence_readouts(code, readouts), list(branches), noise)
     pairs = {t: _pair_rows(typed_expansions(t, grid)) for t in sorted({t for t, _ in combos})}
     obs = np.empty((code.n, len(combos), 5, len(grid)))
     for c, (error_type, input_k) in enumerate(combos):

@@ -529,6 +529,47 @@ def test_json_tampering_is_caught_by_verification(code):
     assert codeword_orthonormality_deviation(loaded) > 1e-12
 
 
+def _nan_decoder(code):
+    decoder = code.decoder(3).copy()
+    decoder[0, 0] = np.nan
+    return decoder
+
+
+@pytest.mark.parametrize(
+    ("fields", "message"),
+    [
+        (lambda c: {"decoders": c.decoders[:4]}, "code needs 5 decoders, one per location, got 4"),
+        (lambda c: {"decoders": c.decoders + c.decoders[:1]}, "code needs 5 decoders, one per location, got 6"),
+        (lambda c: {"encoder": c.encoder[:16, :16]}, r"encoder must be a 32 x 32 matrix, got shape \(16, 16\)"),
+        (lambda c: {"encoder": c.encoder[:, 0]}, r"encoder must be a 32 x 32 matrix, got shape \(32,\)"),
+        (lambda c: {"decoders": (*c.decoders[:2], c.decoders[2][:, :16], *c.decoders[3:])},
+         r"decoder 3 must be a 32 x 32 matrix, got shape \(32, 16\)"),
+        (lambda c: {"decoders": (*c.decoders[:2], _nan_decoder(c), *c.decoders[3:])}, "decoder 3 has non-finite entries"),
+        (lambda c: {"encoder": np.full((32, 32), np.inf)}, "encoder has non-finite entries"),
+        (lambda c: {"codewords": c.codewords[:16]}, r"codewords must be a 32 x K matrix, got shape \(16, 5\)"),
+        (lambda c: {"codewords": c.codewords[:, 0]}, r"codewords must be a 32 x K matrix, got shape \(32,\)"),
+    ],
+    ids=["four-decoders", "six-decoders", "encoder-16x16", "encoder-vector", "decoder-32x16", "decoder-nan",
+         "encoder-inf", "codewords-16-rows", "codewords-vector"],
+)
+def test_a_code_with_bad_arrays_fails_when_it_is_built(code, fields, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        replace(code, **fields(code))
+
+
+def test_a_code_keeps_read_only_copies_of_its_arrays(code):
+    encoder = code.encoder.copy()
+    copy = replace(code, encoder=encoder)
+    encoder[0, 0] = 7.0
+    assert copy.encoder[0, 0] == code.encoder[0, 0]
+    for array in (code.codewords, code.encoder, *code.decoders):
+        assert array.dtype == complex and array.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        code.encoder[:] *= 2.0
+
+
 @pytest.mark.parametrize("pair", [lambda p: p[:1], lambda p: p + [0.5], lambda p: 0.5])
 def test_json_rejects_entries_that_are_not_re_im_pairs(code, pair):
     """One element or three is a malformed entry, not a part of one to read."""

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from test_sweep_engine import noise_models
 
-from cws552 import experiment
+from cws552 import code552, experiment
 from cws552.code552 import REGISTER_QUBITS, SYNDROME_MAP, build_code
 from cws552.error_model import ErrorSpec
 from cws552.experiment import (
@@ -226,6 +226,52 @@ def test_setting_a_under_noise_rejects_a_decoder_that_is_not_unitary(code):
     bad = dataclasses.replace(code, decoders=tuple(decoders))
     with pytest.raises(ValueError, match="not unitary"):
         run_setting_a(bad, NoiseModel.default())
+
+
+def doubled(code, part):
+    """`code` with its encoder or its location-3 decoder doubled: finite, the
+    right shape, and not unitary."""
+    if part == "encoder":
+        return dataclasses.replace(code, encoder=2.0 * code.encoder)
+    return dataclasses.replace(code, decoders=tuple(2.0 * d if q == 3 else d for q, d in enumerate(code.decoders, 1)))
+
+
+SIMULATIONS = {
+    "A": lambda code, noise: run_setting_a(code, noise),
+    "B": lambda code, noise: run_setting_b(code, noise=noise),
+    "C": lambda code, noise: run_setting_c(code, noise=noise),
+    "run_point": lambda code, noise: run_point(code, 2, ErrorSpec.typed(3, "Y", 0.7), noise),
+}
+
+
+@pytest.mark.parametrize("noise", [None, NoiseModel.default()], ids=["noiseless", "noisy"])
+@pytest.mark.parametrize("part", ["encoder", "decoder 3"])
+@pytest.mark.parametrize("simulation", list(SIMULATIONS))
+def test_every_simulation_rejects_a_code_that_is_not_unitary(code, simulation, part, noise):
+    bad = doubled(code, part)
+    for _ in range(2):  # a failed check is not kept
+        with pytest.raises(ValueError, match=rf"^{part}: matrix is not unitary \(deviation 3\.000e\+00\)$"):
+            SIMULATIONS[simulation](bad, noise)
+
+
+def test_a_code_is_checked_once_and_a_replaced_copy_afresh(monkeypatch):
+    """The unitarity check (six _as_unitary calls: encoder and five decoders)
+    runs on a code's first simulation only, whichever entry it goes through."""
+    calls = []
+    inner = code552._as_unitary
+    monkeypatch.setattr(code552, "_as_unitary", lambda matrix, dim: calls.append(dim) or inner(matrix, dim))
+    fresh = build_code()
+    run_setting_b(fresh, grid=np.linspace(0.0, np.pi, 5), noise=NoiseModel.default())
+    assert calls == [32] * 6
+    run_setting_b(fresh, grid=np.linspace(0.0, np.pi, 5), noise=NoiseModel.default())
+    run_setting_c(fresh, grid=np.linspace(0.0, np.pi, 5))
+    run_setting_a(fresh, NoiseModel.default())
+    run_point(fresh, 2, ErrorSpec.pauli(3, "X"))
+    assert len(calls) == 6
+    copy = dataclasses.replace(fresh)
+    run_point(copy, 2, ErrorSpec.pauli(3, "X"), NoiseModel.default())
+    run_setting_a(copy)
+    assert len(calls) == 12
 
 
 @pytest.mark.parametrize("noise", [None, NoiseModel.default()], ids=["noiseless", "noisy"])

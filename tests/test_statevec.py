@@ -148,8 +148,8 @@ class TestKernelConsistency:
             assert np.array_equal(pauli_apply(batch, labels), op @ batch), word
 
     def test_apply_matrix_equals_moveaxis_application(self):
-        """The cached transposes do what np.moveaxis to the front and back
-        does, bit for bit, signed zeros included."""
+        """_apply_matrix does what np.moveaxis to the front and back does,
+        bit for bit, signed zeros included."""
 
         def via_moveaxis(vec, mat, axes, n):
             cols = vec.shape[1] if vec.ndim == 2 else 1

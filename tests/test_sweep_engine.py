@@ -3,6 +3,7 @@ its one-pass Heisenberg engine against the per-(location, input) engine.
 The batched transfer map and fit kernels are held bit for bit to one call
 per input and per row."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -101,6 +102,42 @@ def test_small_angles_keep_relative_precision():
             assert abs(rec.obs.i1 - expected) <= 1e-12 * expected, rec
         for fit in result.fits.values():
             assert abs(fit.slope - 1.0) < 1e-12 and abs(fit.intercept) < 1e-12
+
+
+unit_axes = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 0.1).map(
+    lambda v: tuple(c / math.hypot(*v) for c in v)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    t2=st.tuples(*[st.floats(0.2, 5.0)] * 5),
+    durations=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+    location=st.integers(1, 5),
+    axis=unit_axes,
+)
+def test_pure_dephasing_at_theta_zero_matches_the_closed_form(t2, durations, location, axis):
+    """Dephasing masks are diagonal, so at theta = 0 input k=2's coherence
+    decays as products of exp(-t/T2_q) over the qubits where its codeword
+    strings differ: phi_2 and phi_3 cross on {2, 3} or on {1, 4, 5} through
+    encode and error, and the decode segment sees the register spin, qubit 4.
+
+        I0 = exp(-t_dec/T2_4) (P_{2,3}(t_enc + t_err) + P_{1,4,5}(t_enc + t_err)) / 2
+
+    with P_S(t) the product of exp(-t/T2_q) over q in S, worked out with
+    math.exp alone.  No T1, and both final knobs at their no-op values.
+    """
+    t_enc, t_err, t_dec = durations
+    noise = NoiseModel(t2=t2, schedule=(("encode", t_enc), ("error", t_err), ("decode", t_dec)))
+
+    def decay(qubits, t):
+        return math.prod(math.exp(-t / t2[q - 1]) for q in qubits)
+
+    t = t_enc + t_err
+    want = math.exp(-t_dec / t2[3]) * 0.5 * (decay((2, 3), t) + decay((1, 4, 5), t))
+    assert abs(run_point(CODE, 2, ErrorSpec(location, 0.0, 0.0, axis), noise).i0 - want) <= 1e-14
+    obs = run_setting_b(CODE, grid=np.array([0.0, 1.0]), noise=noise).obs
+    assert np.all(np.abs(obs[:, :, 2, 0] - want) <= 1e-14)
 
 
 # ---------------------------------------------------------------------------
