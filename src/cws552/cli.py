@@ -262,14 +262,23 @@ def _state_from_spec(spec: str, n_spins: int) -> MixedState:
     return PureState(n_spins, amps).density()
 
 
+# Rows formatted per write: a spectrum at the sample cap is not built as
+# one string.
+_SPECTRUM_BLOCK_ROWS = 4096
+
+
 def cmd_spectrum(opts) -> int:
     system = nmr_noise.NmrSystem.from_json_dict(_read_json(opts.system))
     state = _state_from_spec(opts.state, system.n_spins)
-    spectrum = nmr_noise.simulate_spectrum(state, system, opts.observe, opts.t_max, opts.dt)
+    freqs, amps = nmr_noise._spectrum_arrays(state, system, opts.observe, opts.t_max, opts.dt)
+    # np.hypot, like abs() on a Python complex, calls libm's hypot; np.abs
+    # on complex128 differs from both in the last bit on about a third of rows.
+    rows = np.column_stack((freqs, amps.real, amps.imag, np.hypot(amps.real, amps.imag)))
     with open(opts.out, "w", newline="") as fh:
         fh.write("frequency_hz,real,imag,magnitude\n")
-        row = "%.17g,%.17g,%.17g,%.17g\n"
-        fh.writelines(row % (freq, amp.real, amp.imag, abs(amp)) for freq, amp in spectrum)
+        for start in range(0, len(rows), _SPECTRUM_BLOCK_ROWS):
+            block = rows[start : start + _SPECTRUM_BLOCK_ROWS]
+            fh.write(("%.17g,%.17g,%.17g,%.17g\n" * len(block)) % tuple(block.ravel().tolist()))
     print(f"wrote {opts.out}")
     return 0
 

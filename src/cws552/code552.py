@@ -41,11 +41,11 @@ import json
 from copy import deepcopy
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import ClassVar
+from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .statevec import PureState, _as_unitary, _axes_for, pauli_apply
+from .statevec import PureState, _as_unitary, _axes_for, _spin_signs, pauli_apply
 
 N_QUBITS = 5
 DIMENSION = 5
@@ -93,13 +93,14 @@ ERASURE_ATOL = 1e-12
 DISTANCE_ATOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodeSpec:
     """Concrete realization of the code: the codewords as the columns of one
     2^n x K matrix, the 2^n x 2^n encoder, and the decoder for each location,
     all finite.  The layout is fixed by the module constants; n and
     register_qubits repeat two of them on the class for callers that hold
-    only a code."""
+    only a code.  A code equals only itself and hashes by identity, so it
+    can key a dict."""
 
     n: ClassVar[int] = N_QUBITS
     register_qubits: ClassVar[tuple[int, ...]] = REGISTER_QUBITS
@@ -186,13 +187,10 @@ def _encoder_deviation(code: CodeSpec) -> float:
 
 def _decoder_deviation(code: CodeSpec) -> float:
     """max |decoded branch image - its target basis state| over all locations."""
-    worst = 0.0
-    for location in range(1, code.n + 1):
-        images, targets = _branch_images(code.codewords, location)
-        decoded = code.decoder(location) @ images
-        decoded[targets, range(len(targets))] -= 1.0
-        worst = max(worst, float(np.max(np.abs(decoded))))
-    return worst
+    sources, targets = _branch_sources(code.codewords)
+    decoded = np.stack(code.decoders) @ sources
+    decoded[:, targets, range(len(targets))] -= 1.0
+    return float(np.max(np.abs(decoded)))
 
 
 def _codespace_form(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -200,16 +198,30 @@ def _codespace_form(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ib,ic->bc", a.conj(), b)
 
 
-def _branch_images(codewords: np.ndarray, location: int) -> tuple[np.ndarray, list[int]]:
-    """Columns P phi_b for P on `location` in BRANCH_LABELS order, codeword
-    index fastest, and the basis index each one decodes to."""
-    images = [pauli_apply(codewords, {location: label}) for label in BRANCH_LABELS]
-    targets = [_branch_target_index(label, b) for label in BRANCH_LABELS for b in range(codewords.shape[1])]
-    return np.concatenate(images, axis=1), targets
+def _pauli_table(codewords: np.ndarray, labels: Sequence[str]) -> np.ndarray:
+    """Every single-qubit Pauli image P_q phi_b as one (n, L, 2^n, K) array:
+    entry [q - 1, l] is pauli_apply(codewords, {q: labels[l]}), bit for bit,
+    from the same index XOR and phase."""
+    dim = len(codewords)
+    n = dim.bit_length() - 1
+    flips = (1 << (n - 1 - np.arange(n)))[:, None] * np.array([label in "XY" for label in labels])
+    signs = np.where(np.array([label in "ZY" for label in labels])[:, None], _spin_signs(n)[:, None, :], 1.0)
+    phase = np.where(np.array([label == "Y" for label in labels])[:, None], -1j * signs, signs)
+    return phase[..., None] * codewords[np.arange(dim) ^ flips[..., None]]
 
 
-def _decoder_matrix(codewords: np.ndarray, location: int) -> np.ndarray:
-    sources, target_indices = _branch_images(codewords, location)
+def _branch_sources(codewords: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The columns P_q phi_b at every location q, as an (n, 2^n, 4K) array
+    with P in BRANCH_LABELS order and codeword index fastest, and the basis
+    index each column decodes to."""
+    table = _pauli_table(codewords, BRANCH_LABELS)
+    n, n_labels, dim, k = table.shape
+    targets = [_branch_target_index(label, b) for label in BRANCH_LABELS for b in range(k)]
+    return table.transpose(0, 2, 1, 3).reshape(n, dim, n_labels * k), targets
+
+
+def _decoder_matrix(sources: np.ndarray, target_indices: list[int], location: int) -> np.ndarray:
+    """The decoder at `location` from its branch images `sources` (2^n x 4K)."""
     n_sources = sources.shape[1]
     gram_err = np.max(np.abs(_codespace_form(sources, sources) - np.eye(n_sources)))
     if gram_err > GRAM_ATOL:
@@ -233,10 +245,11 @@ def build_code() -> CodeSpec:
     matrix = np.zeros((2**N_QUBITS, DIMENSION), dtype=complex)
     for b, pair in enumerate(CODEWORD_PAIRS):
         matrix[[int(bits, 2) for bits in pair], b] = 1.0 / np.sqrt(2.0)
+    sources, targets = _branch_sources(matrix)
     code = CodeSpec(
         codewords=matrix,
         encoder=_encoder_matrix(),
-        decoders=tuple(_decoder_matrix(matrix, q) for q in range(1, N_QUBITS + 1)),
+        decoders=tuple(_decoder_matrix(s, targets, q) for q, s in enumerate(sources, 1)),
     )
     # The encoder must reproduce the codewords exactly.
     if _encoder_deviation(code) > 1e-12:
@@ -299,16 +312,12 @@ def verify_erasure_correctability(code: CodeSpec) -> ErasureReport:
     be independent of the codeword index on the diagonal; the surviving
     constants form the 4x4 C matrix reported per location.
     """
-    codewords = code.codewords
+    table = _pauli_table(code.codewords, KL_LABELS)
+    # forms[q, p, r] is the K x K form <phi_b| P^dag Q |phi_c> at location q + 1.
+    scalars, deviations = _scalar_on_codespace(np.einsum("qpib,qric->qprbc", table.conj(), table))
     checks = []
-    for q in range(1, code.n + 1):
-        images = [pauli_apply(codewords, {q: label}) for label in KL_LABELS]
-        c_matrix = np.zeros((4, 4), dtype=complex)
-        worst = 0.0
-        for i, p_images in enumerate(images):
-            for j, q_images in enumerate(images):
-                c_matrix[i, j], violation = _scalar_on_codespace(_codespace_form(p_images, q_images))
-                worst = max(worst, violation)
+    for q, (c_matrix, deviation) in enumerate(zip(scalars, deviations), 1):
+        worst = float(np.max(deviation))
         checks.append(LocationCheck(q, worst <= ERASURE_ATOL, c_matrix, worst))
     return ErasureReport(KL_LABELS, tuple(checks))
 
@@ -327,10 +336,12 @@ class DistanceResult:
     witness_violation: float
 
 
-def _scalar_on_codespace(form: np.ndarray) -> tuple[complex, float]:
-    """(c, deviation of the K x K form from c * identity), c its mean diagonal."""
-    scalar = np.mean(np.diag(form))
-    return scalar, float(np.max(np.abs(form - scalar * np.eye(len(form)))))
+def _scalar_on_codespace(forms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c, deviation of the form from c * identity) for each K x K form on the
+    last two axes, c its mean diagonal."""
+    scalars = np.mean(np.diagonal(forms, axis1=-2, axis2=-1), axis=-1)
+    eye = np.eye(forms.shape[-1])
+    return scalars, np.max(np.abs(forms - scalars[..., None, None] * eye), axis=(-2, -1))
 
 
 def verify_distance(code: CodeSpec) -> DistanceResult:
@@ -344,7 +355,7 @@ def verify_distance(code: CodeSpec) -> DistanceResult:
         for support in combinations(range(1, code.n + 1), weight):
             for labels in product("XYZ", repeat=weight):
                 image = pauli_apply(codewords, dict(zip(support, labels)))
-                _, violation = _scalar_on_codespace(_codespace_form(codewords, image))
+                violation = float(_scalar_on_codespace(_codespace_form(codewords, image))[1])
                 if violation > DISTANCE_ATOL:
                     return DistanceResult(
                         distance=weight,

@@ -398,6 +398,15 @@ def simulate_spectrum(
     order.  Amplitudes are normalized by the number of samples, so an
     undamped unit coherence would give a unit peak.
     """
+    freqs, amps = _spectrum_arrays(state, system, observe, t_max, dt)
+    return list(zip(freqs.tolist(), amps.tolist()))
+
+
+def _spectrum_arrays(
+    state: MixedState, system: NmrSystem, observe: int, t_max: float, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """simulate_spectrum's pairs as two arrays: the frequencies in ascending
+    order and their complex amplitudes."""
     n = system.n_spins
     if state.n_qubits != n:
         raise ValueError(f"state has {state.n_qubits} qubits, system has {n} spins")
@@ -434,4 +443,4 @@ def simulate_spectrum(
     spectrum = np.fft.fft(signal) / n_samples
     freqs = np.fft.fftfreq(n_samples, dt)
     order = np.argsort(freqs)
-    return [(float(freqs[i]), complex(spectrum[i])) for i in order]
+    return freqs[order], spectrum[order]

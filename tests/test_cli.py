@@ -3,12 +3,15 @@ import csv
 import hashlib
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cws552.cli import main
+from cws552.cli import _SPECTRUM_BLOCK_ROWS, _state_from_spec, main
 from cws552.code552 import build_code, code_to_json_dict
 from cws552.experiment import GRID_SIZE_CAP
-from cws552.nmr_noise import NmrSystem, NoiseModel
+from cws552.nmr_noise import NmrSystem, NoiseModel, simulate_spectrum
 
 
 def test_verify_passes(capsys):
@@ -560,3 +563,71 @@ def test_verify_json_is_spelled_as_json_dumps_spells_it(tmp_path, capsys, from_f
     assert main(["verify", "--json", *(["--code", str(path)] if from_file else [])]) == 0
     out = capsys.readouterr().out
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def tuple_path_csv(system, spec, observe, t_max, dt):
+    """The spectrum file as the CLI wrote it from simulate_spectrum's pairs,
+    one row at a time, with abs() on each Python complex."""
+    row = "%.17g,%.17g,%.17g,%.17g\n"
+    pairs = simulate_spectrum(_state_from_spec(spec, system.n_spins), system, observe, t_max, dt)
+    return "frequency_hz,real,imag,magnitude\n" + "".join(row % (f, a.real, a.imag, abs(a)) for f, a in pairs)
+
+
+@pytest.fixture(scope="module")
+def five_spin_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("spectrum") / "sys5.json"
+    path.write_text(json.dumps(NmrSystem.placeholder_five_spin().to_json_dict()))
+    return path
+
+
+def assert_spectrum_matches_tuple_path(path, spec, observe, t_max, dt):
+    out = path.parent / "spectrum.csv"
+    # --state=... takes a product state that starts with "-" as a value, not a flag.
+    argv = ["spectrum", "--system", str(path), f"--state={spec}", "--observe", str(observe),
+            "--t-max", repr(t_max), "--dt", repr(dt), "--out", str(out)]
+    assert main(argv) == 0
+    system = NmrSystem.placeholder_five_spin()
+    with open(out, newline="") as fh:
+        got = fh.read()
+    want = tuple_path_csv(system, spec, observe, t_max, dt)
+    if got != want:  # name the first differing row: pytest's diff of two long texts is slow
+        row, pair = next((i, p) for i, p in enumerate(zip(got.split("\n"), want.split("\n"))) if p[0] != p[1])
+        pytest.fail(f"row {row} differs: {pair}")
+
+
+# The placeholder system's largest shift is 200 Hz, so dt must stay below 2.5 ms.
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=st.one_of(
+        st.text("01+-", min_size=5, max_size=5),
+        st.builds("qecc:{}:{}".format, st.sampled_from("EXYZ"), st.integers(1, 5)),
+    ),
+    observe=st.integers(1, 5),
+    dt=st.floats(1e-4, 2.4e-3),
+    samples=st.integers(2, 3000),
+)
+def test_spectrum_file_equals_the_tuple_path_byte_for_byte(five_spin_file, spec, observe, dt, samples):
+    assert_spectrum_matches_tuple_path(five_spin_file, spec, observe, samples * dt, dt)
+
+
+@pytest.mark.parametrize("spec", ["qecc:Y:2", "+0-1+"])
+def test_a_spectrum_longer_than_one_write_block_equals_the_tuple_path(five_spin_file, spec):
+    t_max, dt = (2 * _SPECTRUM_BLOCK_ROWS + 3) * 1e-3, 1e-3
+    assert_spectrum_matches_tuple_path(five_spin_file, spec, 2, t_max, dt)
+    with open(five_spin_file.parent / "spectrum.csv") as fh:
+        assert len(fh.readlines()) == 1 + 2 * _SPECTRUM_BLOCK_ROWS + 3
+
+
+# Finite parts whose modulus is finite too: abs() of a complex raises
+# OverflowError where np.hypot returns inf.
+complex_parts = st.floats(-1e307, 1e307)
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=st.lists(st.tuples(complex_parts, complex_parts), min_size=1, max_size=40))
+def test_hypot_of_the_parts_equals_abs_of_a_python_complex(parts):
+    """The spectrum's magnitude column relies on this.  np.abs on complex128
+    is known to differ from abs(complex) in the last bit on about a third of
+    values; np.hypot and CPython's complex abs both call libm's hypot."""
+    re, im = np.array(parts).T
+    assert np.hypot(re, im).tolist() == [abs(complex(r, i)) for r, i in parts]

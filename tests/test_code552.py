@@ -1,16 +1,19 @@
 """Tests for the code construction, encode/decode, and the brute-force verifiers."""
 import hashlib
 import json
+import math
 from dataclasses import replace
 from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cws552 import code552
 from cws552.code552 import (
+    BRANCH_LABELS,
     CODEWORD_PAIRS,
     KL_LABELS,
     LOGICAL_STRINGS,
@@ -24,9 +27,14 @@ from cws552.code552 import (
     encode,
     verify_distance,
     verify_erasure_correctability,
+    _branch_sources,
+    _branch_target_index,
+    _decoder_deviation,
+    _decoder_matrix,
+    _pauli_table,
 )
 from cws552.error_model import ErrorSpec, error_unitary, pauli_expand
-from cws552.statevec import GateOp, PureState, apply_gate, fidelity_with_pure, gate_matrix, partial_trace
+from cws552.statevec import GateOp, PureState, apply_gate, fidelity_with_pure, gate_matrix, partial_trace, pauli_apply
 
 PAULI_2x2 = {
     "E": np.eye(2, dtype=complex),
@@ -336,6 +344,15 @@ def test_erasure_correctability_detects_corrupted_codewords(code):
     assert not report.passed
 
 
+def test_erasure_check_fails_a_code_whose_forms_overflow(code):
+    """Codewords of size 1e200 make every form inf and its deviation NaN,
+    which must fail the check, not drop out of the maximum."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        report = verify_erasure_correctability(replace(code, codewords=code.codewords * 1e200))
+    assert not report.passed
+    assert all(not loc.passed and math.isnan(loc.max_violation) for loc in report.locations)
+
+
 def exact_pair_form(p, q, location):
     """<phi_b| P^dag Q |phi_c> for P, Q on `location`, straight from the codeword pairs.
 
@@ -584,3 +601,131 @@ def test_decoder_location_out_of_range(code):
         code.decoder(6)
     with pytest.raises(ValueError, match="location"):
         code.decoder(0)
+
+
+def test_a_code_is_equal_only_to_itself_and_keys_a_dict(code, monkeypatch):
+    other = build_code()
+    assert code == code and not code != code
+    assert code != other and not code == other
+    assert {code: "first", other: "second"}[code] == "first"
+    copy = replace(code)
+    assert copy != code and copy not in {code: "first"}
+    code.check_unitary()
+    calls = []
+    inner = code552._as_unitary
+    monkeypatch.setattr(code552, "_as_unitary", lambda matrix, dim: calls.append(dim) or inner(matrix, dim))
+    code.check_unitary()
+    assert calls == []
+    copy.check_unitary()
+    assert calls == [32] * 6
+
+
+# The per-location loops that build_code and the verifiers ran before they
+# took every single-qubit Pauli image from one table, kept as oracles: one
+# pauli_apply per image, one einsum per (P, Q) pair, one product per decoder.
+def loop_branch_images(codewords, location):
+    images = [pauli_apply(codewords, {location: label}) for label in BRANCH_LABELS]
+    targets = [_branch_target_index(label, b) for label in BRANCH_LABELS for b in range(codewords.shape[1])]
+    return np.concatenate(images, axis=1), targets
+
+
+def loop_index_decoder(codewords, location):
+    sources, targets = loop_branch_images(codewords, location)
+    free_targets = sorted(set(range(32)) - set(targets))
+    decoder = np.zeros((32, 32), dtype=complex)
+    decoder[targets] += sources.conj().T
+    decoder[free_targets, np.flatnonzero(~sources.any(axis=1))] = 1.0
+    return decoder
+
+
+def loop_decoder_deviation(spec):
+    worst = 0.0
+    for location in range(1, 6):
+        images, targets = loop_branch_images(spec.codewords, location)
+        decoded = spec.decoder(location) @ images
+        decoded[targets, range(len(targets))] -= 1.0
+        worst = max(worst, float(np.max(np.abs(decoded))))
+    return worst
+
+
+def loop_erasure(codewords):
+    """(C matrix, worst violation) per location, one K x K form at a time."""
+    checks = []
+    for q in range(1, 6):
+        images = [pauli_apply(codewords, {q: label}) for label in KL_LABELS]
+        c_matrix = np.zeros((4, 4), dtype=complex)
+        worst = 0.0
+        for i, p_images in enumerate(images):
+            for j, q_images in enumerate(images):
+                form = np.einsum("ib,ic->bc", p_images.conj(), q_images)
+                c_matrix[i, j] = scalar = np.mean(np.diag(form))
+                worst = max(worst, float(np.max(np.abs(form - scalar * np.eye(len(form))))))
+        checks.append((c_matrix, worst))
+    return checks
+
+
+# Signed zeros, subnormals and exponents from 2^-1080 to 2^320: products and
+# their sums of 32 stay finite, so no form overflows.
+spread_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310]),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1080, 320)),
+)
+
+
+@st.composite
+def codeword_batches(draw):
+    """Complex 32 x K codeword matrices, K from 1 to 6."""
+    k = draw(st.integers(1, 6))
+    return _join(draw(arrays(np.float64, (32, k, 2), elements=spread_floats)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(codewords=codeword_batches(), labels=st.permutations("EXYZ"))
+def test_pauli_table_equals_pauli_apply_bit_for_bit(codewords, labels):
+    table = _pauli_table(codewords, labels)
+    assert table.shape == (5, 4, 32, codewords.shape[1])
+    for q in range(1, 6):
+        for l, label in enumerate(labels):
+            assert table[q - 1, l].tobytes() == pauli_apply(codewords, {q: label}).tobytes(), (q, label)
+
+
+@settings(max_examples=40, deadline=None)
+@given(codewords=codeword_batches())
+@example(codewords=build_code().codewords)
+def test_erasure_check_equals_the_per_pair_loop_bit_for_bit(code, codewords):
+    report = verify_erasure_correctability(replace(code, codewords=codewords))
+    for loc, (c_matrix, worst) in zip(report.locations, loop_erasure(codewords), strict=True):
+        assert loc.c_matrix.tobytes() == c_matrix.tobytes()
+        assert type(loc.max_violation) is float and loc.max_violation.hex() == worst.hex()
+        assert loc.passed is (worst <= 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    codewords=codeword_batches(),
+    location=st.integers(1, 5),
+    scale=st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-60, 4)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_decoder_deviation_equals_the_per_location_loop_bit_for_bit(code, codewords, location, scale, seed):
+    perturbation = scale * np.random.default_rng(seed).normal(size=(32, 32, 2)) @ [1.0, 1j]
+    decoders = list(code.decoders)
+    decoders[location - 1] = decoders[location - 1] + perturbation
+    for spec in (replace(code, codewords=codewords), replace(code, decoders=tuple(decoders))):
+        assert _decoder_deviation(spec) == loop_decoder_deviation(spec)
+    assert _decoder_deviation(code) == loop_decoder_deviation(code)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    columns=st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True),
+    angles=st.lists(st.floats(-np.pi, np.pi), min_size=5, max_size=5),
+)
+def test_decoders_equal_the_per_location_loop_bit_for_bit(code, columns, angles):
+    """On the code and on codes from a subset of its codewords, reordered and
+    rephased, whose branch images stay orthonormal."""
+    codewords = code.codewords[:, columns] * np.exp(1j * np.array(angles[: len(columns)]))
+    sources, targets = _branch_sources(codewords)
+    for q in range(1, 6):
+        assert _decoder_matrix(sources[q - 1], targets, q).tobytes() == loop_index_decoder(codewords, q).tobytes()
+        assert code.decoder(q).tobytes() == loop_index_decoder(code.codewords, q).tobytes()
