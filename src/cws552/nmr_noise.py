@@ -12,7 +12,9 @@ circuit segment of duration t is the channel
 which scales every coherence of qubit q by exp(-t/T2_q) and fixes all
 populations.  One kernel applies a segment's noise to a density matrix or a
 stack of them: the dephasing of all qubits is one elementwise mask per
-(model, segment), optional T1 amplitude damping a slice update per qubit.
+(model, segment), and optional T1 amplitude damping is, per qubit, one
+contiguous multiply by a factor matrix cached beside the mask plus one
+strided transfer between the qubit's (0,0) and (1,1) blocks.
 The optional depolarizing and coherence-scaling knobs act once on the final
 state.  The segment kernel and the knobs each have an adjoint that carries
 readout weights backward (the Heisenberg picture); the sweep engine behind
@@ -214,16 +216,18 @@ class NoiseModel:
         return 1.0 - float(np.exp(-self.duration(segment) / self.t1[axis]))
 
     @cached_property
-    def _segment_channels(self) -> dict[str, tuple[np.ndarray, tuple[float, ...]]]:
-        """Per segment: the folded dephasing mask and the per-qubit T1 gammas
-        (empty when amplitude damping is off).  Built on first use."""
+    def _segment_channels(self) -> dict[str, tuple[np.ndarray, tuple[tuple[int, float, np.ndarray], ...]]]:
+        """Per segment: the folded dephasing mask and, with amplitude damping
+        on, (qubit, gamma, _damping_factor) for each qubit whose T1 gamma is
+        not zero.  Built on first use, so each model builds them once."""
         qubits = range(1, len(self.t2) + 1)
         channels = {}
         for seg in SEGMENTS:
             mask = _dephasing_mask([self.lam(q, seg) for q in qubits])
             mask.flags.writeable = False
-            gammas = tuple(self.gamma_t1(q, seg) for q in qubits) if self.amplitude_damping else ()
-            channels[seg] = (mask, gammas)
+            gammas = [self.gamma_t1(q, seg) for q in qubits] if self.amplitude_damping else []
+            damping = tuple((q, g, _damping_factor(len(self.t2), q, g)) for q, g in enumerate(gammas, start=1) if g)
+            channels[seg] = (mask, damping)
         return channels
 
     def to_json_dict(self) -> dict:
@@ -257,30 +261,40 @@ def _dephasing_mask(lams) -> np.ndarray:
     return mask
 
 
-def _damp_in_place(rhos: np.ndarray, qubit: int, gamma: float, adjoint: bool = False) -> None:
+def _damping_factor(n: int, qubit: int, gamma: float) -> np.ndarray:
+    """One qubit's read-only complex 2^n x 2^n damping factor: sqrt(1-gamma) on
+    its (0,1) and (1,0) ket/bra blocks, 1-gamma on its (1,1) block, 1 elsewhere."""
+    factor = np.ones((2 ** (qubit - 1), 2, 2 ** (n - qubit)) * 2, dtype=complex)
+    factor[:, 0, :, :, 1, :] = factor[:, 1, :, :, 0, :] = np.sqrt(1.0 - gamma)
+    factor[:, 1, :, :, 1, :] = 1.0 - gamma
+    factor.shape = (2**n, 2**n)
+    factor.flags.writeable = False
+    return factor
+
+
+def _damp_in_place(rhos: np.ndarray, qubit: int, gamma: float, factor: np.ndarray, adjoint: bool = False) -> None:
     """Amplitude damping of one qubit on a C-contiguous stack (..., 2^n, 2^n).
 
     With K0 = diag(1, sqrt(1-gamma)) and K1 = sqrt(gamma)|0><1| on the qubit,
-    K0 rho K0^dag + K1 rho K1^dag moves the qubit's (1,1) ket/bra block into
-    its (0,0) block and rescales the other blocks.  The adjoint acts on
-    readout weights W, defined by sum(W * damp(rho)) = sum(adjoint(W) * rho).
+    K0 rho K0^dag + K1 rho K1^dag adds gamma times the qubit's (1,1) ket/bra
+    block to its (0,0) block, then rescales by `factor` (_damping_factor) in
+    one contiguous multiply.  The adjoint, on readout weights W with sum(W *
+    damp(rho)) = sum(adjoint(W) * rho), rescales first, then adds gamma times
+    the (0,0) block to the (1,1) block.  Each entry rounds as in a per-block
+    update, except that a -0.0 part of an entry scaled by 1 may become +0.0.
     """
-    n = rhos.shape[-1].bit_length() - 1
     t = rhos.view()
-    t.shape = rhos.shape[:-2] + (2 ** (qubit - 1), 2, 2 ** (n - qubit)) * 2
-    keep = np.sqrt(1.0 - gamma)
-    t[..., :, 0, :, :, 1, :] *= keep
-    t[..., :, 1, :, :, 0, :] *= keep
+    t.shape = rhos.shape[:-2] + (2 ** (qubit - 1), 2, 2 ** (rhos.shape[-1].bit_length() - 1 - qubit)) * 2
     if adjoint:
-        t[..., :, 1, :, :, 1, :] *= 1.0 - gamma
+        np.multiply(rhos, factor, out=rhos)
         t[..., :, 1, :, :, 1, :] += gamma * t[..., :, 0, :, :, 0, :]
     else:
         t[..., :, 0, :, :, 0, :] += gamma * t[..., :, 1, :, :, 1, :]
-        t[..., :, 1, :, :, 1, :] *= 1.0 - gamma
+        np.multiply(rhos, factor, out=rhos)
 
 
-def _channel(rhos: np.ndarray, mask, gammas, adjoint: bool = False, out: np.ndarray | None = None) -> np.ndarray:
-    """Dephasing by `mask`, then amplitude damping with per-qubit `gammas`.
+def _channel(rhos: np.ndarray, mask, damping, adjoint: bool = False, out: np.ndarray | None = None) -> np.ndarray:
+    """Dephasing by `mask`, then amplitude damping by each (qubit, gamma, factor).
 
     `rhos` is a matrix or a stack of them, shape (..., 2^n, 2^n); the result
     goes to `out` (a C-contiguous complex array of that shape, `rhos` itself
@@ -288,9 +302,8 @@ def _channel(rhos: np.ndarray, mask, gammas, adjoint: bool = False, out: np.ndar
     single-qubit channels commute, so the adjoint runs them in the same order.
     """
     out = np.multiply(rhos, mask, out=out, dtype=complex)
-    for qubit, gamma in enumerate(gammas, start=1):
-        if gamma:
-            _damp_in_place(out, qubit, gamma, adjoint)
+    for qubit, gamma, factor in damping:
+        _damp_in_place(out, qubit, gamma, factor, adjoint)
     return out
 
 
@@ -335,10 +348,10 @@ def apply_dephasing(state: MixedState, qubit: int, lam: float) -> MixedState:
 
 def apply_amplitude_damping(state: MixedState, qubit: int, gamma: float) -> MixedState:
     """T1 decay toward |0> with branch probability gamma."""
-    gammas = [0.0] * state.n_qubits
     (axis,) = _axes_for((qubit,), state.n_qubits)
-    gammas[axis] = _unit_interval("gamma", gamma)
-    return MixedState(state.n_qubits, _channel(state.matrix, 1.0, gammas))
+    gamma = _unit_interval("gamma", gamma)
+    damping = [(axis + 1, gamma, _damping_factor(state.n_qubits, axis + 1, gamma))] if gamma else []
+    return MixedState(state.n_qubits, _channel(state.matrix, 1.0, damping))
 
 
 def _final_knobs(rhos: np.ndarray, depolarizing: float, coherence_scale: float, adjoint: bool = False) -> np.ndarray:

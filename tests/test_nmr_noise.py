@@ -6,13 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from cws552 import nmr_noise
 from cws552.code552 import build_code, decode, encode
 from cws552.error_model import ErrorSpec, error_unitary
 from cws552.nmr_noise import (
     SEGMENTS,
     NmrSystem,
     NoiseModel,
+    _damp_in_place,
+    _damping_factor,
+    _dephasing_mask,
     _final_knobs,
     apply_amplitude_damping,
     apply_dephasing,
@@ -375,6 +380,128 @@ def kron_kraus_damping(rho, qubit, gamma):
     k0 = embed(np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=complex))
     k1 = embed(np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex))
     return k0 @ rho.matrix @ k0.conj().T + k1 @ rho.matrix @ k1.conj().T
+
+
+def slice_damp_in_place(rhos, qubit, gamma, adjoint=False):
+    """The per-block kernel: four strided passes over quarter blocks of a 6-D
+    view, one multiply or add per entry and block.  Kept as the oracle of the
+    factor-matrix kernel."""
+    n = rhos.shape[-1].bit_length() - 1
+    t = rhos.view()
+    t.shape = rhos.shape[:-2] + (2 ** (qubit - 1), 2, 2 ** (n - qubit)) * 2
+    keep = np.sqrt(1.0 - gamma)
+    t[..., :, 0, :, :, 1, :] *= keep
+    t[..., :, 1, :, :, 0, :] *= keep
+    if adjoint:
+        t[..., :, 1, :, :, 1, :] *= 1.0 - gamma
+        t[..., :, 1, :, :, 1, :] += gamma * t[..., :, 0, :, :, 0, :]
+    else:
+        t[..., :, 0, :, :, 0, :] += gamma * t[..., :, 1, :, :, 1, :]
+        t[..., :, 1, :, :, 1, :] *= 1.0 - gamma
+
+
+# Finite parts small enough that no sum of two overflows, subnormals included.
+NONZERO_PARTS = st.floats(5e-324, 1e300) | st.floats(-1e300, -5e-324)
+ANY_PARTS = NONZERO_PARTS | st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def damping_cases(draw, parts):
+    """(stack, qubit, gamma, adjoint): a complex stack (..., 2^n, 2^n) for n in 1-5,
+    drawn part by part, a qubit, gamma in (0, 1] and a direction."""
+    n = draw(st.integers(1, 5))
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    shape = lead + (2**n, 2 ** (n + 1))
+    stack = draw(arrays(np.float64, shape, elements=parts)).view(complex)
+    gamma = draw(st.just(1.0) | st.floats(0.0, 1.0, exclude_min=True))
+    return stack, draw(st.integers(1, n)), gamma, draw(st.booleans())
+
+
+def both_kernels(stack, qubit, gamma, adjoint):
+    """(factor-matrix kernel, slice oracle) on copies of `stack`."""
+    n = stack.shape[-1].bit_length() - 1
+    got, want = stack.copy(), stack.copy()
+    _damp_in_place(got, qubit, gamma, _damping_factor(n, qubit, gamma), adjoint)
+    slice_damp_in_place(want, qubit, gamma, adjoint)
+    return got, want
+
+
+class TestDampingKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(case=damping_cases(ANY_PARTS))
+    def test_equals_the_slice_kernel(self, case):
+        got, want = both_kernels(*case)
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=damping_cases(NONZERO_PARTS))
+    def test_equals_the_slice_kernel_bit_for_bit_without_zero_parts(self, case):
+        got, want = both_kernels(*case)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("adjoint", [True, False])
+    def test_only_the_sign_of_a_zero_part_may_differ(self, adjoint):
+        # The factor leaves qubit 1's (0,0) block at 1.  A -0.0 real part there
+        # beside a negative imaginary part comes out of the 1+0j multiply as
+        # +0.0; the slice kernel leaves it -0.0 (forward, gamma times the
+        # (1,1) block adds a -0.0 real part).  The other stack items have no
+        # zero part and must match bit for bit.
+        rng = np.random.default_rng(71)
+        stack = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+        stack[0, :2, :2] = -0.0 - 1j
+        stack[0, 2:, 2:] = complex(-0.0, 0.0)
+        got, want = both_kernels(stack, 1, 0.25, adjoint)
+        assert np.array_equal(got, want)
+        differ = got.view(np.uint64) != want.view(np.uint64)
+        assert differ.any()
+        assert np.all(got.view(float)[differ] == 0.0)
+        assert got[1:].tobytes() == want[1:].tobytes()
+
+    def test_a_model_builds_each_factor_once_and_read_only(self, monkeypatch):
+        built = []
+        inner = nmr_noise._damping_factor
+
+        def counted(n, qubit, gamma):
+            built.append((qubit, gamma))
+            return inner(n, qubit, gamma)
+
+        monkeypatch.setattr(nmr_noise, "_damping_factor", counted)
+        model = damped_default()
+        rho = random_density(np.random.default_rng(73), 5).matrix
+        for _ in range(3):
+            for segment in SEGMENTS:
+                apply_segment_noise(rho, model, segment)
+                segment_noise_adjoint(np.stack([rho, rho]), model, segment)
+        assert len(built) == 15
+        for segment in SEGMENTS:
+            _, damping = model._segment_channels[segment]
+            assert [(q, g) for q, g, _ in damping] == [(q, model.gamma_t1(q, segment)) for q in range(1, 6)]
+            for qubit, gamma, factor in damping:
+                assert factor.shape == (32, 32) and not factor.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    factor[0, 0] = 2.0
+        assert len(built) == 15
+
+    def test_a_zero_gamma_builds_no_factor(self):
+        model = dataclasses.replace(damped_default(), schedule=(("encode", 0.0), ("error", 0.1), ("decode", 0.0)))
+        assert model._segment_channels["encode"][1] == ()
+        assert [q for q, _, _ in model._segment_channels["error"][1]] == [1, 2, 3, 4, 5]
+
+    @settings(max_examples=50, deadline=None)
+    @given(model=noise_models(), seed=st.integers(0, 2**32 - 1), segment=st.sampled_from(SEGMENTS), adjoint=st.booleans())
+    def test_segment_kernel_equals_the_mask_and_slice_kernels(self, model, seed, segment, adjoint):
+        # A gamma of 1 or a mask entry of 0 zeroes parts, so only == is required.
+        n = len(model.t2)
+        stack = np.random.default_rng(seed).normal(size=(2, 2**n, 2 ** (n + 1))).view(complex)
+        want = np.multiply(stack, _dephasing_mask([model.lam(q, segment) for q in range(1, n + 1)]), dtype=complex)
+        for qubit in range(1, n + 1) if model.amplitude_damping else ():
+            if gamma := model.gamma_t1(qubit, segment):
+                slice_damp_in_place(want, qubit, gamma, adjoint)
+        if adjoint:
+            got = segment_noise_adjoint(stack, model, segment)
+        else:
+            got = apply_segment_noise(stack, model, segment)
+        assert np.array_equal(got, want)
 
 
 class TestSegmentKernel:
