@@ -45,7 +45,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .statevec import PureState, _as_unitary, _axes_for, _spin_signs, pauli_apply
+from .statevec import PureState, _as_unitary, _axes_for, _frozen, _spin_signs, pauli_apply
 
 N_QUBITS = 5
 DIMENSION = 5
@@ -143,13 +143,10 @@ class CodeSpec:
 def _frozen_matrix(name: str, value, rows: int, cols: int | None = None) -> np.ndarray:
     """`value` as a finite, read-only complex copy: a `rows` x `cols` matrix,
     or any width when `cols` is None."""
-    arr = np.array(value, dtype=complex, order="C")
-    if arr.ndim != 2 or arr.shape[0] != rows or cols not in (None, arr.shape[1]):
-        raise ValueError(f"{name} must be a {rows} x {cols or 'K'} matrix, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} has non-finite entries")
-    arr.flags.writeable = False
-    return arr
+    shape = np.shape(value)
+    if len(shape) != 2 or shape[0] != rows or cols not in (None, shape[1]):
+        raise ValueError(f"{name} must be a {rows} x {cols or 'K'} matrix, got shape {shape}")
+    return _frozen(name, value, shape)
 
 
 def _input_index(b: int) -> int:
@@ -173,8 +170,9 @@ def _encoder_matrix() -> np.ndarray:
     return encoder
 
 
-def _branch_target_index(label: str, b: int) -> int:
-    """Basis index of |syndrome(label)> on (1,5) with register b on (2,3,4)."""
+def _branch_target_index(label: str, b):
+    """Basis index of |syndrome(label)> on (1,5) with register b on (2,3,4);
+    an integer array b gives the index of each entry."""
     j, l = (int(c) for c in SYNDROME_MAP[label])
     return (j << 4) | (b << 1) | l
 
@@ -261,8 +259,6 @@ def encode(code: CodeSpec, register: PureState) -> PureState:
     """Map a register state with support on the logical basis to the codespace."""
     if register.n_qubits != len(REGISTER_QUBITS):
         raise ValueError(f"register state must have {len(REGISTER_QUBITS)} qubits")
-    if not np.isfinite(register.amplitudes).all():
-        raise ValueError("register state has non-finite amplitudes")
     outside = np.max(np.abs(register.amplitudes[DIMENSION:]))
     if outside > SUPPORT_ATOL:
         raise ValueError(

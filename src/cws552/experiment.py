@@ -34,11 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .code552 import BRANCH_LABELS, SYNDROME_MAP, CodeSpec, _branch_target_index, _reals, decode, encode
-from .error_model import ErrorSpec, error_unitary, pauli_expand, typed_expansions
+from .error_model import AXIS_BY_TYPE, ErrorSpec, error_unitary, pauli_expand, typed_expansions
 from .nmr_noise import NoiseModel, _final_knobs, apply_segment_noise, run_noisy_qecc, segment_noise_adjoint
 from .statevec import PAULI_BY_LABEL, GateOp, MixedState, PureState, _axes_for, apply_gate
 
-ERROR_TYPES = ("X", "Y", "Z")
+ERROR_TYPES = tuple(AXIS_BY_TYPE)
 SETTING_A_PAULIS = ("E", "Z", "X", "Y")
 INPUT_KS = (1, 2, 3)
 # The (error_type, input_k) combos each sweep setting averages over.
@@ -64,16 +64,10 @@ class InputProfile:
     pair: tuple[int, int]  # register basis indices with coherent spin 0 / 1
 
 
-def _superposition(lo: int, hi: int) -> PureState:
-    amps = np.zeros(8, dtype=complex)
-    amps[lo] = amps[hi] = 1.0 / np.sqrt(2.0)
-    return PureState(3, amps)
-
-
+# Each input is the equal superposition of its pair.
 INPUTS = {
-    1: InputProfile(1, _superposition(0, 4), (0, 4)),
-    2: InputProfile(2, _superposition(2, 3), (2, 3)),
-    3: InputProfile(3, _superposition(0, 1), (0, 1)),
+    k: InputProfile(k, PureState(3, np.isin(np.arange(8), pair) / np.sqrt(2.0)), pair)
+    for k, pair in {1: (0, 4), 2: (2, 3), 3: (0, 1)}.items()
 }
 
 
@@ -90,8 +84,8 @@ class Observables:
 
 def _error_type_of(spec: ErrorSpec) -> str | None:
     """X/Y/Z when the axis is (up to sign) a coordinate axis, else None."""
-    for kind, axis in (("X", 0), ("Y", 1), ("Z", 2)):
-        if abs(abs(spec.axis[axis]) - 1.0) <= _TYPE_AXIS_ATOL:
+    for kind, component in zip(AXIS_BY_TYPE, spec.axis):
+        if abs(abs(component) - 1.0) <= _TYPE_AXIS_ATOL:
             return kind
     return None
 
@@ -179,24 +173,25 @@ def run_setting_a(code: CodeSpec, noise: NoiseModel | None = None) -> list[Setti
     transfer map, paired with the Pauli expansions of E, Z, X and Y, gives
     its four rows; final_state is the per-row oracle.
     """
-    # Readouts W, each read as sum(W * state), on axes (q1, q2 q3 q4, q5) of
-    # ket and bra: the populations of syndrome branches 00, 01, 10, 11 on
-    # qubits (1, 5), then the fidelity <v|register|v> with the input v.
+    # Readouts W, each read as sum(W * state): the populations of the
+    # syndrome branches in BRANCH_LABELS order (bits 00, 01, 10, 11), then the
+    # fidelity <v|register|v> with the input v.  branches[r] lists the basis
+    # indices of branch r, one per register string.
     v = INPUTS[2].register.amplitudes
-    readouts = np.zeros((5, 2, 8, 2, 2, 8, 2), dtype=complex)
-    for j, l in itertools.product((0, 1), repeat=2):
-        readouts[2 * j + l, j, :, l, j, :, l] = np.eye(8)
-        readouts[4, j, :, l, j, :, l] = np.outer(v.conj(), v)
-    maps = _transfer_maps(code, readouts.reshape(5, 32, 32), [2], noise)
+    branches = np.array([_branch_target_index(label, np.arange(len(v))) for label in BRANCH_LABELS])
+    readouts = np.zeros((5, 2**code.n, 2**code.n), dtype=complex)
+    readouts[np.arange(4)[:, None], branches, branches] = 1.0
+    readouts[4, branches[:, :, None], branches[:, None, :]] = np.outer(v.conj(), v)
+    maps = _transfer_maps(code, readouts, [2], noise)
     pairs = _pair_rows(np.array([pauli_expand(ErrorSpec.pauli(1, label)).coefficients() for label in SETTING_A_PAULIS]))
     rows = []
     for location in range(1, code.n + 1):
         values = (pairs @ maps[location - 1].T).real
-        pops, fidelities = values[:, :4], values[:, 4]  # column 2 j + l holds branch jl
+        pops, fidelities = values[:, :4], values[:, 4]
         for label, b, pop, fid in zip(
             SETTING_A_PAULIS, pops.argmax(axis=1).tolist(), pops.max(axis=1).tolist(), fidelities.tolist()
         ):
-            rows.append(SettingARow(location, label, SYNDROME_MAP[label], f"{b:02b}", pop, fid))
+            rows.append(SettingARow(location, label, SYNDROME_MAP[label], SYNDROME_MAP[BRANCH_LABELS[b]], pop, fid))
     return rows
 
 

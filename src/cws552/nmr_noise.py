@@ -49,9 +49,16 @@ def _unit_interval(name: str, value) -> float:
     return float(value)
 
 
+# NmrSystem's arrays in field order, each with its `_reals` sign rule and
+# dimension: the one list of its fields that the check and the JSON codec
+# read.  nu comes first, and its length is the number of spins.
+_SYSTEM_ARRAYS = {"nu": ("", 1), "J": ("", 2), "T1": ("positive", 1), "T2": ("positive", 1), "T2star": ("positive", 1)}
+
+
 @dataclass(frozen=True)
 class NmrSystem:
-    """Spin system parameters: shifts (Hz), couplings (Hz), relaxation times (s)."""
+    """Spin system parameters: shifts (Hz), couplings (Hz), relaxation times (s),
+    each kept as a checked, read-only float copy."""
 
     nu: np.ndarray
     J: np.ndarray
@@ -60,21 +67,16 @@ class NmrSystem:
     T2star: np.ndarray
 
     def __post_init__(self):
-        rules = {"nu": ("", 1), "J": ("", 2), "T1": ("positive", 1), "T2": ("positive", 1), "T2star": ("positive", 1)}
-        for name, (sign, ndim) in rules.items():
-            object.__setattr__(self, name, _reals(f"{name} entries", getattr(self, name), sign, ndim))
-        n = self.nu.size
-        j = self.J
-        if j.shape != (n, n):
-            raise ValueError(f"J must be {n}x{n}, got shape {j.shape}")
-        if np.max(np.abs(j - j.T)) > 0:
+        for name, (sign, ndim) in _SYSTEM_ARRAYS.items():
+            arr = _reals(f"{name} entries", getattr(self, name), sign, ndim)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+            if arr.shape != self.nu.shape * ndim:
+                raise ValueError(f"{name} must have shape {self.nu.shape * ndim}, got shape {arr.shape}")
+        if np.max(np.abs(self.J - self.J.T)) > 0:
             raise ValueError("J must be symmetric")
-        if np.max(np.abs(np.diag(j))) > 0:
+        if np.max(np.abs(np.diag(self.J))) > 0:
             raise ValueError("J must have zero diagonal")
-        for name in ("T1", "T2", "T2star"):
-            arr = getattr(self, name)
-            if arr.shape != (n,):
-                raise ValueError(f"{name} must have {n} entries")
 
     @property
     def n_spins(self) -> int:
@@ -101,17 +103,11 @@ class NmrSystem:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "nu": self.nu.tolist(),
-            "J": self.J.tolist(),
-            "T1": self.T1.tolist(),
-            "T2": self.T2.tolist(),
-            "T2star": self.T2star.tolist(),
-        }
+        return {name: getattr(self, name).tolist() for name in _SYSTEM_ARRAYS}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "NmrSystem":
-        _check_keys(doc, "system", ("nu", "J", "T1", "T2", "T2star"))
+        _check_keys(doc, "system", tuple(_SYSTEM_ARRAYS))
         return cls(**doc)
 
 
@@ -386,16 +382,16 @@ def run_noisy_qecc(code: CodeSpec, register: PureState, error: ErrorSpec, model:
     density matrix.
     """
     n = code.n
-    state = encode(code, register).density()
-    state = MixedState(n, apply_segment_noise(state.matrix, model, "encode"))
+    psi = encode(code, register).amplitudes
+    rho = apply_segment_noise(np.outer(psi, psi.conj()), model, "encode")
 
-    state = apply_gate_mixed(state, GateOp.single(error.location, error_unitary(error)))
-    state = MixedState(n, apply_segment_noise(state.matrix, model, "error"))
+    rho = apply_gate_mixed(MixedState(n, rho), GateOp.single(error.location, error_unitary(error))).matrix
+    rho = apply_segment_noise(rho, model, "error")
 
-    state = apply_matrix_mixed(state, code.decoder(error.location))
-    state = MixedState(n, apply_segment_noise(state.matrix, model, "decode"))
+    rho = apply_matrix_mixed(MixedState(n, rho), code.decoder(error.location)).matrix
+    rho = apply_segment_noise(rho, model, "decode")
 
-    return MixedState(n, _final_knobs(state.matrix, model.depolarizing, model.coherence_scale))
+    return MixedState(n, _final_knobs(rho, model.depolarizing, model.coherence_scale))
 
 
 def simulate_spectrum(

@@ -3,7 +3,8 @@
 Convention used throughout the package: qubit labels are 1-based and qubit 1
 is the most significant bit of a basis-state index, so on five qubits the
 basis state |01001> has index 0b01001 = 9.  All operations return new state
-objects and never mutate their inputs.
+objects and never mutate their inputs; states and gates hold read-only copies
+of the arrays they were built from.
 
 A Pauli {qubit: "E"|"X"|"Y"|"Z"} is a signed index permutation (Y = iXZ):
 (P v)[i] = (-i)^(number of Y) (-1)^popcount(i & z) v[i XOR x], with x the bits
@@ -34,16 +35,9 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
         if self.n_qubits < 1:
             raise ValueError("need at least one qubit")
-        if amps.shape != (2**self.n_qubits,):
-            raise ValueError(
-                f"expected {2**self.n_qubits} amplitudes, got shape {amps.shape}"
-            )
-        if not np.isfinite(amps).all():
-            raise ValueError("state has non-finite amplitudes")
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes", _frozen("amplitudes", self.amplitudes, (2**self.n_qubits,)))
 
     @classmethod
     def basis(cls, bits: str) -> "PureState":
@@ -66,13 +60,8 @@ class MixedState:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
         dim = 2**self.n_qubits
-        if mat.shape != (dim, dim):
-            raise ValueError(f"expected {dim}x{dim} matrix, got shape {mat.shape}")
-        if not np.isfinite(mat).all():
-            raise ValueError("density matrix has non-finite entries")
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "matrix", _frozen("density matrix", self.matrix, (dim, dim)))
 
     def populations(self) -> np.ndarray:
         return np.real(np.diag(self.matrix)).copy()
@@ -83,8 +72,8 @@ class GateOp:
     """A unitary on an ordered tuple of qubits, first listed qubit = MSB.
 
     The constructor is the one check: the labels go through `_axes_for`, and
-    the matrix must be a finite 2^k x 2^k unitary for k labels.  `single` is
-    the one-qubit shorthand.
+    the matrix must be a finite 2^k x 2^k unitary for k labels, kept as a
+    read-only copy.  `single` is the one-qubit shorthand.
     """
 
     qubits: tuple[int, ...]
@@ -101,12 +90,22 @@ class GateOp:
         return cls((qubit,), matrix)
 
 
+def _frozen(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """`value` as a finite, read-only complex copy of `shape`: the one check
+    on the arrays of states, gates and codes.  Being a copy, it cannot change
+    after the check, and later writes to `value` do not reach it."""
+    arr = np.array(value, dtype=complex, order="C")
+    if arr.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} has non-finite entries")
+    arr.flags.writeable = False
+    return arr
+
+
 def _as_unitary(matrix: np.ndarray, dim: int) -> np.ndarray:
-    mat = np.asarray(matrix, dtype=complex)
-    if mat.shape != (dim, dim):
-        raise ValueError(f"expected {dim}x{dim} matrix, got shape {mat.shape}")
-    if not np.isfinite(mat).all():
-        raise ValueError("matrix has non-finite entries")
+    """`matrix` as a read-only copy (_frozen) once it is a dim x dim unitary."""
+    mat = _frozen("matrix", matrix, (dim, dim))
     err = np.max(np.abs(mat.conj().T @ mat - np.eye(dim)))
     if err > UNITARY_ATOL:
         raise ValueError(f"matrix is not unitary (deviation {err:.3e})")

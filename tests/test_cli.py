@@ -631,3 +631,9 @@ def test_hypot_of_the_parts_equals_abs_of_a_python_complex(parts):
     values; np.hypot and CPython's complex abs both call libm's hypot."""
     re, im = np.array(parts).T
     assert np.hypot(re, im).tolist() == [abs(complex(r, i)) for r, i in parts]
+
+
+@pytest.mark.parametrize("spec", ["qecc:X", "qecc:X:3:1"])
+def test_qecc_state_spec_needs_three_parts(spec):
+    with pytest.raises(ValueError, match="^qecc state spec must look like qecc:X:3$"):
+        _state_from_spec(spec, 5)

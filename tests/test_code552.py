@@ -729,3 +729,16 @@ def test_decoders_equal_the_per_location_loop_bit_for_bit(code, columns, angles)
     for q in range(1, 6):
         assert _decoder_matrix(sources[q - 1], targets, q).tobytes() == loop_index_decoder(codewords, q).tobytes()
         assert code.decoder(q).tobytes() == loop_index_decoder(code.codewords, q).tobytes()
+
+
+def test_decode_needs_a_five_qubit_state():
+    with pytest.raises(ValueError, match="^expected a 5-qubit state$"):
+        decode(build_code(), PureState.basis("000"), 1)
+
+
+def test_verify_distance_without_a_violation_has_no_witness():
+    """On one codeword every Pauli is a scalar, so the scan runs through all
+    weights and reports distance n + 1."""
+    code = build_code()
+    result = verify_distance(replace(code, codewords=code.codewords[:, :1]))
+    assert (result.distance, result.witness, result.witness_violation) == (6, None, 0.0)

@@ -147,3 +147,7 @@ def test_typed_rejects_unknown_kind():
     with pytest.raises(ValueError):
         ErrorSpec.typed(1, "Q", 0.5)
 
+
+def test_pauli_rejects_unknown_label():
+    with pytest.raises(ValueError, match="^label must be one of E, X, Y, Z, got 'H'$"):
+        ErrorSpec.pauli(1, "H")

@@ -789,3 +789,44 @@ def test_noise_and_system_numbers_must_be_real_arrays(build):
 def test_strengths_must_be_real_numbers_in_the_unit_interval(call):
     with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
         call()
+
+
+def test_system_arrays_are_read_only_copies():
+    j = NmrSystem.placeholder_five_spin().J.copy()
+    t2star = np.array([0.12, 0.15, 0.13, 0.11, 0.14])
+    system = dataclasses.replace(NmrSystem.placeholder_five_spin(), J=j, T2star=t2star)
+    j[0, 1], t2star[0] = 99.0, -0.5
+    assert system.J[0, 1] == 35.0 and system.T2star[0] == 0.12
+    for name in ("nu", "J", "T1", "T2", "T2star"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(system, name)[0] = -0.5
+
+
+def test_system_rejects_a_coupling_matrix_of_the_wrong_shape():
+    good = two_spin_system()
+    with pytest.raises(ValueError, match=r"^J must have shape \(2, 2\), got shape \(3, 3\)$"):
+        NmrSystem(nu=good.nu, J=np.zeros((3, 3)), T1=good.T1, T2=good.T2, T2star=good.T2star)
+
+
+def test_energies_refuse_more_than_ten_spins():
+    n = 11
+    system = NmrSystem(nu=np.zeros(n), J=np.zeros((n, n)), T1=np.ones(n), T2=np.ones(n), T2star=np.ones(n))
+    with pytest.raises(ValueError, match="^refusing to build a Hamiltonian beyond 10 spins$"):
+        energies(system)
+
+
+def test_duration_of_an_unknown_segment_is_an_error():
+    with pytest.raises(ValueError, match="^segment 'readout' not in schedule$"):
+        NoiseModel.default().duration("readout")
+
+
+def test_gamma_t1_needs_t1_times():
+    with pytest.raises(ValueError, match="^no t1 times configured$"):
+        NoiseModel.default().gamma_t1(1, "encode")
+
+
+def test_spectrum_needs_at_least_two_samples():
+    """t_max / dt = 1.4 rounds to one sample."""
+    state = PureState.basis("00000").density()
+    with pytest.raises(ValueError, match="^need at least two samples$"):
+        simulate_spectrum(state, NmrSystem.placeholder_five_spin(), 1, 1.4e-3, 1e-3)

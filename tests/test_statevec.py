@@ -316,3 +316,43 @@ def test_qubit_labels_must_be_distinct_integers_in_range(call):
     """Every label goes through one check: an int, not a bool, in range, not repeated."""
     with pytest.raises(ValueError, match="out of range|repeated"):
         call()
+
+
+# ---------------------------------------------------------------------------
+# States and gates keep read-only copies of the arrays they are built from.
+
+
+def test_state_and_gate_arrays_are_read_only():
+    for arr in (PureState.basis("01").amplitudes, PureState.basis("01").density().matrix, GateOp.single(1, X).matrix):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+
+
+def test_changing_the_source_array_leaves_states_and_gates_unchanged():
+    amps = np.array([1.0, 0.0], dtype=complex)
+    rho = np.diag([1.0, 0.0]).astype(complex)
+    m = X.copy()
+    state, mixed, gate = PureState(1, amps), MixedState(1, rho), GateOp.single(1, m)
+    amps[0], rho[0, 0], m[0, 0] = 3.0, 3.0, 5.0
+    assert state.amplitudes.tolist() == [1.0, 0.0]
+    assert mixed.matrix.tolist() == [[1.0, 0.0], [0.0, 0.0]]
+    assert gate.matrix.tolist() == X.tolist()
+    # The gate is still the unitary that was checked, so it keeps the norm.
+    out = apply_gate(PureState.basis("0"), gate).amplitudes
+    assert out.tolist() == [0.0, 1.0]
+    assert np.linalg.norm(out) == 1.0
+
+
+def test_a_state_needs_at_least_one_qubit():
+    with pytest.raises(ValueError, match="^need at least one qubit$"):
+        PureState(0, [1.0])
+
+
+def test_a_density_matrix_must_match_its_qubit_count():
+    with pytest.raises(ValueError, match=r"^density matrix must have shape \(2, 2\), got shape \(4, 4\)$"):
+        MixedState(1, np.eye(4))
+
+
+def test_fidelity_needs_equal_qubit_counts():
+    with pytest.raises(ValueError, match="^states have different qubit counts$"):
+        fidelity_with_pure(PureState.basis("00").density(), PureState.basis("0"))

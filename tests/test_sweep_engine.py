@@ -140,6 +140,56 @@ def test_pure_dephasing_at_theta_zero_matches_the_closed_form(t2, durations, loc
     assert np.all(np.abs(obs[:, :, 2, 0] - want) <= 1e-14)
 
 
+# Per input k: the two qubit sets on which its codeword strings differ
+# through encode and error, and its register spin, which the decode segment
+# dephases.
+CLOSED_FORM_DECAY = {1: ((1, 5), (2, 3, 4), 2), 2: ((2, 3), (1, 4, 5), 4), 3: ((4, 5), (1, 2, 3), 4)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    t2=st.tuples(*[st.floats(0.2, 5.0)] * 5),
+    durations=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+    axis=unit_axes,
+    scale=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+    depolarizing=st.one_of(st.just(0.0), st.floats(0.0, 0.9)),
+)
+@example(t2=(0.85, 1.1, 0.95, 0.8, 1.0), durations=(0.3, 0.05, 0.3), axis=(0.0, 1.0, 0.0), scale=0.7, depolarizing=0.2)
+def test_pure_dephasing_at_theta_zero_matches_the_closed_form_for_every_input_and_final_knob(
+    t2, durations, axis, scale, depolarizing
+):
+    """The closed form above for inputs 1-3 at every location, with the final
+    knobs on.  Input k's coherence at theta = 0 is
+
+        I0 = c (1 - p) exp(-t_dec/T2_s) (P_A(t_enc + t_err) + P_B(t_enc + t_err)) / 2
+
+    with (A, B, s) = ({1,5}, {2,3,4}, 2), ({2,3}, {1,4,5}, 4) and ({4,5},
+    {1,2,3}, 4) for k = 1, 2, 3: coherence scaling by c and depolarizing by p
+    each scale every off-diagonal element once.  run_point and setting C's
+    theta = 0 column are held to it, worked out with math.exp alone.
+    """
+    t_enc, t_err, t_dec = durations
+    noise = NoiseModel(
+        t2=t2,
+        schedule=(("encode", t_enc), ("error", t_err), ("decode", t_dec)),
+        coherence_scale=scale,
+        depolarizing=depolarizing,
+    )
+
+    def decay(qubits, t):
+        return math.prod(math.exp(-t / t2[q - 1]) for q in qubits)
+
+    t = t_enc + t_err
+    obs = run_setting_c(CODE, grid=np.array([0.0, 1.0]), noise=noise).obs
+    for combo, (_, input_k) in enumerate(SWEEP_COMBOS["C"]):
+        one, other, spin = CLOSED_FORM_DECAY[input_k]
+        want = scale * (1.0 - depolarizing) * math.exp(-t_dec / t2[spin - 1]) * 0.5 * (decay(one, t) + decay(other, t))
+        for location in range(1, 6):
+            got = run_point(CODE, input_k, ErrorSpec(location, 0.0, 0.0, axis), noise).i0
+            assert abs(got - want) <= 1e-14, (input_k, location)
+        assert np.all(np.abs(obs[:, combo, 2, 0] - want) <= 1e-14), input_k
+
+
 # ---------------------------------------------------------------------------
 # The one-pass engine against the per-(location, input) engine it replaced.
 
