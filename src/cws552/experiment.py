@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -583,13 +583,11 @@ _SETTING_A_ROW = "A,%d,%s,2,%s,%s,%.17g,%.17g,%d\r\n"
 def write_setting_a_csv(rows: list[SettingARow], path: str) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(SETTING_A_CSV_COLUMNS) + "\r\n")
-        fh.writelines(
-            _SETTING_A_ROW % (
-                row.location, row.pauli, row.expected_branch, row.branch,
-                row.branch_population, row.register_fidelity, row.matches,
-            )
-            for row in rows
-        )
+        fh.writelines(_SETTING_A_ROW % (*(getattr(row, f.name) for f in fields(row)), row.matches) for row in rows)
+
+
+# fit_summary's key per LocationFit field: the angle fit is Theta = a theta + b.
+_FIT_KEYS = {f.name: f.name.replace("slope", "a").replace("intercept", "b") for f in fields(LocationFit)}
 
 
 def fit_summary(result: SweepResult) -> dict:
@@ -599,18 +597,7 @@ def fit_summary(result: SweepResult) -> dict:
         "grid": [float(th) for th in result.grid],
         "noise": result.noise.to_json_dict() if result.noise is not None else None,
         "locations": {
-            str(loc): {
-                "alpha0": fit.alpha0,
-                "alpha0_stderr": fit.alpha0_stderr,
-                "alpha1": fit.alpha1,
-                "alpha1_stderr": fit.alpha1_stderr,
-                "ibar": fit.ibar,
-                "ibar_stderr": fit.ibar_stderr,
-                "a": fit.slope,
-                "a_stderr": fit.slope_stderr,
-                "b": fit.intercept,
-                "b_stderr": fit.intercept_stderr,
-            }
+            str(loc): {key: getattr(fit, name) for name, key in _FIT_KEYS.items()}
             for loc, fit in sorted(result.fits.items())
         },
     }

@@ -27,7 +27,7 @@ partner held in |0> contributes the peak at nu_j + J/2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -73,6 +73,8 @@ class NmrSystem:
             object.__setattr__(self, name, arr)
             if arr.shape != self.nu.shape * ndim:
                 raise ValueError(f"{name} must have shape {self.nu.shape * ndim}, got shape {arr.shape}")
+        if not self.nu.size:
+            raise ValueError("a spin system needs at least one spin: nu is empty")
         if np.max(np.abs(self.J - self.J.T)) > 0:
             raise ValueError("J must be symmetric")
         if np.max(np.abs(np.diag(self.J))) > 0:
@@ -227,22 +229,18 @@ class NoiseModel:
         return channels
 
     def to_json_dict(self) -> dict:
-        doc = {
-            "t2": list(self.t2),
-            "schedule": [[seg, dur] for seg, dur in self.schedule],
-            "coherence_scale": self.coherence_scale,
-            "depolarizing": self.depolarizing,
-            "amplitude_damping": self.amplitude_damping,
-        }
-        if self.t1 is not None:
-            doc["t1"] = list(self.t1)
-        return doc
+        return {f.name: _as_lists(getattr(self, f.name)) for f in fields(self) if getattr(self, f.name) is not None}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "NoiseModel":
-        optional = ("coherence_scale", "depolarizing", "t1", "amplitude_damping")
-        _check_keys(doc, "noise model", ("t2", "schedule"), optional)
+        required = [f.name for f in fields(cls) if f.default is MISSING]
+        _check_keys(doc, "noise model", required, [f.name for f in fields(cls)])
         return cls(**doc)
+
+
+def _as_lists(value):
+    """`value` with every tuple in it, nested ones too, as a list."""
+    return [_as_lists(v) for v in value] if isinstance(value, tuple) else value
 
 
 def _dephasing_mask(lams) -> np.ndarray:

@@ -60,6 +60,8 @@ class MixedState:
     matrix: np.ndarray
 
     def __post_init__(self):
+        if self.n_qubits < 1:
+            raise ValueError("need at least one qubit")
         dim = 2**self.n_qubits
         object.__setattr__(self, "matrix", _frozen("density matrix", self.matrix, (dim, dim)))
 
@@ -170,10 +172,9 @@ def apply_matrix_mixed(state: MixedState, matrix: np.ndarray) -> MixedState:
 
 
 def partial_trace(state: MixedState, keep: Sequence[int]) -> MixedState:
-    """Reduced density matrix on the kept qubits, in the order listed."""
+    """Reduced density matrix on the kept qubits, in the order listed; the
+    result's MixedState rejects an empty `keep`."""
     keep = tuple(keep)
-    if not keep:
-        raise ValueError("must keep at least one qubit")
     n = state.n_qubits
     keep_axes = _axes_for(keep, n)
     drop_axes = [i for i in range(n) if i not in keep_axes]

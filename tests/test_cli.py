@@ -637,3 +637,26 @@ def test_hypot_of_the_parts_equals_abs_of_a_python_complex(parts):
 def test_qecc_state_spec_needs_three_parts(spec):
     with pytest.raises(ValueError, match="^qecc state spec must look like qecc:X:3$"):
         _state_from_spec(spec, 5)
+
+
+def test_config_float_option_given_an_int_is_written_as_a_float(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    cfg.write_text(json.dumps({"setting": "A", "theta_max": 3, "out": str(out)}))
+    assert main(["--config", str(cfg), "sweep"]) == 0
+    text = (out / "setting_A_summary.json").read_text()
+    assert '"theta_max": 3.0\n' in text
+    assert type(json.loads(text)["theta_max"]) is float
+
+
+def test_verify_fails_the_distance_check_of_a_distance_one_code(tmp_path, capsys):
+    """Basis states |0>..|4> as codewords: X on qubit 3 maps |00000> onto |00100>."""
+    code_path = tmp_path / "code.json"
+    assert main(["export-code", "--out", str(code_path)]) == 0
+    doc = json.loads(code_path.read_text())
+    doc["codewords"] = [[[float(i == b), 0.0] for i in range(32)] for b in range(5)]
+    code_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--code", str(code_path), "--json"]) == 1
+    distance = json.loads(capsys.readouterr().out)["distance"]
+    assert (distance["value"], distance["witness"], distance["passed"]) == (1, [[3, "X"]], False)

@@ -727,7 +727,7 @@ def test_decoders_equal_the_per_location_loop_bit_for_bit(code, columns, angles)
     codewords = code.codewords[:, columns] * np.exp(1j * np.array(angles[: len(columns)]))
     sources, targets = _branch_sources(codewords)
     for q in range(1, 6):
-        assert _decoder_matrix(sources[q - 1], targets, q).tobytes() == loop_index_decoder(codewords, q).tobytes()
+        assert _decoder_matrix(sources[q - 1], targets).tobytes() == loop_index_decoder(codewords, q).tobytes()
         assert code.decoder(q).tobytes() == loop_index_decoder(code.codewords, q).tobytes()
 
 

@@ -151,3 +151,11 @@ def test_typed_rejects_unknown_kind():
 def test_pauli_rejects_unknown_label():
     with pytest.raises(ValueError, match="^label must be one of E, X, Y, Z, got 'H'$"):
         ErrorSpec.pauli(1, "H")
+
+
+def test_fields_are_stored_as_plain_python_numbers():
+    spec = ErrorSpec(np.int64(2), 1, 1, [0, 0, 1])
+    assert type(spec.location) is int and spec.location == 2
+    assert type(spec.alpha) is float and type(spec.theta) is float
+    assert type(spec.axis) is tuple and spec.axis == (0.0, 0.0, 1.0)
+    assert all(type(component) is float for component in spec.axis)

@@ -597,3 +597,7 @@ def test_fit_summary_structure(code):
     assert sorted(entry) == sorted(
         ["alpha0", "alpha0_stderr", "alpha1", "alpha1_stderr", "ibar", "ibar_stderr", "a", "a_stderr", "b", "b_stderr"]
     )
+
+
+def test_default_grid_takes_two_points():
+    assert default_grid(2, theta_max=1.5).tolist() == [0.0, 1.5]

@@ -830,3 +830,48 @@ def test_spectrum_needs_at_least_two_samples():
     state = PureState.basis("00000").density()
     with pytest.raises(ValueError, match="^need at least two samples$"):
         simulate_spectrum(state, NmrSystem.placeholder_five_spin(), 1, 1.4e-3, 1e-3)
+
+
+def test_a_spin_system_needs_at_least_one_spin():
+    with pytest.raises(ValueError, match="^a spin system needs at least one spin: nu is empty$"):
+        NmrSystem(nu=[], J=np.zeros((0, 0)), T1=[], T2=[], T2star=[])
+
+
+def test_cached_segment_channels_are_read_only():
+    model = damped_default()
+    for segment in SEGMENTS:
+        mask, damping = model._segment_channels[segment]
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0, 0] = 0.5
+        for _, _, factor in damping:
+            with pytest.raises(ValueError, match="read-only"):
+                factor[0, 0] = 0.5
+
+
+def test_energies_of_ten_spins_match_the_oracle():
+    rng = np.random.default_rng(10)
+    n = 10
+    j = np.triu(rng.normal(size=(n, n)) * 20.0, 1)
+    system = NmrSystem(nu=rng.normal(size=n) * 100.0, J=j + j.T, T1=np.ones(n), T2=np.ones(n), T2star=np.ones(n))
+    np.testing.assert_allclose(energies(system), oracle_energies(system), rtol=0, atol=1e-9)
+
+
+def test_spectrum_rejects_a_shift_at_the_nyquist_frequency():
+    """8 Hz sampled every 1/16 s sits exactly at the Nyquist frequency."""
+    with pytest.raises(ValueError, match=r"^dt 0\.0625 aliases shifts up to 8\.0 Hz"):
+        simulate_spectrum(PureState.basis("00").density(), two_spin_system(nu1=8.0, nu2=-2.0), 1, 1.0, 0.0625)
+
+
+def test_a_signal_exactly_at_the_size_cap_is_allowed(monkeypatch):
+    monkeypatch.setattr(nmr_noise, "SPECTRUM_SIZE_CAP", 2 * 64)
+    dt = 2.0**-8
+    state, system = PureState.basis("00").density(), two_spin_system()
+    assert len(simulate_spectrum(state, system, observe=1, t_max=64 * dt, dt=dt)) == 64
+    with pytest.raises(ValueError, match="samples for 2 transitions exceeds the cap of 128 "):
+        simulate_spectrum(state, system, observe=1, t_max=65 * dt, dt=dt)
+
+
+@pytest.mark.parametrize("entry", [("encode", 0.1, 0.2), ("encode",), (1, 0.1)])
+def test_schedule_entries_must_be_segment_duration_pairs(entry):
+    with pytest.raises(ValueError, match=r"^schedule must be \(segment, duration\) pairs"):
+        NoiseModel(t2=(1.0,), schedule=(entry, ("error", 0.1), ("decode", 0.1)))

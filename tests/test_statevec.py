@@ -356,3 +356,34 @@ def test_a_density_matrix_must_match_its_qubit_count():
 def test_fidelity_needs_equal_qubit_counts():
     with pytest.raises(ValueError, match="^states have different qubit counts$"):
         fidelity_with_pure(PureState.basis("00").density(), PureState.basis("0"))
+
+
+def test_a_density_matrix_needs_at_least_one_qubit():
+    with pytest.raises(ValueError, match="^need at least one qubit$"):
+        MixedState(0, [[1.0]])
+    with pytest.raises(ValueError, match="^need at least one qubit$"):
+        partial_trace(PureState.basis("00").density(), [])
+
+
+def test_gate_keeps_its_qubit_labels_as_a_tuple():
+    assert GateOp([1, 2], SWAP).qubits == (1, 2)
+
+
+@pytest.mark.parametrize("bits", ["012", ""])
+def test_basis_needs_a_bit_string(bits):
+    with pytest.raises(ValueError, match="^not a bit string: "):
+        PureState.basis(bits)
+
+
+def test_partial_trace_takes_a_generator_of_labels():
+    state = PureState.basis("010").density()
+    got = partial_trace(state, (q for q in (3, 2)))
+    assert got.matrix.tolist() == partial_trace(state, (3, 2)).matrix.tolist()
+    assert got.n_qubits == 2
+
+
+def test_label_errors_name_the_allowed_range():
+    with pytest.raises(ValueError, match=r"^location 0 out of range: labels are positive integers$"):
+        ErrorSpec(0, 0.0, 0.0, (0.0, 0.0, 1.0))
+    with pytest.raises(ValueError, match=r"^qubit 3 out of range: labels are integers in 1\.\.2$"):
+        apply_gate(PureState.basis("00"), GateOp.single(3, X))
