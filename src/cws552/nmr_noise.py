@@ -229,18 +229,13 @@ class NoiseModel:
         return channels
 
     def to_json_dict(self) -> dict:
-        return {f.name: _as_lists(getattr(self, f.name)) for f in fields(self) if getattr(self, f.name) is not None}
+        return {f.name: getattr(self, f.name) for f in fields(self) if getattr(self, f.name) is not None}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "NoiseModel":
         required = [f.name for f in fields(cls) if f.default is MISSING]
         _check_keys(doc, "noise model", required, [f.name for f in fields(cls)])
         return cls(**doc)
-
-
-def _as_lists(value):
-    """`value` with every tuple in it, nested ones too, as a list."""
-    return [_as_lists(v) for v in value] if isinstance(value, tuple) else value
 
 
 def _dephasing_mask(lams) -> np.ndarray:

@@ -172,17 +172,16 @@ def apply_matrix_mixed(state: MixedState, matrix: np.ndarray) -> MixedState:
 
 
 def partial_trace(state: MixedState, keep: Sequence[int]) -> MixedState:
-    """Reduced density matrix on the kept qubits, in the order listed; the
-    result's MixedState rejects an empty `keep`."""
+    """Reduced density matrix on the kept qubits, in the order listed."""
     keep = tuple(keep)
+    if not keep:
+        raise ValueError("must keep at least one qubit")
     n = state.n_qubits
     keep_axes = _axes_for(keep, n)
-    drop_axes = [i for i in range(n) if i not in keep_axes]
     t = state.matrix.reshape([2] * (2 * n))
+    # A dropped qubit's bra axis takes its ket label, so einsum traces it out.
     ket = list(range(n))
-    bra = [n + i for i in range(n)]
-    for ax in drop_axes:
-        bra[ax] = ket[ax]
+    bra = [n + i if i in keep_axes else i for i in range(n)]
     out = [ket[a] for a in keep_axes] + [bra[a] for a in keep_axes]
     reduced = np.einsum(t, ket + bra, out)
     k = len(keep)

@@ -361,7 +361,10 @@ def test_fidelity_needs_equal_qubit_counts():
 def test_a_density_matrix_needs_at_least_one_qubit():
     with pytest.raises(ValueError, match="^need at least one qubit$"):
         MixedState(0, [[1.0]])
-    with pytest.raises(ValueError, match="^need at least one qubit$"):
+
+
+def test_partial_trace_names_an_empty_keep():
+    with pytest.raises(ValueError, match="^must keep at least one qubit$"):
         partial_trace(PureState.basis("00").density(), [])
 
 

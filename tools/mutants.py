@@ -1,12 +1,12 @@
 """Mutation survey of src/cws552 against the Tier-1 tests (not part of Tier-1 or CI).
 
-Mode `delete` replaces one statement inside a function with `pass`; mode
-`operator` swaps one comparison, arithmetic or boolean operator, or drops a
-`not`.  Each mutant runs the tests with -x in a private copy of the repository,
-and survives if they pass; a run past --timeout counts as killed.  The seed
-orders the mutants for --limit; the chosen ones run in file order.
+`delete` replaces one statement inside a function with `pass`; `operator` swaps
+one comparison, arithmetic or boolean operator, or drops a `not`.  Each mutant
+runs the tests with -x in a private copy of the repository and survives if they
+pass; a run past TIMEOUT counts as killed.  --limit N draws N mutants with
+--seed; a full run draws nothing, so it does not depend on the seed.
 
-    python tools/mutants.py delete --seed 0 [--limit 50] [--files code552.py]
+    python tools/mutants.py delete [--limit 50 [--seed 1]]
 """
 import argparse, ast, os, random, shutil, subprocess, sys, tempfile
 from pathlib import Path
@@ -16,6 +16,7 @@ _PAIRS = [("Lt", "LtE"), ("Gt", "GtE"), ("Eq", "NotEq"), ("Is", "IsNot"), ("In",
           ("Mult", "Div"), ("LShift", "RShift"), ("BitAnd", "BitOr"), ("And", "Or")]
 SWAPS = {getattr(ast, a): getattr(ast, b) for pair in _PAIRS for a, b in (pair, pair[::-1])}
 SWAPS.update({ast.FloorDiv: ast.Div, ast.Mod: ast.FloorDiv, ast.Pow: ast.Mult, ast.BitXor: ast.BitOr, ast.MatMult: ast.Mult})
+TIMEOUT = 300.0  # seconds per test run
 
 
 def _slots(tree):
@@ -56,35 +57,32 @@ def _mutants(tree, mode):
             yield child.lineno, f"{type(child.op).__name__} -> {new.__name__}", lambda c=child, n=new: setattr(c, "op", n())
 
 
-def _tests_pass(copy: Path, tests: list[str], timeout: float) -> bool:
+def _tests_pass(copy: Path, tests: list[str]) -> bool:
     """Run `tests` in `copy` with -x; --ff first runs the tests that killed earlier mutants."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     try:
         run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "--ff", *tests], cwd=copy, env=env,
-                             capture_output=True, timeout=timeout)
+                             capture_output=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return False
     return run.returncode == 0
 
 
-def main() -> int:
+def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("mode", choices=("delete", "operator"))
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--limit", type=int, help="run only the first N mutants of the seeded order")
-    parser.add_argument("--files", nargs="*", help="module file names under src/cws552 (default: all)")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per test run")
+    parser.add_argument("--limit", type=int, help="run only N mutants, drawn with --seed")
+    parser.add_argument("--seed", type=int, default=0, help="seed of the --limit draw")
     args = parser.parse_args()
-    modules = [p for p in sorted((ROOT / "src" / "cws552").glob("*.py")) if not args.files or p.name in args.files]
-    found = [(p.name, k, line, text) for p in modules
+    found = [(p.name, k, line, text) for p in sorted((ROOT / "src" / "cws552").glob("*.py"))
              for k, (line, text, _) in enumerate(_mutants(ast.parse(p.read_text()), args.mode))]
-    random.Random(args.seed).shuffle(found)
-    found = sorted(found[: args.limit])  # in file order, so that --ff finds the killers
+    if args.limit is not None:  # the draw runs in file order, so that --ff finds the killers
+        found = sorted(random.Random(args.seed).sample(found, min(args.limit, len(found))))
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache"))
         tests = sorted(str(p.relative_to(copy)) for p in (copy / "tests").glob("test_*.py"))
-        if not _tests_pass(copy, tests, args.timeout):
+        if not _tests_pass(copy, tests):
             sys.exit("the unmutated tests fail; fix them first")
         survivors = 0
         for n, (name, k, line, text) in enumerate(found, 1):
@@ -93,14 +91,13 @@ def main() -> int:
             next(apply for j, (_, _, apply) in enumerate(_mutants(tree, args.mode)) if j == k)()
             path.write_text(ast.unparse(tree))
             own = f"tests/test_{name[:-3]}.py"  # the module's own tests run first
-            if _tests_pass(copy, sorted(tests, key=lambda t: t != own), args.timeout):
+            if _tests_pass(copy, sorted(tests, key=lambda t: t != own)):
                 survivors += 1
                 print(f"SURVIVED src/cws552/{name}:{line}: {text}", flush=True)
             path.write_text(source)
             print(f"[{n}/{len(found)}] {name}:{line} done", file=sys.stderr, flush=True)
     print(f"{args.mode}: {len(found)} mutants, {len(found) - survivors} killed, {survivors} survived")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()
