@@ -337,7 +337,7 @@ def verify_distance(code: CodeSpec) -> DistanceResult:
             for labels in product("XYZ", repeat=weight):
                 image = pauli_apply(codewords, dict(zip(support, labels)))
                 violation = float(_scalar_on_codespace(_codespace_form(codewords, image))[1])
-                if violation > DISTANCE_ATOL:
+                if not violation <= DISTANCE_ATOL:  # a NaN counts as a violation
                     return DistanceResult(
                         distance=weight,
                         witness=tuple(zip(support, labels)),

@@ -498,10 +498,6 @@ def _sweep(code: CodeSpec, setting: str, grid: np.ndarray | None, noise: NoiseMo
     i0, i1, ii = means[:, 2], means[:, 3], means[:, 4]
     if np.any(i0 + i1 <= _NO_SIGNAL):
         raise ValueError("zero signal: cannot estimate an angle")
-    # The one check on the fit inputs: the grid is checked above, and the
-    # angles are finite when the means are.
-    if not np.all(np.isfinite(means)):
-        raise ValueError("fit inputs must be finite")
     cos2, sin2 = np.cos(grid / 2.0) ** 2, np.sin(grid / 2.0) ** 2
     slope, intercept, slope_stderr, intercept_stderr = _line_fit(grid, _angles(i0, i1))
     columns = (

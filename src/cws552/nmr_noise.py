@@ -319,8 +319,9 @@ def segment_noise_adjoint(
 
 
 def _segment_channel(rhos: np.ndarray, model: NoiseModel, segment: str):
-    """The model's (mask, gammas) for `segment`, once the model is known to
-    cover the qubits of `rhos`."""
+    """The model's (mask, gammas) for a known `segment` on the qubits of `rhos`."""
+    if segment not in SEGMENTS:
+        raise ValueError(f"segment {segment!r} not in schedule")
     n = rhos.shape[-1].bit_length() - 1
     if len(model.t2) != n:
         raise ValueError(f"noise model covers {len(model.t2)} qubits, state has {n}")
@@ -372,19 +373,19 @@ def run_noisy_qecc(code: CodeSpec, register: PureState, error: ErrorSpec, model:
 
     `register` is the 3-qubit logical input.  The optional depolarizing and
     coherence_scale knobs act once at the end.  Returns the final 5-qubit
-    density matrix.
+    density matrix.  It proves the code first (CodeSpec.check_unitary).
     """
-    n = code.n
+    code.check_unitary()
     psi = encode(code, register).amplitudes
     rho = apply_segment_noise(np.outer(psi, psi.conj()), model, "encode")
 
-    rho = apply_gate_mixed(MixedState(n, rho), GateOp.single(error.location, error_unitary(error))).matrix
+    rho = apply_gate_mixed(MixedState(code.n, rho), GateOp.single(error.location, error_unitary(error))).matrix
     rho = apply_segment_noise(rho, model, "error")
 
-    rho = apply_matrix_mixed(MixedState(n, rho), code.decoder(error.location)).matrix
+    rho = apply_matrix_mixed(MixedState(code.n, rho), code.decoder(error.location)).matrix
     rho = apply_segment_noise(rho, model, "decode")
 
-    return MixedState(n, _final_knobs(rho, model.depolarizing, model.coherence_scale))
+    return MixedState(code.n, _final_knobs(rho, model.depolarizing, model.coherence_scale))
 
 
 def simulate_spectrum(

@@ -35,9 +35,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError("need at least one qubit")
-        object.__setattr__(self, "amplitudes", _frozen("amplitudes", self.amplitudes, (2**self.n_qubits,)))
+        object.__setattr__(self, "amplitudes", _frozen("amplitudes", self.amplitudes, (_dimension(self.n_qubits),)))
 
     @classmethod
     def basis(cls, bits: str) -> "PureState":
@@ -60,9 +58,7 @@ class MixedState:
     matrix: np.ndarray
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError("need at least one qubit")
-        dim = 2**self.n_qubits
+        dim = _dimension(self.n_qubits)
         object.__setattr__(self, "matrix", _frozen("density matrix", self.matrix, (dim, dim)))
 
     def populations(self) -> np.ndarray:
@@ -109,7 +105,7 @@ def _as_unitary(matrix: np.ndarray, dim: int) -> np.ndarray:
     """`matrix` as a read-only copy (_frozen) once it is a dim x dim unitary."""
     mat = _frozen("matrix", matrix, (dim, dim))
     err = np.max(np.abs(mat.conj().T @ mat - np.eye(dim)))
-    if err > UNITARY_ATOL:
+    if not err <= UNITARY_ATOL:  # so a NaN deviation, say from an overflow, fails
         raise ValueError(f"matrix is not unitary (deviation {err:.3e})")
     return mat
 
@@ -117,18 +113,27 @@ def _as_unitary(matrix: np.ndarray, dim: int) -> np.ndarray:
 def _apply_matrix(vec: np.ndarray, mat: np.ndarray, axes: Sequence[int], n: int) -> np.ndarray:
     """Apply `mat` to the listed tensor axes (first listed axis = MSB of mat).
 
-    `vec` may be a flat vector (2^n,) or a column batch (2^n, B); the same
-    kernel serves single-qubit gates, subset unitaries, and full-matrix
-    synthesis so those paths agree bit for bit.
+    `vec` may be a flat vector (2^n,) or a column batch (2^n, B): the one
+    kernel behind the gates on pure states and on density matrices.
     """
-    batch = vec.ndim == 2
-    cols = vec.shape[1] if batch else 1
-    front = range(len(axes))
-    t = np.moveaxis(vec.reshape([2] * n + [cols]), axes, front)
-    shape = t.shape
-    t = mat @ t.reshape(2 ** len(axes), -1)
-    t = np.moveaxis(t.reshape(shape), front, axes)
-    return t.reshape(2**n, cols) if batch else t.reshape(2**n)
+    cols = vec.shape[1] if vec.ndim == 2 else 1
+    t = np.moveaxis(vec.reshape([2] * n + [cols]), axes, range(len(axes)))
+    t = (mat @ t.reshape(2 ** len(axes), -1)).reshape(t.shape)
+    return np.moveaxis(t, range(len(axes)), axes).reshape(vec.shape)
+
+
+def _is_int(value) -> bool:
+    """The one integer test on qubit labels and counts: an int, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _dimension(n) -> int:
+    """2^n, once a state's qubit count `n` is an integer of at least 1."""
+    if not _is_int(n):
+        raise ValueError(f"qubit count must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError("need at least one qubit")
+    return 2**n
 
 
 def _axes_for(qubits: Sequence[int], n: int | None = None, what: str = "qubit") -> list[int]:
@@ -139,7 +144,7 @@ def _axes_for(qubits: Sequence[int], n: int | None = None, what: str = "qubit") 
     """
     axes = []
     for q in qubits:
-        if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or q < 1 or (n is not None and q > n):
+        if not _is_int(q) or q < 1 or (n is not None and q > n):
             bound = "positive integers" if n is None else f"integers in 1..{n}"
             raise ValueError(f"{what} {q!r} out of range: labels are {bound}")
         axes.append(int(q) - 1)
@@ -154,21 +159,16 @@ def apply_gate(state: PureState, gate: GateOp) -> PureState:
     return PureState(state.n_qubits, _apply_matrix(state.amplitudes, gate.matrix, axes, state.n_qubits))
 
 
-def gate_matrix(gate: GateOp, n_qubits: int) -> np.ndarray:
-    """Full 2^n x 2^n unitary realizing `gate` on an n-qubit register."""
-    axes = _axes_for(gate.qubits, n_qubits)
-    return _apply_matrix(np.eye(2**n_qubits, dtype=complex), gate.matrix, axes, n_qubits)
-
-
 def apply_gate_mixed(state: MixedState, gate: GateOp) -> MixedState:
-    u = gate_matrix(gate, state.n_qubits)
-    return MixedState(state.n_qubits, u @ state.matrix @ u.conj().T)
+    """U rho U^dag as (U (U rho)^dag)^dag, each product by _apply_matrix."""
+    n, axes = state.n_qubits, _axes_for(gate.qubits, state.n_qubits)
+    left = _apply_matrix(state.matrix, gate.matrix, axes, n)
+    return MixedState(n, _apply_matrix(left.conj().T, gate.matrix, axes, n).conj().T)
 
 
 def apply_matrix_mixed(state: MixedState, matrix: np.ndarray) -> MixedState:
-    """Conjugate a density matrix by a full-register unitary."""
-    u = _as_unitary(matrix, 2**state.n_qubits)
-    return MixedState(state.n_qubits, u @ state.matrix @ u.conj().T)
+    """Conjugate a density matrix by a full-register unitary its caller proved."""
+    return MixedState(state.n_qubits, matrix @ state.matrix @ matrix.conj().T)
 
 
 def partial_trace(state: MixedState, keep: Sequence[int]) -> MixedState:
@@ -211,7 +211,7 @@ def pauli_apply(amplitudes: np.ndarray, labels: dict[int, str]) -> np.ndarray:
     """
     amps = np.asarray(amplitudes, dtype=complex)
     n = len(amps).bit_length() - 1 if amps.ndim in (1, 2) else -1
-    if n < 0 or len(amps) != 2**n:
+    if n < 1 or len(amps) != 2**n:
         raise ValueError(f"expected 2^n amplitudes per column, got shape {amps.shape}")
     paulis = dict(zip(_axes_for(tuple(labels), n), labels.values()))
     if set(paulis.values()) - set(PAULI_BY_LABEL):

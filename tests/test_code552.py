@@ -15,6 +15,7 @@ from cws552 import code552
 from cws552.code552 import (
     BRANCH_LABELS,
     CODEWORD_PAIRS,
+    DISTANCE_ATOL,
     KL_LABELS,
     LOGICAL_STRINGS,
     REGISTER_QUBITS,
@@ -34,7 +35,7 @@ from cws552.code552 import (
     _pauli_table,
 )
 from cws552.error_model import ErrorSpec, error_unitary, pauli_expand
-from cws552.statevec import GateOp, PureState, apply_gate, fidelity_with_pure, gate_matrix, partial_trace, pauli_apply
+from cws552.statevec import GateOp, PureState, apply_gate, fidelity_with_pure, partial_trace, pauli_apply
 
 PAULI_2x2 = {
     "E": np.eye(2, dtype=complex),
@@ -136,14 +137,13 @@ def test_encoder_matrix_on_all_zeros(code):
 
 
 H_GATE = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-CNOT_GATE = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
 
 
 def circuit_encoder():
-    """Reference encoder as a circuit of dense products: a basis permutation
-    taking |0,b,0> to the qubit-1 = 0 member of pair b (the other inputs to the
-    free strings, both in index order), then a Hadamard on qubit 1 and CNOTs
-    from qubit 1 to qubits 2..5."""
+    """Reference encoder as a circuit: a basis permutation taking |0,b,0> to
+    the qubit-1 = 0 member of pair b (the other inputs to the free strings,
+    both in index order), then a Hadamard on qubit 1 (a kron product) and
+    CNOTs from qubit 1 to qubits 2..5 (row permutations)."""
     mapping = {
         int("0" + bits + "0", 2): int(lo if lo[0] == "0" else hi, 2)
         for bits, (lo, hi) in zip(LOGICAL_STRINGS, HAND_PAIRS)
@@ -154,9 +154,10 @@ def circuit_encoder():
     u = np.zeros((32, 32), dtype=complex)
     for src, dst in mapping.items():
         u[dst, src] = 1.0
-    u = gate_matrix(GateOp.single(1, H_GATE), 5) @ u
+    u = np.kron(H_GATE, np.eye(16)) @ u
     for target in (2, 3, 4, 5):
-        u = gate_matrix(GateOp((1, target), CNOT_GATE), 5) @ u
+        # The CNOT flips the target's bit in every index whose qubit 1 is set.
+        u = u[[i ^ (1 << (5 - target) if i & 16 else 0) for i in range(32)]]
     return u
 
 
@@ -480,6 +481,32 @@ def test_distance_of_unprotected_basis_states(code):
     trivial = replace(code, codewords=basis_states)
     assert verify_distance(trivial).distance == 1
     assert oracle_first_violation(list(basis_states.T), 5) == 1
+
+
+def test_a_nan_violation_ends_the_distance_scan(code):
+    """Codewords 1e160|00000> and |11110>: Z1's form overflows, and its NaN
+    violation is a violation, not a pass that lets the scan run on."""
+    codewords = np.zeros((32, 2), dtype=complex)
+    codewords[0b00000, 0], codewords[0b11110, 1] = 1e160, 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = verify_distance(replace(code, codewords=codewords))
+    assert (result.distance, result.witness) == (1, ((1, "Z"),))
+    assert np.isnan(result.witness_violation)
+
+
+def test_the_distance_scan_reaches_weight_four(code):
+    """Codewords a and Z1Z2Z3Z4 a, a with entries 0 and +-1 (|a|^2 = 20):
+    every Pauli of weight 1-3 leaves a form within 8 of a scalar, and
+    Z1Z2Z3Z4 leaves one 20 away.  Scaled so that DISTANCE_ATOL lies between
+    the two, the first violation has weight 4.  No finite pair has forms
+    that are exact scalars at weights 1-3 and not at weight 4 or 5, so only
+    the tolerance can show that the scan reaches those weights."""
+    a = np.array([{"+": 1.0, "-": -1.0, "0": 0.0}[c] for c in "--00+--+000+0+00--00++-+++0+0---"])
+    b = pauli_apply(a, {1: "Z", 2: "Z", 3: "Z", 4: "Z"}).real
+    codewords = np.sqrt(DISTANCE_ATOL / 12) * np.stack([a, b], axis=1)
+    result = verify_distance(replace(code, codewords=codewords))
+    assert (result.distance, result.witness) == (4, ((1, "Z"), (2, "Z"), (3, "Z"), (4, "Z")))
+    assert oracle_first_violation(list(codewords.T), 5) == 4
 
 
 def test_distance_agrees_with_independent_oracle_on_pair_basis(code):

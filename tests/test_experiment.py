@@ -31,7 +31,7 @@ from cws552.experiment import (
     write_setting_a_csv,
     write_sweep_csv,
 )
-from cws552.nmr_noise import NoiseModel
+from cws552.nmr_noise import NoiseModel, run_noisy_qecc
 from cws552.statevec import fidelity_with_pure, partial_trace
 
 
@@ -252,6 +252,35 @@ def test_every_simulation_rejects_a_code_that_is_not_unitary(code, simulation, p
     for _ in range(2):  # a failed check is not kept
         with pytest.raises(ValueError, match=rf"^{part}: matrix is not unitary \(deviation 3\.000e\+00\)$"):
             SIMULATIONS[simulation](bad, noise)
+
+
+def overflowing(code):
+    """`code` with decoder 1 set to 1e200 kron([[1+1j, 1-1j], [0, 0]], E16):
+    finite, but D^dag D overflows, so its deviation from unitary is NaN."""
+    decoder = 1e200 * np.kron([[1 + 1j, 1 - 1j], [0, 0]], np.eye(16))
+    return dataclasses.replace(code, decoders=(decoder, *code.decoders[1:]))
+
+
+ENTRIES = {
+    **SIMULATIONS,
+    "final_state": lambda code, noise: final_state(code, INPUTS[2].register, ErrorSpec.typed(1, "Y", 0.7), noise),
+}
+
+
+@pytest.mark.parametrize("noise", [None, NoiseModel.default()], ids=["noiseless", "noisy"])
+@pytest.mark.parametrize("entry", list(ENTRIES))
+def test_every_simulation_rejects_a_code_whose_unitarity_deviation_is_nan(code, entry, noise):
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"^decoder 1: matrix is not unitary \(deviation nan\)$"):
+            ENTRIES[entry](overflowing(code), noise)
+
+
+def test_the_noisy_oracle_proves_the_code_it_is_given(code):
+    """run_noisy_qecc, called directly, runs CodeSpec.check_unitary: its
+    decoder step takes the decoder as proved."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"^decoder 1: matrix is not unitary \(deviation nan\)$"):
+            run_noisy_qecc(overflowing(code), INPUTS[2].register, ErrorSpec.typed(1, "Y", 0.7), NoiseModel.default())
 
 
 def test_a_code_is_checked_once_and_a_replaced_copy_afresh(monkeypatch):

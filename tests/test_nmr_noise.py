@@ -820,6 +820,13 @@ def test_duration_of_an_unknown_segment_is_an_error():
         NoiseModel.default().duration("readout")
 
 
+@pytest.mark.parametrize("kernel", [apply_segment_noise, segment_noise_adjoint])
+def test_the_segment_kernels_reject_an_unknown_segment_name(kernel):
+    rho = PureState.basis("00000").density().matrix
+    with pytest.raises(ValueError, match="^segment 'readout' not in schedule$"):
+        kernel(rho, NoiseModel.default(), "readout")
+
+
 def test_gamma_t1_needs_t1_times():
     with pytest.raises(ValueError, match="^no t1 times configured$"):
         NoiseModel.default().gamma_t1(1, "encode")

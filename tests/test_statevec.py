@@ -18,7 +18,6 @@ from cws552.statevec import (
     apply_gate,
     apply_gate_mixed,
     fidelity_with_pure,
-    gate_matrix,
     partial_trace,
     pauli_apply,
 )
@@ -38,11 +37,6 @@ SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 TOFFOLI = np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 5, 7, 6]]
-
-
-def controlled(u):
-    """|0><0| (x) E + |1><1| (x) u: `u` on the second qubit when the first is |1>."""
-    return np.block([[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), u]])
 
 
 def random_state(rng, n):
@@ -126,16 +120,6 @@ class TestKernelConsistency:
         back = apply_gate(forward, GateOp([2, 3, 5], u.conj().T))
         np.testing.assert_allclose(back.amplitudes, state.amplitudes, atol=1e-10)
 
-    def test_gate_matrix_matches_columnwise_application(self):
-        rng = np.random.default_rng(19)
-        gate = GateOp((2, 4), controlled(random_unitary(rng, 2)))
-        full = gate_matrix(gate, 4)
-        for idx in range(16):
-            basis = np.zeros(16, dtype=complex)
-            basis[idx] = 1.0
-            out = apply_gate(PureState(4, basis), gate)
-            np.testing.assert_allclose(full[:, idx], out.amplitudes)
-
     def test_pauli_apply_matches_kron_oracle(self):
         # every Pauli on five qubits, on a vector and on a column batch, bit for bit
         rng = np.random.default_rng(29)
@@ -197,6 +181,18 @@ class TestMixedStates:
         rho_out = apply_gate_mixed(state.density(), gate)
         pure_out = apply_gate(state, gate)
         np.testing.assert_allclose(rho_out.matrix, pure_out.density().matrix, atol=1e-12)
+
+    def test_mixed_evolution_matches_dense_kron_conjugation(self):
+        """On a random full-rank rho, not only a pure one: U rho U^dag with U
+        the kron chain E (x) u (x) E of the gate on its qubits."""
+        rng = np.random.default_rng(41)
+        for n, qubits in ((4, (2, 3)), (5, (3, 4, 5))):
+            g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+            rho = g @ g.conj().T / np.trace(g @ g.conj().T)
+            u = random_unitary(rng, 2 ** len(qubits))
+            full = np.kron(np.kron(np.eye(2 ** (qubits[0] - 1)), u), np.eye(2 ** (n - qubits[-1])))
+            got = apply_gate_mixed(MixedState(n, rho), GateOp(qubits, u)).matrix
+            np.testing.assert_allclose(got, full @ rho @ full.conj().T, rtol=0, atol=1e-14)
 
     def test_partial_trace_of_product(self):
         state = PureState.basis("01")
@@ -390,3 +386,42 @@ def test_label_errors_name_the_allowed_range():
         ErrorSpec(0, 0.0, 0.0, (0.0, 0.0, 1.0))
     with pytest.raises(ValueError, match=r"^qubit 3 out of range: labels are integers in 1\.\.2$"):
         apply_gate(PureState.basis("00"), GateOp.single(3, X))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: PureState(2.0, [1, 0, 0, 0]), id="pure-float"),
+        pytest.param(lambda: PureState(True, [1, 0]), id="pure-bool"),
+        pytest.param(lambda: MixedState(1.0, np.eye(2) / 2), id="mixed-float"),
+        pytest.param(lambda: MixedState(False, [[1.0]]), id="mixed-bool"),
+    ],
+)
+def test_a_qubit_count_is_an_integer_not_a_bool(build):
+    with pytest.raises(ValueError, match="^qubit count must be an integer, got "):
+        build()
+
+
+def test_a_numpy_integer_is_a_qubit_count():
+    assert PureState(np.int64(1), [1, 0]).n_qubits == 1
+    assert MixedState(np.int32(1), np.eye(2) / 2).n_qubits == 1
+
+
+def test_pauli_apply_takes_a_one_qubit_vector():
+    vec = np.array([0.6, 0.8j])
+    for label, op in PAULI_2x2.items():
+        assert np.array_equal(pauli_apply(vec, {1: label}), op @ vec), label
+
+
+def test_pauli_apply_rejects_a_one_entry_vector_as_zero_qubits():
+    with pytest.raises(ValueError, match=r"^expected 2\^n amplitudes per column, got shape \(1,\)$"):
+        pauli_apply(np.ones(1), {})
+
+
+def test_a_gate_whose_unitarity_deviation_is_nan_is_rejected():
+    """Entries of 1e200 are finite, but M^dag M overflows and its deviation
+    from the identity is NaN, which must fail the check, not pass it."""
+    matrix = 1e200 * np.array([[1 + 1j, 1 - 1j], [0, 0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"^matrix is not unitary \(deviation nan\)$"):
+            GateOp.single(1, matrix)
