@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from itertools import chain
@@ -150,6 +151,19 @@ def _resolve(options: dict[str, Option], args, config: dict) -> argparse.Namespa
     return argparse.Namespace(**values)
 
 
+def _nulls_for_non_finite(value):
+    """`value` with each non-finite float in it, alone or in a float array, as
+    None, so that its JSON is strict: no NaN, Infinity or -Infinity."""
+    if isinstance(value, dict):
+        return {key: _nulls_for_non_finite(item) for key, item in value.items()}
+    if isinstance(value, (float, np.ndarray)) and not np.isfinite(value).all():
+        return np.where(np.isfinite(value), value, None).tolist()
+    return value
+
+
+# A code file of huge entries can overflow the checks; each check then fails on
+# its non-finite number, which the report states, so numpy need not warn.
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_verify(opts) -> int:
     code = build_code() if opts.code is None else code_from_json_dict(_read_json(opts.code))
     report = {
@@ -176,14 +190,16 @@ def cmd_verify(opts) -> int:
     dist = verify_distance(code)
     report["distance"] = {
         "value": dist.distance,
-        "passed": dist.distance == code552.DISTANCE and dist.witness is not None,
+        "passed": (
+            dist.distance == code552.DISTANCE and dist.witness is not None and math.isfinite(dist.witness_violation)
+        ),
         "witness": [[q, lab] for q, lab in dist.witness] if dist.witness else None,
         "witness_violation": dist.witness_violation,
     }
     report["passed"] = all(part["passed"] for part in report.values())
 
     if opts.json:
-        print(_json_text(report))
+        print(_json_text(_nulls_for_non_finite(report)))
     else:
         def line(name, part, detail):
             print(f"{name}: {'PASS' if part['passed'] else 'FAIL'} ({detail})")

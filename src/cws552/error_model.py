@@ -26,7 +26,7 @@ AXIS_NORM_ATOL = 1e-12
 
 @dataclass(frozen=True)
 class ErrorSpec:
-    """A known-location error: location, global phase, angle, rotation axis."""
+    """A known-location error: location, global phase, angle, rotation axis (stored normalized)."""
 
     location: int
     alpha: float
@@ -41,7 +41,7 @@ class ErrorSpec:
         norm = math.hypot(*ax)
         if abs(norm - 1.0) > AXIS_NORM_ATOL:
             raise ValueError(f"axis must be a unit vector, got norm {norm!r}")
-        object.__setattr__(self, "axis", tuple(ax))
+        object.__setattr__(self, "axis", tuple(a / norm for a in ax))
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "location", int(self.location))

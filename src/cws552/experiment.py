@@ -36,7 +36,7 @@ import numpy as np
 from .code552 import BRANCH_LABELS, SYNDROME_MAP, CodeSpec, _branch_target_index, _reals, decode, encode
 from .error_model import AXIS_BY_TYPE, ErrorSpec, error_unitary, pauli_expand, typed_expansions
 from .nmr_noise import NoiseModel, _final_knobs, apply_segment_noise, run_noisy_qecc, segment_noise_adjoint
-from .statevec import PAULI_BY_LABEL, GateOp, MixedState, PureState, _axes_for, apply_gate
+from .statevec import PAULI_BY_LABEL, GateOp, MixedState, PureState, _axes_for, _is_int, apply_gate
 
 ERROR_TYPES = tuple(AXIS_BY_TYPE)
 SETTING_A_PAULIS = ("E", "Z", "X", "Y")
@@ -129,7 +129,7 @@ def run_point(
     axis's syndrome branch; for a generic axis the three error branches are
     summed before taking real part and modulus.
     """
-    if isinstance(input_k, bool) or not isinstance(input_k, (int, np.integer)) or input_k not in INPUTS:
+    if not _is_int(input_k) or input_k not in INPUTS:
         raise ValueError(f"input_k must be one of {sorted(INPUTS)}, got {input_k!r}")
     profile = INPUTS[input_k]
     state = final_state(code, profile.register, error, noise)
@@ -198,7 +198,7 @@ def run_setting_a(code: CodeSpec, noise: NoiseModel | None = None) -> list[Setti
 def default_grid(n_points: int = 13, theta_max: float = float(np.pi)) -> np.ndarray:
     """Uniform error-angle grid of `n_points` (an integer from two to
     GRID_SIZE_CAP) on [0, theta_max], theta_max finite and positive."""
-    if isinstance(n_points, bool) or not isinstance(n_points, (int, np.integer)) or n_points < 2:
+    if not _is_int(n_points) or n_points < 2:
         raise ValueError(f"grid needs an integer number of points, at least two, got {n_points!r}")
     if n_points > GRID_SIZE_CAP:
         raise ValueError(f"grid of {n_points} points exceeds the cap of {GRID_SIZE_CAP} points")

@@ -195,35 +195,17 @@ class NoiseModel:
             coherence_scale=gamma,
         )
 
-    def duration(self, segment: str) -> float:
-        for seg, dur in self.schedule:
-            if seg == segment:
-                return dur
-        raise ValueError(f"segment {segment!r} not in schedule")
-
-    def lam(self, qubit: int, segment: str) -> float:
-        """Dephasing strength lambda = 1 - exp(-t/T2) for one qubit, one segment."""
-        (axis,) = _axes_for((qubit,), len(self.t2))
-        return 1.0 - float(np.exp(-self.duration(segment) / self.t2[axis]))
-
-    def gamma_t1(self, qubit: int, segment: str) -> float:
-        """Amplitude-damping strength gamma = 1 - exp(-t/T1) for one qubit, one segment."""
-        if self.t1 is None:
-            raise ValueError("no t1 times configured")
-        (axis,) = _axes_for((qubit,), len(self.t1))
-        return 1.0 - float(np.exp(-self.duration(segment) / self.t1[axis]))
-
     @cached_property
     def _segment_channels(self) -> dict[str, tuple[np.ndarray, tuple[tuple[int, float, np.ndarray], ...]]]:
-        """Per segment: the folded dephasing mask and, with amplitude damping
-        on, (qubit, gamma, _damping_factor) for each qubit whose T1 gamma is
-        not zero.  Built on first use, so each model builds them once."""
-        qubits = range(1, len(self.t2) + 1)
+        """Per segment of duration t: the dephasing mask folding each qubit's
+        lambda = 1 - exp(-t/T2) and, with damping on, (qubit, gamma, _damping_factor)
+        for each nonzero gamma = 1 - exp(-t/T1).  Each model builds them once, on first use."""
+        durations = dict(self.schedule)
         channels = {}
         for seg in SEGMENTS:
-            mask = _dephasing_mask([self.lam(q, seg) for q in qubits])
+            mask = _dephasing_mask(1.0 - np.exp(-durations[seg] / np.array(self.t2)))
             mask.flags.writeable = False
-            gammas = [self.gamma_t1(q, seg) for q in qubits] if self.amplitude_damping else []
+            gammas = (1.0 - np.exp(-durations[seg] / np.array(self.t1))).tolist() if self.amplitude_damping else []
             damping = tuple((q, g, _damping_factor(len(self.t2), q, g)) for q, g in enumerate(gammas, start=1) if g)
             channels[seg] = (mask, damping)
         return channels

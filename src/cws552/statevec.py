@@ -123,7 +123,7 @@ def _apply_matrix(vec: np.ndarray, mat: np.ndarray, axes: Sequence[int], n: int)
 
 
 def _is_int(value) -> bool:
-    """The one integer test on qubit labels and counts: an int, not a bool."""
+    """The one integer test on qubit labels and counts, inputs and grid sizes: an int, not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cws552 import cli
 from cws552.cli import _SPECTRUM_BLOCK_ROWS, _state_from_spec, main
-from cws552.code552 import build_code, code_to_json_dict
+from cws552.code552 import DistanceResult, build_code, code_to_json_dict
 from cws552.experiment import GRID_SIZE_CAP
 from cws552.nmr_noise import NmrSystem, NoiseModel, simulate_spectrum
 
@@ -69,6 +70,39 @@ def test_verify_fails_a_code_whose_only_defect_is_decoder_5(tmp_path, capsys):
     assert report["passed"] is False
     assert report["decoders"]["passed"] is False
     assert all(report[key]["passed"] for key in ("orthonormality", "encoder", "erasure", "distance"))
+
+
+def reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_json_of_an_overflowing_code_is_strict_json(tmp_path, capsys):
+    """Codeword 0 set to 1e160|00000>: the checks overflow without a numpy
+    warning, and the report writes each non-finite number as null and fails
+    its check."""
+    doc = code_to_json_dict(build_code())
+    doc["codewords"][0] = [[1e160 if i == 0 else 0.0, 0.0] for i in range(32)]
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--code", str(path)]) == 1
+    capsys.readouterr()
+    assert main(["verify", "--json", "--code", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+    assert report["passed"] is False
+    assert report["orthonormality"] == {"deviation": None, "passed": False}
+    locations = report["erasure"]["locations"].values()
+    assert all(None in np.array(part["c_matrix"]).ravel() for part in locations)
+    assert all(part["max_violation"] is None and part["passed"] is False for part in locations)
+
+
+def test_verify_fails_the_distance_check_on_a_non_finite_witness_violation(monkeypatch, capsys):
+    witness = ((1, "X"), (2, "Z"))
+    result = DistanceResult(distance=2, witness=witness, witness_violation=float("inf"))
+    monkeypatch.setattr(cli, "verify_distance", lambda code: result)
+    assert main(["verify", "--json"]) == 1
+    distance = json.loads(capsys.readouterr().out, parse_constant=reject_constant)["distance"]
+    assert distance == {"passed": False, "value": 2, "witness": [[1, "X"], [2, "Z"]], "witness_violation": None}
 
 
 def test_sweep_setting_b_outputs(tmp_path, capsys):

@@ -3,12 +3,16 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from cws552.code552 import build_code
 from cws552.error_model import (
+    AXIS_NORM_ATOL,
     ErrorSpec,
     error_unitary,
     pauli_expand,
     typed_expansions,
 )
+from cws552.experiment import run_point
+from cws552.nmr_noise import NoiseModel
 from cws552.statevec import E2, X, Y, Z
 
 
@@ -97,6 +101,20 @@ def test_predicted_syndrome_layout():
 def test_rejects_non_unit_axis():
     with pytest.raises(ValueError, match="unit"):
         ErrorSpec(1, 0.0, 1.0, (1.0, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("axis", [(1.0, 0.0, 0.0), (0.6, 0.0, 0.8), (1.0, -2.0, 2.0)])
+@pytest.mark.parametrize("offset", [0.9 * AXIS_NORM_ATOL, -0.9 * AXIS_NORM_ATOL])
+def test_an_axis_inside_the_norm_tolerance_runs_everywhere(axis, offset):
+    """The axis is stored normalized, so its gate passes GateOp's unitarity
+    check (1e-12 on |U^dag U - I|, about twice the norm error) and its branch
+    coefficients keep sum |c|^2 = 1."""
+    unit = np.array(axis) / np.linalg.norm(axis)
+    spec = ErrorSpec(3, 0.4, np.pi, tuple(unit * (1.0 + offset)))
+    run_point(build_code(), 2, spec)
+    run_point(build_code(), 2, spec, NoiseModel.default())
+    assert abs(np.sum(np.abs(pauli_expand(spec).coefficients()) ** 2) - 1.0) < 1e-15
+    assert abs(np.linalg.norm(spec.axis) - 1.0) < 1e-15
 
 
 def test_rejects_bad_location():

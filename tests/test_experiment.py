@@ -542,6 +542,13 @@ def test_grid_and_input_k_take_integers_and_finite_angles(code, call, match):
         call(code)
 
 
+def test_grid_and_input_k_take_numpy_integers(code):
+    """The integer test is statevec's: a numpy integer is an integer."""
+    error = ErrorSpec.typed(1, "X", 0.1)
+    assert run_point(code, np.int64(2), error) == run_point(code, 2, error)
+    np.testing.assert_array_equal(default_grid(np.int32(5)), default_grid(5))
+
+
 @pytest.mark.parametrize("noise", [None, NoiseModel.default()], ids=["noiseless", "default"])
 @pytest.mark.parametrize("run", [run_setting_b, run_setting_c], ids=["B", "C"])
 @pytest.mark.parametrize(

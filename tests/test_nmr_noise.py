@@ -63,6 +63,18 @@ def noise_models(draw):
     )
 
 
+def lams(model, segment):
+    """Each qubit's lambda = 1 - exp(-t/T2) over the segment's duration t."""
+    t = dict(model.schedule)[segment]
+    return [1.0 - float(np.exp(-t / t2)) for t2 in model.t2]
+
+
+def gammas(model, segment):
+    """Each qubit's gamma = 1 - exp(-t/T1) over the segment's duration t."""
+    t = dict(model.schedule)[segment]
+    return [1.0 - float(np.exp(-t / t1)) for t1 in model.t1]
+
+
 def two_spin_system(nu1=30.0, nu2=-20.0, j=7.0):
     return NmrSystem(
         nu=np.array([nu1, nu2]),
@@ -267,25 +279,36 @@ class TestNoiseModel:
         assert abs(durations["encode"] / durations["error"] - 6.0) < 1e-12
 
     def test_lambda_formula(self):
+        """Qubit 3's dephasing weight sits on the elements that differ only in
+        qubit 3 (bit 1 << 2 of five, qubit 1 most significant)."""
         model = NoiseModel.default()
-        t = model.duration("encode")
-        assert abs(model.lam(3, "encode") - (1 - np.exp(-t / 0.95))) < 1e-15
+        t = dict(model.schedule)["encode"]
+        mask, _ = model._segment_channels["encode"]
+        assert abs((1.0 - mask[0, 4]) - (1 - np.exp(-t / 0.95))) < 1e-15
 
     def test_gamma_t1_formula(self):
         model = NoiseModel(
             t2=(1.0,),
             schedule=(("encode", 0.2), ("error", 0.0), ("decode", 0.0)),
             t1=(4.0,),
+            amplitude_damping=True,
         )
-        assert abs(model.gamma_t1(1, "encode") - (1 - np.exp(-0.05))) < 1e-15
+        _, damping = model._segment_channels["encode"]
+        [(qubit, gamma, _)] = damping
+        assert qubit == 1
+        assert abs(gamma - (1 - np.exp(-0.05))) < 1e-15
 
-    @pytest.mark.parametrize("qubit", [-1, 0, 6])
-    def test_per_qubit_strengths_check_the_qubit_range(self, qubit):
-        model = dataclasses.replace(NoiseModel.default(), t1=(5.0, 8.0, 7.0, 6.0, 9.0))
-        with pytest.raises(ValueError, match=f"qubit {qubit} out of range"):
-            model.lam(qubit, "encode")
-        with pytest.raises(ValueError, match=f"qubit {qubit} out of range"):
-            model.gamma_t1(qubit, "encode")
+    @settings(max_examples=50, deadline=None)
+    @given(model=noise_models())
+    def test_segment_channels_follow_the_closed_forms(self, model):
+        """Each segment's mask folds every qubit's lambda = 1 - exp(-t/T2),
+        and its damping lists (qubit, gamma = 1 - exp(-t/T1)) for each
+        nonzero gamma when damping is on."""
+        for segment in SEGMENTS:
+            mask, damping = model._segment_channels[segment]
+            assert np.array_equal(mask, _dephasing_mask(lams(model, segment)))
+            want = [(q, g) for q, g in enumerate(gammas(model, segment), 1) if g] if model.amplitude_damping else []
+            assert [(q, g) for q, g, _ in damping] == want
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError, match="exactly once"):
@@ -475,7 +498,7 @@ class TestDampingKernel:
         assert len(built) == 15
         for segment in SEGMENTS:
             _, damping = model._segment_channels[segment]
-            assert [(q, g) for q, g, _ in damping] == [(q, model.gamma_t1(q, segment)) for q in range(1, 6)]
+            assert [(q, g) for q, g, _ in damping] == list(enumerate(gammas(model, segment), 1))
             for qubit, gamma, factor in damping:
                 assert factor.shape == (32, 32) and not factor.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
@@ -493,9 +516,9 @@ class TestDampingKernel:
         # A gamma of 1 or a mask entry of 0 zeroes parts, so only == is required.
         n = len(model.t2)
         stack = np.random.default_rng(seed).normal(size=(2, 2**n, 2 ** (n + 1))).view(complex)
-        want = np.multiply(stack, _dephasing_mask([model.lam(q, segment) for q in range(1, n + 1)]), dtype=complex)
-        for qubit in range(1, n + 1) if model.amplitude_damping else ():
-            if gamma := model.gamma_t1(qubit, segment):
+        want = np.multiply(stack, _dephasing_mask(lams(model, segment)), dtype=complex)
+        for qubit, gamma in enumerate(gammas(model, segment), 1) if model.amplitude_damping else ():
+            if gamma:
                 slice_damp_in_place(want, qubit, gamma, adjoint)
         if adjoint:
             got = segment_noise_adjoint(stack, model, segment)
@@ -510,11 +533,11 @@ class TestSegmentKernel:
     def test_equals_sequential_public_channels(self, model, segment):
         rho = random_density(np.random.default_rng(41), 5)
         expected = rho
-        for q in range(1, 6):
-            expected = apply_dephasing(expected, q, model.lam(q, segment))
+        for q, lam in enumerate(lams(model, segment), 1):
+            expected = apply_dephasing(expected, q, lam)
         if model.amplitude_damping:
-            for q in range(1, 6):
-                expected = apply_amplitude_damping(expected, q, model.gamma_t1(q, segment))
+            for q, gamma in enumerate(gammas(model, segment), 1):
+                expected = apply_amplitude_damping(expected, q, gamma)
         out = apply_segment_noise(rho.matrix, model, segment)
         np.testing.assert_allclose(out, expected.matrix, rtol=0, atol=1e-14)
 
@@ -815,21 +838,11 @@ def test_energies_refuse_more_than_ten_spins():
         energies(system)
 
 
-def test_duration_of_an_unknown_segment_is_an_error():
-    with pytest.raises(ValueError, match="^segment 'readout' not in schedule$"):
-        NoiseModel.default().duration("readout")
-
-
 @pytest.mark.parametrize("kernel", [apply_segment_noise, segment_noise_adjoint])
 def test_the_segment_kernels_reject_an_unknown_segment_name(kernel):
     rho = PureState.basis("00000").density().matrix
     with pytest.raises(ValueError, match="^segment 'readout' not in schedule$"):
         kernel(rho, NoiseModel.default(), "readout")
-
-
-def test_gamma_t1_needs_t1_times():
-    with pytest.raises(ValueError, match="^no t1 times configured$"):
-        NoiseModel.default().gamma_t1(1, "encode")
 
 
 def test_spectrum_needs_at_least_two_samples():

@@ -6,7 +6,7 @@ import pytest
 
 from cws552.code552 import build_code
 from cws552.error_model import ErrorSpec
-from cws552.nmr_noise import NmrSystem, NoiseModel, apply_amplitude_damping, apply_dephasing, simulate_spectrum
+from cws552.nmr_noise import NmrSystem, apply_amplitude_damping, apply_dephasing, simulate_spectrum
 from cws552.statevec import (
     GateOp,
     MixedState,
@@ -297,7 +297,6 @@ RHO5 = PureState.basis("00000").density()
         pytest.param(lambda: pauli_apply(RHO5.matrix[0], {2.5: "X"}), id="pauli_apply-float"),
         pytest.param(lambda: GateOp.single(True, X), id="GateOp-bool"),
         pytest.param(lambda: GateOp(("1", 2), np.eye(4)), id="GateOp-str"),
-        pytest.param(lambda: NoiseModel.default().lam(2.5, "encode"), id="lam-float"),
         pytest.param(lambda: apply_dephasing(RHO5, True, 0.1), id="apply_dephasing-bool"),
         pytest.param(lambda: apply_amplitude_damping(RHO5, 2.0, 0.1), id="apply_amplitude_damping-float"),
         pytest.param(
