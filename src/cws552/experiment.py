@@ -387,15 +387,33 @@ def _transfer_maps(code: CodeSpec, readouts: np.ndarray, input_ks: Sequence[int]
     and the decode noise, each location's decoder and the error noise, each
     step by its adjoint; the encoded inputs get the encode noise.  One
     _transfer_map call per location pairs the two.
+
+    A stack with one nonzero entry w at (i, j) per readout, as settings B
+    and C read unless T1 damping spreads it, crosses every decoder D at once
+    as (w D[i]) outer conj(D[j]).  Each entry of the dense D.T @ W @ D.conj()
+    has that one nonzero term, and each entry of build_code's decoders is
+    purely real or purely imaginary, so every complex product has one zero
+    part and rounds alike under any FMA or SIMD loop.  The weights equal the
+    dense products' by == (a zero part may differ in sign), and the transfer
+    maps summed from them keep their bits.  Other stacks, as setting A's,
+    keep the dense products, whose sums of several terms an outer-product
+    sum would round differently.
     """
     code.check_unitary()
     if noise is not None:
         readouts = _final_knobs(readouts, noise.depolarizing, noise.coherence_scale, adjoint=True)
         readouts = segment_noise_adjoint(readouts, noise, "decode")
     weights = np.empty((code.n,) + readouts.shape, dtype=complex)
-    for location in range(1, code.n + 1):
-        dec = code.decoder(location)
-        weights[location - 1] = dec.T @ readouts @ dec.conj()
+    # flatnonzero on a bool stack: 2.5x faster than nonzero on the complex one
+    r, i, j = np.unravel_index(np.flatnonzero(readouts != 0), readouts.shape)
+    if np.array_equal(r, np.arange(len(readouts))):
+        decs = np.stack(code.decoders)
+        rows = decs[:, i] * readouts[r, i, j][:, None]
+        np.multiply(rows[..., None], decs[:, j, None].conj(), out=weights)
+    else:
+        for location in range(1, code.n + 1):
+            dec = code.decoder(location)
+            weights[location - 1] = dec.T @ readouts @ dec.conj()
     del readouts  # held to the end, it cost 188 page faults per 41-point C sweep
     if noise is not None:
         # In place: a second buffer of the stack's size (0.5 MB for setting C)

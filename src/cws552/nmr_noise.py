@@ -224,11 +224,12 @@ def _dephasing_mask(lams) -> np.ndarray:
     """Elementwise weight of all per-qubit dephasing channels at once.
 
     Element (a, b) keeps the product of (1 - lam_q) over the qubits q on
-    which a and b differ; qubit 1 is the most significant factor.
+    which a and b differ; qubit 1 is the most significant factor.  The
+    factors multiply from qubit 1 on, as a chain of np.kron would.
     """
     mask = np.ones((1, 1))
-    for lam in lams:
-        mask = np.kron(mask, np.array([[1.0, 1.0 - lam], [1.0 - lam, 1.0]]))
+    for sign, lam in zip(_spin_signs(len(lams)), lams):
+        mask = mask * np.where(sign[:, None] == sign, 1.0, 1.0 - lam)
     return mask
 
 

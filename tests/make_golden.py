@@ -106,15 +106,26 @@ def sha256(data: bytes) -> str:
 
 
 def platform_key() -> dict[str, str]:
-    """What exact hashes depend on: numpy, the platform, and the product
-    kernels the linked BLAS picks on this CPU (a fixed 32x32 complex product)."""
+    """What exact hashes depend on: numpy, the platform, the product kernels
+    the linked BLAS picks on this CPU (a fixed 32x32 complex product), and
+    the SIMD loops numpy dispatches to on it (fixed-input elementwise math,
+    which rounds differently with and without AVX-512, as under
+    NPY_ENABLE_CPU_FEATURES=X86_V3)."""
     a = np.exp(0.37j * np.arange(32 * 32, dtype=float)).reshape(32, 32)
     probe = a @ a.conj().T @ a
+    x = np.linspace(0.001, 30.0, 4099)
+    y = x[::-1].copy()
+    z = x * np.exp(1j * y)
+    loops = (
+        np.exp(x - 15.0), np.log(x), np.sin(x), np.cos(x), np.sqrt(x), np.arctan(x - 15.0),
+        np.arctan2(x - 15.0, y - 15.0), np.hypot(x, y), z * z[::-1], np.abs(z),
+    )
     return {
         "numpy": np.__version__,
         "system": platform.system(),
         "machine": platform.machine(),
         "blas_probe": sha256(np.ascontiguousarray(probe).tobytes()),
+        "simd_probe": sha256(b"".join(v.tobytes() for v in loops)),
     }
 
 

@@ -7,8 +7,9 @@ temporary directory and compared with it:
 
 - every output's sha256, including stdout, stderr and the exit code, when
   this machine matches tests/golden/platform.json (numpy version, system,
-  machine and a BLAS product probe); elsewhere that check skips and says why,
-  because another BLAS may move the last bit of a float;
+  machine, a BLAS product probe and a probe of numpy's elementwise SIMD
+  loops); elsewhere that check skips and says why, because another BLAS or
+  another SIMD loop may move the last bit of a float;
 - the small outputs kept verbatim, exactly on the recorded platform and
   otherwise numerically: the text between the numbers must agree and each
   number within 4 ulp of the larger magnitude, taken as at least 1.0, since

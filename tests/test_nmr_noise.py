@@ -75,6 +75,14 @@ def gammas(model, segment):
     return [1.0 - float(np.exp(-t / t1)) for t1 in model.t1]
 
 
+def kron_chain_mask(lams):
+    """The dephasing mask as a chain of np.kron, qubit 1 first: the oracle of _dephasing_mask."""
+    mask = np.ones((1, 1))
+    for lam in lams:
+        mask = np.kron(mask, np.array([[1.0, 1.0 - lam], [1.0 - lam, 1.0]]))
+    return mask
+
+
 def two_spin_system(nu1=30.0, nu2=-20.0, j=7.0):
     return NmrSystem(
         nu=np.array([nu1, nu2]),
@@ -240,6 +248,14 @@ class TestDephasing:
             apply_dephasing(rho, 1, 1.5)
         with pytest.raises(ValueError, match="qubit"):
             apply_dephasing(rho, 3, 0.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lams=st.lists(st.floats(0.0, 1.0), max_size=6))
+    @example(lams=[5e-324, 1.0, 0.0, 1e-17, 0.5])
+    def test_mask_equals_the_kron_chain_byte_for_byte(self, lams):
+        got, want = _dephasing_mask(lams), kron_chain_mask(lams)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 class TestAuxiliaryChannels:

@@ -11,9 +11,10 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from cws552 import experiment, nmr_noise
-from cws552.code552 import BRANCH_LABELS, _branch_target_index, build_code, encode
+from cws552.code552 import BRANCH_LABELS, CodeSpec, _branch_target_index, build_code, encode
 from cws552.error_model import ErrorSpec, typed_expansions
 from cws552.experiment import (
+    INPUT_KS,
     INPUTS,
     SWEEP_COMBOS,
     fit_constant,
@@ -205,6 +206,9 @@ ENGINE_MODELS = {
     "attenuation": NoiseModel.uniform_attenuation(0.15),
     "bench-t1": BENCH_T1,
     "golden-t1": GOLDEN_T1,
+    # The depolarizing adjoint leaves explicit zeros on each one-entry readout's diagonal.
+    "depolarizing": dataclasses.replace(NoiseModel.default(), depolarizing=0.2),
+    "all-knobs": dataclasses.replace(NoiseModel.default(), depolarizing=0.2, coherence_scale=0.7),
 }
 
 
@@ -332,6 +336,86 @@ def test_one_heisenberg_pass_per_sweep(setting, monkeypatch):
     run = run_setting_b if setting == "B" else run_setting_c
     run(CODE, grid=np.linspace(0.0, np.pi, 5), noise=BENCH_T1)
     assert calls == {"segment_noise_adjoint": 2, "apply_segment_noise": 1, "_damp_in_place": 15}
+
+
+@pytest.mark.parametrize("noise", list(ENGINE_MODELS.values()), ids=list(ENGINE_MODELS))
+@pytest.mark.parametrize("setting", ["A", "B", "C"])
+def test_only_multi_entry_readouts_take_the_dense_decoder_products(setting, noise, monkeypatch):
+    """B and C read one entry per readout, and without T1 damping each stays
+    one entry through the adjoints: the stack crosses every decoder as one
+    outer product of decoder rows and calls no CodeSpec.decoder.  Setting
+    A's populations and fidelity, and any stack that damping spreads, take
+    one dense product per location."""
+    calls = []
+    inner = CodeSpec.decoder
+
+    def counted(code, location):
+        calls.append(location)
+        return inner(code, location)
+
+    monkeypatch.setattr(CodeSpec, "decoder", counted)
+    if setting == "A":
+        run_setting_a(CODE, noise)
+    else:
+        (run_setting_b if setting == "B" else run_setting_c)(CODE, grid=np.linspace(0.0, np.pi, 5), noise=noise)
+    dense = setting == "A" or (noise is not None and noise.amplitude_damping)
+    assert calls == (list(range(1, CODE.n + 1)) if dense else [])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    entries=st.lists(
+        st.tuples(st.integers(0, 31), st.integers(0, 31), st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3)),
+        min_size=1,
+        max_size=6,
+    ),
+    input_k=st.sampled_from(INPUT_KS),
+)
+def test_one_entry_readouts_equal_the_dense_decoder_products(entries, input_k):
+    """A stack of one entry w at (i, j) per readout, w complex, gives the
+    transfer maps of one dense dec.T @ W @ dec.conj() per location bit for bit."""
+    stack = np.zeros((len(entries), 2**CODE.n, 2**CODE.n), dtype=complex)
+    for r, (i, j, w) in enumerate(entries):
+        stack[r, i, j] = w
+    psi = encode(CODE, INPUTS[input_k].register).amplitudes
+    rhos = np.outer(psi, psi.conj())[None]
+    want = [experiment._transfer_map(dec.T @ stack @ dec.conj(), rhos, q) for q, dec in enumerate(CODE.decoders, 1)]
+    assert experiment._transfer_maps(CODE, stack, [input_k], None).tobytes() == np.stack(want).tobytes()
+
+
+def test_every_built_decoder_entry_is_real_or_imaginary():
+    """What keeps the outer-product route bit for bit the dense products:
+    each complex product it forms has one zero part, so no FMA can round it
+    differently."""
+    for dec in CODE.decoders:
+        assert np.all((dec.real == 0) | (dec.imag == 0))
+
+
+def rephased_code():
+    """build_code's code with each decoder's rows multiplied by a fixed
+    phase, so that its nonzero entries have both parts nonzero."""
+    phases = np.exp(1j * (0.3 + 0.7 * np.arange(2**CODE.n)))
+    return CodeSpec(CODE.codewords, CODE.encoder, tuple(phases[:, None] * dec for dec in CODE.decoders))
+
+
+@pytest.mark.parametrize("model", ["none", "default", "all-knobs"])
+@pytest.mark.parametrize("setting", ["B", "C"])
+def test_a_rephased_code_sweeps_as_run_point_does(setting, model):
+    """The one-entry route is bit for bit the dense products only for
+    decoder entries that are purely real or purely imaginary, as
+    build_code's are.  A decoder whose entries have both parts nonzero may
+    round differently; its sweep is held to run_point to 1e-12, as
+    test_sweep_matches_run_point holds build_code's."""
+    code, noise = rephased_code(), ENGINE_MODELS[model]
+    assert all(np.any((dec.real != 0) & (dec.imag != 0)) for dec in code.decoders)
+    grid = np.linspace(0.0, np.pi, 5)
+    obs = (run_setting_b if setting == "B" else run_setting_c)(code, grid=grid, noise=noise).obs
+    for location in range(1, code.n + 1):
+        for c, (error_type, input_k) in enumerate(SWEEP_COMBOS[setting]):
+            for p, theta in enumerate(grid):
+                want = run_point(code, input_k, ErrorSpec.typed(location, error_type, theta), noise)
+                got = obs[location - 1, c, :, p]
+                assert np.all(np.abs(got - [getattr(want, f) for f in FIELDS]) <= 1e-12), (location, c, p)
 
 
 def transfer_map_calls(setting, noise, monkeypatch):
