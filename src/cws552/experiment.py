@@ -295,6 +295,12 @@ def _fit_arrays(*arrays: Sequence[float]) -> list[np.ndarray]:
 # The fit kernels fit each row of checked float arrays over the last axis:
 # fit_* pass one checked row, the sweep its (location, point) means, checked
 # once.  Each reduction runs along a contiguous row, which rounds as alone.
+# Each runs without numpy's overflow warnings and checks its sums and results.
+
+
+def _finite(*values: np.ndarray) -> None:
+    if not all(np.isfinite(v).all() for v in values):
+        raise ValueError("fit overflows: a sum or a result is not finite")
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -303,6 +309,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _scale_fit(ys: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = ys.shape[-1]
     if n < 2:
@@ -312,19 +319,23 @@ def _scale_fit(ys: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("theory curve is identically zero on the grid")
     scale = _dot(ys, t) / ss
     resid = ys - scale[..., None] * t
-    return scale, np.sqrt(_dot(resid, resid) / (n - 1) / ss)
+    stderr = np.sqrt(_dot(resid, resid) / (n - 1) / ss)
+    _finite(ss, scale, stderr)
+    return scale, stderr
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _constant_fit(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = vals.shape[-1]
     if n < 1:
         raise ValueError("need at least one value")
     mean = np.mean(vals, axis=-1)
-    if n == 1:
-        return mean, np.zeros_like(mean)
-    return mean, np.std(vals, axis=-1, ddof=1) / np.sqrt(n)
+    stderr = np.std(vals, axis=-1, ddof=1) / np.sqrt(n) if n > 1 else np.zeros_like(mean)
+    _finite(mean, stderr)
+    return mean, stderr
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _line_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, ...]:
     """Slope, intercept and their standard errors, in LineFit's order."""
     n = xs.shape[-1]
@@ -339,7 +350,9 @@ def _line_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, ...]:
     intercept = y_mean - slope * x_mean
     resid = ys - (slope[..., None] * xs + intercept[..., None])
     sigma2 = _dot(resid, resid) / (n - 2) if n > 2 else np.zeros_like(slope)
-    return slope, intercept, np.sqrt(sigma2 / sxx), np.sqrt(sigma2 * (1.0 / n + x_mean**2 / sxx))
+    fit = slope, intercept, np.sqrt(sigma2 / sxx), np.sqrt(sigma2 * (1.0 / n + x_mean**2 / sxx))
+    _finite(sxx, *fit)
+    return fit
 
 
 def fit_scale(measured: Sequence[float], theory: Sequence[float]) -> tuple[float, float]:

@@ -11,10 +11,10 @@ circuit segment of duration t is the channel
 
 which scales every coherence of qubit q by exp(-t/T2_q) and fixes all
 populations.  One kernel applies a segment's noise to a density matrix or a
-stack of them: the dephasing of all qubits is one elementwise mask per
-(model, segment), and optional T1 amplitude damping is, per qubit, one
-contiguous multiply by a factor matrix cached beside the mask plus one
-strided transfer between the qubit's (0,0) and (1,1) blocks.
+stack of them: one real elementwise mask per (model, segment) holds every
+qubit's dephasing and, with optional T1 amplitude damping on, every
+qubit's damping rescale, and damping adds one strided transfer per qubit
+from its (1,1) to its (0,0) ket/bra block.
 The optional depolarizing and coherence-scaling knobs act once on the final
 state.  The segment kernel and the knobs each have an adjoint that carries
 readout weights backward (the Heisenberg picture); the sweep engine behind
@@ -196,18 +196,18 @@ class NoiseModel:
         )
 
     @cached_property
-    def _segment_channels(self) -> dict[str, tuple[np.ndarray, tuple[tuple[int, float, np.ndarray], ...]]]:
-        """Per segment of duration t: the dephasing mask folding each qubit's
-        lambda = 1 - exp(-t/T2) and, with damping on, (qubit, gamma, _damping_factor)
-        for each nonzero gamma = 1 - exp(-t/T1).  Each model builds them once, on first use."""
+    def _segment_channels(self) -> dict[str, tuple[np.ndarray, tuple[tuple[int, float], ...]]]:
+        """Per segment of duration t: `_mask_and_transfers` of each qubit's
+        lambda = 1 - exp(-t/T2) and, with damping on, gamma = 1 - exp(-t/T1),
+        else gamma = 0.  Each model builds them once, on first use."""
         durations = dict(self.schedule)
         channels = {}
         for seg in SEGMENTS:
-            mask = _dephasing_mask(1.0 - np.exp(-durations[seg] / np.array(self.t2)))
-            mask.flags.writeable = False
-            gammas = (1.0 - np.exp(-durations[seg] / np.array(self.t1))).tolist() if self.amplitude_damping else []
-            damping = tuple((q, g, _damping_factor(len(self.t2), q, g)) for q, g in enumerate(gammas, start=1) if g)
-            channels[seg] = (mask, damping)
+            # t/T may overflow to inf; exp(-inf) = 0 is exact.
+            with np.errstate(over="ignore"):
+                lams = 1.0 - np.exp(-durations[seg] / np.array(self.t2))
+                gammas = 1.0 - np.exp(-durations[seg] / np.array(self.t1)) if self.amplitude_damping else np.zeros_like(lams)
+            channels[seg] = _mask_and_transfers(lams.tolist(), gammas.tolist())
         return channels
 
     def to_json_dict(self) -> dict:
@@ -220,70 +220,52 @@ class NoiseModel:
         return cls(**doc)
 
 
-def _dephasing_mask(lams) -> np.ndarray:
-    """Elementwise weight of all per-qubit dephasing channels at once.
+def _mask_and_transfers(lams, gammas) -> tuple[np.ndarray, tuple[tuple[int, float], ...]]:
+    """A segment's channel from per-qubit dephasing and damping strengths: a
+    read-only real mask and the (qubit, gamma) transfer of each nonzero gamma.
 
-    Element (a, b) keeps the product of (1 - lam_q) over the qubits q on
-    which a and b differ; qubit 1 is the most significant factor.  The
-    factors multiply from qubit 1 on, as a chain of np.kron would.
+    Mask element (a, b) is the product over qubits q of f_q[a_q, b_q], with
+    f_q = [[1, k_q], [k_q, 1 - gamma_q]] and k_q = (1 - lam_q) sqrt(1 - gamma_q),
+    multiplied from qubit 1 on, the most significant, as a chain of np.kron
+    would; gamma_q = 0 gives k_q = 1 - lam_q exactly.
     """
+    n = len(lams)
     mask = np.ones((1, 1))
-    for sign, lam in zip(_spin_signs(len(lams)), lams):
-        mask = mask * np.where(sign[:, None] == sign, 1.0, 1.0 - lam)
-    return mask
+    for q, (lam, gamma) in enumerate(zip(lams, gammas), start=1):
+        keep = (1.0 - lam) * np.sqrt(1.0 - gamma)
+        bits = np.arange(2**n) >> (n - q) & 1
+        mask = mask * np.array([[1.0, keep], [keep, 1.0 - gamma]])[bits[:, None], bits]
+    mask.flags.writeable = False
+    return mask, tuple((q, gamma) for q, gamma in enumerate(gammas, start=1) if gamma)
 
 
-def _damping_factor(n: int, qubit: int, gamma: float) -> np.ndarray:
-    """One qubit's read-only complex 2^n x 2^n damping factor: sqrt(1-gamma) on
-    its (0,1) and (1,0) ket/bra blocks, 1-gamma on its (1,1) block, 1 elsewhere."""
-    factor = np.ones((2 ** (qubit - 1), 2, 2 ** (n - qubit)) * 2, dtype=complex)
-    factor[:, 0, :, :, 1, :] = factor[:, 1, :, :, 0, :] = np.sqrt(1.0 - gamma)
-    factor[:, 1, :, :, 1, :] = 1.0 - gamma
-    factor.shape = (2**n, 2**n)
-    factor.flags.writeable = False
-    return factor
-
-
-def _damp_in_place(rhos: np.ndarray, qubit: int, gamma: float, factor: np.ndarray, adjoint: bool = False) -> None:
-    """Amplitude damping of one qubit on a C-contiguous stack (..., 2^n, 2^n).
-
-    With K0 = diag(1, sqrt(1-gamma)) and K1 = sqrt(gamma)|0><1| on the qubit,
-    K0 rho K0^dag + K1 rho K1^dag adds gamma times the qubit's (1,1) ket/bra
-    block to its (0,0) block, then rescales by `factor` (_damping_factor) in
-    one contiguous multiply.  The adjoint, on readout weights W with sum(W *
-    damp(rho)) = sum(adjoint(W) * rho), rescales first, then adds gamma times
-    the (0,0) block to the (1,1) block.  Each entry rounds as in a per-block
-    update, except that a -0.0 part of an entry scaled by 1 may become +0.0.
-    """
+def _damp_in_place(rhos: np.ndarray, qubit: int, gamma: float, adjoint: bool = False) -> None:
+    """Add gamma times one qubit's (1,1) ket/bra block to its (0,0) block (the
+    adjoint: (0,0) to (1,1)) on a C-contiguous stack (..., 2^n, 2^n).  Then the
+    mask's rescale of the qubit makes it K0 rho K0^dag + K1 rho K1^dag, with
+    K0 = diag(1, sqrt(1-gamma)) and K1 = sqrt(gamma)|0><1|."""
     t = rhos.view()
     t.shape = rhos.shape[:-2] + (2 ** (qubit - 1), 2, 2 ** (rhos.shape[-1].bit_length() - 1 - qubit)) * 2
-    if adjoint:
-        np.multiply(rhos, factor, out=rhos)
-        t[..., :, 1, :, :, 1, :] += gamma * t[..., :, 0, :, :, 0, :]
-    else:
-        t[..., :, 0, :, :, 0, :] += gamma * t[..., :, 1, :, :, 1, :]
-        np.multiply(rhos, factor, out=rhos)
+    src, dst = (0, 1) if adjoint else (1, 0)
+    t[..., :, dst, :, :, dst, :] += gamma * t[..., :, src, :, :, src, :]
 
 
-def _channel(rhos: np.ndarray, mask, damping, adjoint: bool = False, out: np.ndarray | None = None) -> np.ndarray:
-    """Dephasing by `mask`, then amplitude damping by each (qubit, gamma, factor).
-
-    `rhos` is a matrix or a stack of them, shape (..., 2^n, 2^n); the result
-    goes to `out` (a C-contiguous complex array of that shape, `rhos` itself
-    allowed) or else to a new array, leaving `rhos` untouched.  All these
-    single-qubit channels commute, so the adjoint runs them in the same order.
-    """
-    out = np.multiply(rhos, mask, out=out, dtype=complex)
-    for qubit, gamma, factor in damping:
-        _damp_in_place(out, qubit, gamma, factor, adjoint)
-    return out
+def _channel(rhos: np.ndarray, mask: np.ndarray, transfers) -> np.ndarray:
+    """A segment's channel on a matrix or a stack (..., 2^n, 2^n), into a new
+    array: each (qubit, gamma) transfer, qubit 1 first, then the mask.  The
+    mask's rescales commute with every transfer but their own qubit's, since
+    the others scale a transfer's source and target blocks alike."""
+    rhos = rhos.astype(complex, order="C")
+    for qubit, gamma in transfers:
+        _damp_in_place(rhos, qubit, gamma)
+    return np.multiply(rhos, mask, out=rhos)
 
 
 def apply_segment_noise(rhos: np.ndarray, model: NoiseModel, segment: str) -> np.ndarray:
     """One segment's noise on a density matrix or a stack (..., 2^n, 2^n).
 
-    Dephasing of every qubit is one folded mask, followed by amplitude
-    damping of every qubit when the model switches it on.
+    With damping on, each qubit's transfer runs first; then one mask folds
+    every qubit's dephasing and damping rescale.
     """
     return _channel(rhos, *_segment_channel(rhos, model, segment))
 
@@ -296,13 +278,18 @@ def segment_noise_adjoint(
     The result A satisfies sum(A * rho) == sum(W * apply_segment_noise(rho))
     for every rho; like the forward kernel it takes stacks (..., 2^n, 2^n).
     A is written to `out` when given, which may be `weights` itself: a large
-    stack is then carried back without a second buffer of its size.
+    stack is then carried back without a second buffer of its size.  The
+    mask runs first, then each transfer's adjoint.
     """
-    return _channel(weights, *_segment_channel(weights, model, segment), adjoint=True, out=out)
+    mask, transfers = _segment_channel(weights, model, segment)
+    out = np.multiply(weights, mask, out=out, dtype=complex)
+    for qubit, gamma in transfers:
+        _damp_in_place(out, qubit, gamma, adjoint=True)
+    return out
 
 
 def _segment_channel(rhos: np.ndarray, model: NoiseModel, segment: str):
-    """The model's (mask, gammas) for a known `segment` on the qubits of `rhos`."""
+    """The model's (mask, transfers) for a known `segment` on the qubits of `rhos`."""
     if segment not in SEGMENTS:
         raise ValueError(f"segment {segment!r} not in schedule")
     n = rhos.shape[-1].bit_length() - 1
@@ -313,18 +300,16 @@ def _segment_channel(rhos: np.ndarray, model: NoiseModel, segment: str):
 
 def apply_dephasing(state: MixedState, qubit: int, lam: float) -> MixedState:
     """Channel rho -> (1 - lam/2) rho + (lam/2) Z_q rho Z_q."""
-    lams = [0.0] * state.n_qubits
-    (axis,) = _axes_for((qubit,), state.n_qubits)
-    lams[axis] = _unit_interval("lambda", lam)
-    return MixedState(state.n_qubits, _channel(state.matrix, _dephasing_mask(lams), ()))
+    strengths = np.zeros((2, state.n_qubits))  # lambdas, gammas
+    strengths[0, _axes_for((qubit,), state.n_qubits)] = _unit_interval("lambda", lam)
+    return MixedState(state.n_qubits, _channel(state.matrix, *_mask_and_transfers(*strengths)))
 
 
 def apply_amplitude_damping(state: MixedState, qubit: int, gamma: float) -> MixedState:
     """T1 decay toward |0> with branch probability gamma."""
-    (axis,) = _axes_for((qubit,), state.n_qubits)
-    gamma = _unit_interval("gamma", gamma)
-    damping = [(axis + 1, gamma, _damping_factor(state.n_qubits, axis + 1, gamma))] if gamma else []
-    return MixedState(state.n_qubits, _channel(state.matrix, 1.0, damping))
+    strengths = np.zeros((2, state.n_qubits))  # lambdas, gammas
+    strengths[1, _axes_for((qubit,), state.n_qubits)] = _unit_interval("gamma", gamma)
+    return MixedState(state.n_qubits, _channel(state.matrix, *_mask_and_transfers(*strengths)))
 
 
 def _final_knobs(rhos: np.ndarray, depolarizing: float, coherence_scale: float, adjoint: bool = False) -> np.ndarray:

@@ -105,6 +105,15 @@ def test_verify_fails_the_distance_check_on_a_non_finite_witness_violation(monke
     assert distance == {"passed": False, "value": 2, "witness": [[1, "X"], [2, "Z"]], "witness_violation": None}
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("theta_max, grid", [("1e300", "21"), ("1e200", "2")])
+def test_a_sweep_whose_fit_overflows_fails_and_writes_nothing(tmp_path, capsys, theta_max, grid):
+    out = tmp_path / "out"
+    assert main(["sweep", "--setting", "B", "--theta-max", theta_max, "--grid", grid, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: fit overflows: a sum or a result is not finite\n"
+    assert not out.exists()
+
+
 def test_sweep_setting_b_outputs(tmp_path, capsys):
     out = tmp_path / "b"
     assert main(["sweep", "--setting", "B", "--grid", "5", "--out", str(out)]) == 0

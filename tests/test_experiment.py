@@ -484,6 +484,27 @@ def test_fits_reject_non_finite_inputs(fit, bad):
             FITS[fit]([0.0, bad, 2.0], [0.5, 0.6, 0.7])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: fit_line([0.0, 1e200], [0.0, 1.0]),  # sum of squares of x overflows; slope reads 0
+        lambda: fit_line([0.0, 1.0, 2.0], [0.0, 1e300, -1e300]),  # residuals overflow
+        lambda: fit_scale([1.0, 1e200], [1.0, 1e200]),
+        lambda: fit_scale([1.0, 1.0], [1.0, 1e200]),  # theory's sum of squares overflows; scale reads 0
+        lambda: fit_scale([1e300, -1e300], [1.0, 1.0]),
+        lambda: fit_constant([1e308, 1e308]),
+        lambda: fit_constant([1e308, -1e308, 1e308]),
+    ],
+    ids=["line-sxx", "line-resid", "scale-both", "scale-ss", "scale-resid", "constant-mean", "constant-std"],
+)
+def test_fits_raise_when_a_sum_or_result_overflows(call):
+    """Finite inputs whose sums leave the floats raise, with no numpy warning,
+    in place of returning NaN, inf or a zero read off an infinite sum."""
+    with pytest.raises(ValueError, match="^fit overflows: a sum or a result is not finite$"):
+        call()
+
+
 @pytest.mark.parametrize(
     "call, bad",
     [

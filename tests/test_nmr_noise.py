@@ -1,6 +1,7 @@
 """Tests for the spin Hamiltonian, dephasing channels, and spectrum simulation."""
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -16,9 +17,8 @@ from cws552.nmr_noise import (
     NmrSystem,
     NoiseModel,
     _damp_in_place,
-    _damping_factor,
-    _dephasing_mask,
     _final_knobs,
+    _mask_and_transfers,
     apply_amplitude_damping,
     apply_dephasing,
     apply_segment_noise,
@@ -31,6 +31,8 @@ from cws552.statevec import GateOp, MixedState, PureState, apply_gate
 
 
 times = st.floats(1e-3, 1e3)
+# Channel strengths in [0, 1], with the ends, a subnormal and 1e-17 (which 1 - x rounds away) drawn often.
+STRENGTHS = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, 5e-324, 1e-17])
 
 
 @st.composite
@@ -75,12 +77,19 @@ def gammas(model, segment):
     return [1.0 - float(np.exp(-t / t1)) for t1 in model.t1]
 
 
-def kron_chain_mask(lams):
-    """The dephasing mask as a chain of np.kron, qubit 1 first: the oracle of _dephasing_mask."""
+def kron_chain_mask(lams, gammas):
+    """The segment mask as a chain of np.kron of each qubit's 2x2 factor,
+    qubit 1 first: the oracle of _mask_and_transfers."""
     mask = np.ones((1, 1))
-    for lam in lams:
-        mask = np.kron(mask, np.array([[1.0, 1.0 - lam], [1.0 - lam, 1.0]]))
+    for lam, gamma in zip(lams, gammas):
+        keep = (1.0 - lam) * np.sqrt(1.0 - gamma)
+        mask = np.kron(mask, np.array([[1.0, keep], [keep, 1.0 - gamma]]))
     return mask
+
+
+def segment_strengths(model, segment):
+    """(lambdas, gammas) of the segment, gamma = 0 with damping off."""
+    return lams(model, segment), gammas(model, segment) if model.amplitude_damping else [0.0] * len(model.t2)
 
 
 def two_spin_system(nu1=30.0, nu2=-20.0, j=7.0):
@@ -250,12 +259,17 @@ class TestDephasing:
             apply_dephasing(rho, 3, 0.5)
 
     @settings(max_examples=200, deadline=None)
-    @given(lams=st.lists(st.floats(0.0, 1.0), max_size=6))
-    @example(lams=[5e-324, 1.0, 0.0, 1e-17, 0.5])
-    def test_mask_equals_the_kron_chain_byte_for_byte(self, lams):
-        got, want = _dephasing_mask(lams), kron_chain_mask(lams)
+    @given(strengths=st.lists(st.tuples(STRENGTHS, STRENGTHS), max_size=6))
+    @example(strengths=[(5e-324, 0.0), (1.0, 0.0), (0.0, 0.0), (1e-17, 0.0), (0.5, 0.0)])
+    @example(strengths=[(0.3, 1.0), (5e-324, 5e-324), (1.0, 0.25), (0.0, 1e-17), (0.5, 1.0)])
+    def test_mask_equals_the_kron_chain_byte_for_byte(self, strengths):
+        lams, gammas = [s[0] for s in strengths], [s[1] for s in strengths]
+        got, transfers = _mask_and_transfers(lams, gammas)
+        want = kron_chain_mask(lams, gammas)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+        assert transfers == tuple((q, g) for q, g in enumerate(gammas, 1) if g)
 
 
 class TestAuxiliaryChannels:
@@ -309,22 +323,37 @@ class TestNoiseModel:
             t1=(4.0,),
             amplitude_damping=True,
         )
-        _, damping = model._segment_channels["encode"]
-        [(qubit, gamma, _)] = damping
+        _, transfers = model._segment_channels["encode"]
+        [(qubit, gamma)] = transfers
         assert qubit == 1
         assert abs(gamma - (1 - np.exp(-0.05))) < 1e-15
 
     @settings(max_examples=50, deadline=None)
     @given(model=noise_models())
     def test_segment_channels_follow_the_closed_forms(self, model):
-        """Each segment's mask folds every qubit's lambda = 1 - exp(-t/T2),
-        and its damping lists (qubit, gamma = 1 - exp(-t/T1)) for each
-        nonzero gamma when damping is on."""
+        """Each segment's mask folds every qubit's lambda = 1 - exp(-t/T2)
+        and, when damping is on, gamma = 1 - exp(-t/T1), and its transfers
+        list (qubit, gamma) for each nonzero gamma."""
         for segment in SEGMENTS:
-            mask, damping = model._segment_channels[segment]
-            assert np.array_equal(mask, _dephasing_mask(lams(model, segment)))
-            want = [(q, g) for q, g in enumerate(gammas(model, segment), 1) if g] if model.amplitude_damping else []
-            assert [(q, g) for q, g, _ in damping] == want
+            mask, transfers = model._segment_channels[segment]
+            lam, gamma = segment_strengths(model, segment)
+            assert mask.tobytes() == kron_chain_mask(lam, gamma).tobytes()
+            assert transfers == tuple((q, g) for q, g in enumerate(gamma, 1) if g)
+
+    @pytest.mark.parametrize("damping", [True, False])
+    def test_an_overflowing_duration_ratio_builds_full_strength_channels(self, damping):
+        """t/T = 1e300/1e-300 overflows to inf, and exp(-inf) = 0 gives lambda
+        = gamma = 1 exactly, without a numpy warning."""
+        model = NoiseModel(
+            t2=(1e-300,) * 5, schedule=tuple((s, 1e300) for s in SEGMENTS), t1=(1e-300,) * 5, amplitude_damping=damping
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            channels = model._segment_channels
+        for segment in SEGMENTS:
+            mask, transfers = channels[segment]
+            assert mask.tobytes() == kron_chain_mask([1.0] * 5, [float(damping)] * 5).tobytes()
+            assert transfers == (tuple((q, 1.0) for q in range(1, 6)) if damping else ())
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError, match="exactly once"):
@@ -421,126 +450,97 @@ def kron_kraus_damping(rho, qubit, gamma):
     return k0 @ rho.matrix @ k0.conj().T + k1 @ rho.matrix @ k1.conj().T
 
 
-def slice_damp_in_place(rhos, qubit, gamma, adjoint=False):
-    """The per-block kernel: four strided passes over quarter blocks of a 6-D
-    view, one multiply or add per entry and block.  Kept as the oracle of the
-    factor-matrix kernel."""
+def index_transfer(rhos, qubit, gamma, adjoint=False):
+    """The transfer by index arrays: gamma times the entries whose row and
+    column have the qubit at 1 added to those with it at 0 (the adjoint: 0
+    to 1).  The oracle of _damp_in_place."""
     n = rhos.shape[-1].bit_length() - 1
-    t = rhos.view()
-    t.shape = rhos.shape[:-2] + (2 ** (qubit - 1), 2, 2 ** (n - qubit)) * 2
-    keep = np.sqrt(1.0 - gamma)
-    t[..., :, 0, :, :, 1, :] *= keep
-    t[..., :, 1, :, :, 0, :] *= keep
-    if adjoint:
-        t[..., :, 1, :, :, 1, :] *= 1.0 - gamma
-        t[..., :, 1, :, :, 1, :] += gamma * t[..., :, 0, :, :, 0, :]
-    else:
-        t[..., :, 0, :, :, 0, :] += gamma * t[..., :, 1, :, :, 1, :]
-        t[..., :, 1, :, :, 1, :] *= 1.0 - gamma
+    idx = np.arange(2**n)
+    low = idx[(idx >> (n - qubit)) & 1 == 0]
+    high = low + (1 << (n - qubit))
+    src, dst = (low, high) if adjoint else (high, low)
+    rhos[..., dst[:, None], dst] += gamma * rhos[..., src[:, None], src]
 
 
-# Finite parts small enough that no sum of two overflows, subnormals included.
-NONZERO_PARTS = st.floats(5e-324, 1e300) | st.floats(-1e300, -5e-324)
-ANY_PARTS = NONZERO_PARTS | st.sampled_from([0.0, -0.0])
+# Finite parts small enough that no sum of two overflows, subnormals and zeros of both signs included.
+PARTS = st.floats(5e-324, 1e300) | st.floats(-1e300, -5e-324) | st.sampled_from([0.0, -0.0])
 
 
 @st.composite
-def damping_cases(draw, parts):
+def damping_cases(draw):
     """(stack, qubit, gamma, adjoint): a complex stack (..., 2^n, 2^n) for n in 1-5,
     drawn part by part, a qubit, gamma in (0, 1] and a direction."""
     n = draw(st.integers(1, 5))
     lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
     shape = lead + (2**n, 2 ** (n + 1))
-    stack = draw(arrays(np.float64, shape, elements=parts)).view(complex)
+    stack = draw(arrays(np.float64, shape, elements=PARTS)).view(complex)
     gamma = draw(st.just(1.0) | st.floats(0.0, 1.0, exclude_min=True))
     return stack, draw(st.integers(1, n)), gamma, draw(st.booleans())
 
 
-def both_kernels(stack, qubit, gamma, adjoint):
-    """(factor-matrix kernel, slice oracle) on copies of `stack`."""
-    n = stack.shape[-1].bit_length() - 1
-    got, want = stack.copy(), stack.copy()
-    _damp_in_place(got, qubit, gamma, _damping_factor(n, qubit, gamma), adjoint)
-    slice_damp_in_place(want, qubit, gamma, adjoint)
-    return got, want
+def kernel_oracle(stack, model, segment, adjoint):
+    """A segment's channel spelled out: index transfers, qubit 1 first, then
+    the kron-chain mask; the adjoint multiplies by the mask first."""
+    lam, gamma = segment_strengths(model, segment)
+    mask = kron_chain_mask(lam, gamma)
+    want = np.multiply(stack, mask) if adjoint else stack.copy()
+    for qubit, g in enumerate(gamma, 1):
+        if g:
+            index_transfer(want, qubit, g, adjoint)
+    return want if adjoint else np.multiply(want, mask)
 
 
 class TestDampingKernel:
     @settings(max_examples=200, deadline=None)
-    @given(case=damping_cases(ANY_PARTS))
-    def test_equals_the_slice_kernel(self, case):
-        got, want = both_kernels(*case)
-        assert np.array_equal(got, want)
-
-    @settings(max_examples=200, deadline=None)
-    @given(case=damping_cases(NONZERO_PARTS))
-    def test_equals_the_slice_kernel_bit_for_bit_without_zero_parts(self, case):
-        got, want = both_kernels(*case)
+    @given(case=damping_cases())
+    def test_equals_the_index_transfer_byte_for_byte(self, case):
+        stack, qubit, gamma, adjoint = case
+        got, want = stack.copy(), stack.copy()
+        _damp_in_place(got, qubit, gamma, adjoint)
+        index_transfer(want, qubit, gamma, adjoint)
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("adjoint", [True, False])
-    def test_only_the_sign_of_a_zero_part_may_differ(self, adjoint):
-        # The factor leaves qubit 1's (0,0) block at 1.  A -0.0 real part there
-        # beside a negative imaginary part comes out of the 1+0j multiply as
-        # +0.0; the slice kernel leaves it -0.0 (forward, gamma times the
-        # (1,1) block adds a -0.0 real part).  The other stack items have no
-        # zero part and must match bit for bit.
-        rng = np.random.default_rng(71)
-        stack = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
-        stack[0, :2, :2] = -0.0 - 1j
-        stack[0, 2:, 2:] = complex(-0.0, 0.0)
-        got, want = both_kernels(stack, 1, 0.25, adjoint)
-        assert np.array_equal(got, want)
-        differ = got.view(np.uint64) != want.view(np.uint64)
-        assert differ.any()
-        assert np.all(got.view(float)[differ] == 0.0)
-        assert got[1:].tobytes() == want[1:].tobytes()
-
-    def test_a_model_builds_each_factor_once_and_read_only(self, monkeypatch):
+    def test_a_model_builds_each_mask_once_and_read_only(self, monkeypatch):
         built = []
-        inner = nmr_noise._damping_factor
+        inner = nmr_noise._mask_and_transfers
 
-        def counted(n, qubit, gamma):
-            built.append((qubit, gamma))
-            return inner(n, qubit, gamma)
+        def counted(lams, gammas):
+            built.append(gammas)
+            return inner(lams, gammas)
 
-        monkeypatch.setattr(nmr_noise, "_damping_factor", counted)
+        monkeypatch.setattr(nmr_noise, "_mask_and_transfers", counted)
         model = damped_default()
         rho = random_density(np.random.default_rng(73), 5).matrix
         for _ in range(3):
             for segment in SEGMENTS:
                 apply_segment_noise(rho, model, segment)
                 segment_noise_adjoint(np.stack([rho, rho]), model, segment)
-        assert len(built) == 15
+        assert built == [gammas(model, segment) for segment in SEGMENTS]
         for segment in SEGMENTS:
-            _, damping = model._segment_channels[segment]
-            assert [(q, g) for q, g, _ in damping] == list(enumerate(gammas(model, segment), 1))
-            for qubit, gamma, factor in damping:
-                assert factor.shape == (32, 32) and not factor.flags.writeable
-                with pytest.raises(ValueError, match="read-only"):
-                    factor[0, 0] = 2.0
-        assert len(built) == 15
+            mask, transfers = model._segment_channels[segment]
+            assert mask.shape == (32, 32) and mask.dtype == np.float64 and not mask.flags.writeable
+            assert transfers == tuple(enumerate(gammas(model, segment), 1))
 
-    def test_a_zero_gamma_builds_no_factor(self):
+    def test_a_zero_gamma_has_no_transfer(self):
         model = dataclasses.replace(damped_default(), schedule=(("encode", 0.0), ("error", 0.1), ("decode", 0.0)))
         assert model._segment_channels["encode"][1] == ()
-        assert [q for q, _, _ in model._segment_channels["error"][1]] == [1, 2, 3, 4, 5]
+        assert [q for q, _ in model._segment_channels["error"][1]] == [1, 2, 3, 4, 5]
 
     @settings(max_examples=50, deadline=None)
     @given(model=noise_models(), seed=st.integers(0, 2**32 - 1), segment=st.sampled_from(SEGMENTS), adjoint=st.booleans())
-    def test_segment_kernel_equals_the_mask_and_slice_kernels(self, model, seed, segment, adjoint):
-        # A gamma of 1 or a mask entry of 0 zeroes parts, so only == is required.
+    @example(model=damped_default(), seed=0, segment="encode", adjoint=False)
+    @example(model=damped_default(), seed=0, segment="encode", adjoint=True)
+    def test_segment_kernel_equals_the_transfers_and_mask_byte_for_byte(self, model, seed, segment, adjoint):
+        rng = np.random.default_rng(seed)
         n = len(model.t2)
-        stack = np.random.default_rng(seed).normal(size=(2, 2**n, 2 ** (n + 1))).view(complex)
-        want = np.multiply(stack, _dephasing_mask(lams(model, segment)), dtype=complex)
-        for qubit, gamma in enumerate(gammas(model, segment), 1) if model.amplitude_damping else ():
-            if gamma:
-                slice_damp_in_place(want, qubit, gamma, adjoint)
+        parts = rng.normal(size=(2, 2**n, 2 ** (n + 1)))
+        parts[rng.random(parts.shape) < 0.2] = 0.0
+        stack = (parts * rng.choice([-1.0, 1.0], size=parts.shape)).view(complex)  # zeros of both signs
         if adjoint:
             got = segment_noise_adjoint(stack, model, segment)
         else:
             got = apply_segment_noise(stack, model, segment)
-        assert np.array_equal(got, want)
+        assert got.tobytes() == kernel_oracle(stack, model, segment, adjoint).tobytes()
 
 
 class TestSegmentKernel:
@@ -587,11 +587,16 @@ class TestSegmentKernel:
         apply_segment_noise(rho, damped_default(), "decode")
         np.testing.assert_array_equal(rho, before)
 
-    @pytest.mark.parametrize("model", [NoiseModel.default(), damped_default()], ids=["dephasing", "damping"])
-    def test_adjoint_pairs_with_the_forward_kernel(self, model):
-        rng = np.random.default_rng(59)
-        rho = random_density(rng, 5).matrix
-        weights = rng.normal(size=(3, 32, 32)) + 1j * rng.normal(size=(3, 32, 32))
+    @settings(max_examples=50, deadline=None)
+    @given(model=noise_models(), seed=st.integers(0, 2**32 - 1))
+    @example(model=NoiseModel.default(), seed=59)
+    @example(model=damped_default(), seed=59)
+    @example(model=dataclasses.replace(damped_default(), t1=(1e-3,) * 5), seed=59)  # gamma = 1
+    def test_adjoint_pairs_with_the_forward_kernel(self, model, seed):
+        rng = np.random.default_rng(seed)
+        n = len(model.t2)
+        rho = random_density(rng, n).matrix
+        weights = rng.normal(size=(3, 2**n, 2**n)) + 1j * rng.normal(size=(3, 2**n, 2**n))
         for segment in ("encode", "error", "decode"):
             forward = np.sum(weights * apply_segment_noise(rho, model, segment), axis=(1, 2))
             backward = np.sum(segment_noise_adjoint(weights, model, segment) * rho, axis=(1, 2))
@@ -876,12 +881,10 @@ def test_a_spin_system_needs_at_least_one_spin():
 def test_cached_segment_channels_are_read_only():
     model = damped_default()
     for segment in SEGMENTS:
-        mask, damping = model._segment_channels[segment]
+        mask, transfers = model._segment_channels[segment]
         with pytest.raises(ValueError, match="read-only"):
             mask[0, 0] = 0.5
-        for _, _, factor in damping:
-            with pytest.raises(ValueError, match="read-only"):
-                factor[0, 0] = 0.5
+        assert isinstance(transfers, tuple)
 
 
 def test_energies_of_ten_spins_match_the_oracle():
