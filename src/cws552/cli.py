@@ -59,9 +59,9 @@ _CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def _float_text(x: float) -> str:
-    """json's spelling of a float: its repr, or NaN, Infinity or -Infinity."""
-    text = float.__repr__(x)
-    return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+    """A float as strict JSON: json's spelling of a finite float, its repr,
+    and null for NaN, Infinity or -Infinity."""
+    return float.__repr__(x) if math.isfinite(x) else "null"
 
 
 def _array_pieces(arr: np.ndarray, level: int, out: list) -> None:
@@ -116,8 +116,10 @@ def _json_pieces(obj, level: int, out: list) -> None:
 
 def _json_text(doc) -> str:
     """`doc` as json.dumps(doc, indent=2, sort_keys=True) spells it, byte for
-    byte, with each float64 array taken as its nested lists; keys must be str.
-    json indents in pure Python, number by number; this renders arrays whole."""
+    byte, with each float64 array taken as its nested lists and each
+    non-finite float taken as None, so the text is strict JSON; keys must be
+    str.  json indents in pure Python, number by number; this renders arrays
+    whole."""
     out: list[str] = []
     _json_pieces(doc, 0, out)
     return "".join(out)
@@ -151,18 +153,9 @@ def _resolve(options: dict[str, Option], args, config: dict) -> argparse.Namespa
     return argparse.Namespace(**values)
 
 
-def _nulls_for_non_finite(value):
-    """`value` with each non-finite float in it, alone or in a float array, as
-    None, so that its JSON is strict: no NaN, Infinity or -Infinity."""
-    if isinstance(value, dict):
-        return {key: _nulls_for_non_finite(item) for key, item in value.items()}
-    if isinstance(value, (float, np.ndarray)) and not np.isfinite(value).all():
-        return np.where(np.isfinite(value), value, None).tolist()
-    return value
-
-
 # A code file of huge entries can overflow the checks; each check then fails on
-# its non-finite number, which the report states, so numpy need not warn.
+# its non-finite number, which the report states (--json as null), so numpy
+# need not warn.
 @np.errstate(over="ignore", invalid="ignore")
 def cmd_verify(opts) -> int:
     code = build_code() if opts.code is None else code_from_json_dict(_read_json(opts.code))
@@ -199,7 +192,7 @@ def cmd_verify(opts) -> int:
     report["passed"] = all(part["passed"] for part in report.values())
 
     if opts.json:
-        print(_json_text(_nulls_for_non_finite(report)))
+        print(_json_text(report))
     else:
         def line(name, part, detail):
             print(f"{name}: {'PASS' if part['passed'] else 'FAIL'} ({detail})")

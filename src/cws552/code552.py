@@ -37,6 +37,9 @@ strings they touch, so the rows are orthonormal and cover every string.
 `build_code` only builds: test_error_images_are_orthonormal_at_every_location
 in tests/test_code552.py holds this premise and sha256 pins there hold the
 bytes, while CodeSpec.check_unitary and `cws552 verify` check the result.
+
+Every Pauli image here comes from statevec._pauli_action, the one Pauli
+kernel; the distance scan takes each weight's Paulis to it as one batch.
 """
 from __future__ import annotations
 
@@ -44,11 +47,11 @@ import json
 from copy import deepcopy
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import ClassVar, Sequence
+from typing import ClassVar
 
 import numpy as np
 
-from .statevec import PureState, _as_unitary, _axes_for, _frozen, _spin_signs, pauli_apply
+from .statevec import PureState, _as_unitary, _axes_for, _frozen, _pauli_action
 
 N_QUBITS = 5
 DIMENSION = 5
@@ -144,10 +147,12 @@ class CodeSpec:
 
 def _frozen_matrix(name: str, value, rows: int, cols: int | None = None) -> np.ndarray:
     """`value` as a finite, read-only complex copy: a `rows` x `cols` matrix,
-    or any width when `cols` is None."""
+    or any width of at least one column when `cols` is None."""
     shape = np.shape(value)
     if len(shape) != 2 or shape[0] != rows or cols not in (None, shape[1]):
         raise ValueError(f"{name} must be a {rows} x {cols or 'K'} matrix, got shape {shape}")
+    if not shape[1]:
+        raise ValueError(f"{name} must have at least one column, got shape {shape}")
     return _frozen(name, value, shape)
 
 
@@ -188,31 +193,28 @@ def _decoder_deviation(code: CodeSpec) -> float:
     return float(np.max(np.abs(decoded)))
 
 
-def _codespace_form(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """K x K matrix of inner products <a_b|b_c> between the columns of a and b."""
-    return np.einsum("ib,ic->bc", a.conj(), b)
+def _pauli_images(codewords: np.ndarray, words: tuple) -> np.ndarray:
+    """P phi_b for each codeword b and Pauli word P in `words`, as one exact
+    (K, len(words), 2^n) array with the basis index contiguous."""
+    sources, phases = _pauli_action(N_QUBITS, words)
+    images = np.take(codewords.T, sources, axis=1)
+    images *= phases
+    return images
 
 
-def _pauli_table(codewords: np.ndarray, labels: Sequence[str]) -> np.ndarray:
-    """Every single-qubit Pauli image P_q phi_b as one (n, L, 2^n, K) array:
-    entry [q - 1, l] is pauli_apply(codewords, {q: labels[l]}), bit for bit,
-    from the same index XOR and phase."""
-    dim = len(codewords)
-    n = dim.bit_length() - 1
-    flips = (1 << (n - 1 - np.arange(n)))[:, None] * np.array([label in "XY" for label in labels])
-    signs = np.where(np.array([label in "ZY" for label in labels])[:, None], _spin_signs(n)[:, None, :], 1.0)
-    phase = np.where(np.array([label == "Y" for label in labels])[:, None], -1j * signs, signs)
-    return phase[..., None] * codewords[np.arange(dim) ^ flips[..., None]]
+def _single_qubit_words(labels: str) -> tuple:
+    """The words P_q for every location q and P in `labels`, q slowest."""
+    return tuple(((q, label),) for q in range(1, N_QUBITS + 1) for label in labels)
 
 
 def _branch_sources(codewords: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """The columns P_q phi_b at every location q, as an (n, 2^n, 4K) array
     with P in BRANCH_LABELS order and codeword index fastest, and the basis
     index each column decodes to."""
-    table = _pauli_table(codewords, BRANCH_LABELS)
-    n, n_labels, dim, k = table.shape
+    dim, k = codewords.shape
+    images = _pauli_images(codewords, _single_qubit_words(BRANCH_LABELS)).reshape(k, N_QUBITS, -1, dim)
     targets = [_branch_target_index(label, b) for label in BRANCH_LABELS for b in range(k)]
-    return table.transpose(0, 2, 1, 3).reshape(n, dim, n_labels * k), targets
+    return images.transpose(1, 3, 2, 0).reshape(N_QUBITS, dim, -1), targets
 
 
 def _decoder_matrix(sources: np.ndarray, target_indices: list[int]) -> np.ndarray:
@@ -293,9 +295,10 @@ def verify_erasure_correctability(code: CodeSpec) -> ErasureReport:
     be independent of the codeword index on the diagonal; the surviving
     constants form the 4x4 C matrix reported per location.
     """
-    table = _pauli_table(code.codewords, KL_LABELS)
+    k = code.codewords.shape[1]
+    table = _pauli_images(code.codewords, _single_qubit_words(KL_LABELS)).reshape(k, code.n, len(KL_LABELS), -1)
     # forms[q, p, r] is the K x K form <phi_b| P^dag Q |phi_c> at location q + 1.
-    scalars, deviations = _scalar_on_codespace(np.einsum("qpib,qric->qprbc", table.conj(), table))
+    scalars, deviations = _scalar_on_codespace(np.einsum("bqpi,cqri->qprbc", table.conj(), table, order="C"))
     checks = []
     for q, (c_matrix, deviation) in enumerate(zip(scalars, deviations), 1):
         worst = float(np.max(deviation))
@@ -319,7 +322,8 @@ class DistanceResult:
 
 def _scalar_on_codespace(forms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(c, deviation of the form from c * identity) for each K x K form on the
-    last two axes, c its mean diagonal."""
+    last two axes, c its mean diagonal.  A C-ordered stack, as einsum's
+    order="C" gives, reduces each form as it would alone, bit for bit."""
     scalars = np.mean(np.diagonal(forms, axis1=-2, axis2=-1), axis=-1)
     eye = np.eye(forms.shape[-1])
     return scalars, np.max(np.abs(forms - scalars[..., None, None] * eye), axis=(-2, -1))
@@ -332,17 +336,19 @@ def verify_distance(code: CodeSpec) -> DistanceResult:
     scalar on the codespace, plus a violating Pauli of weight d as witness.
     """
     codewords = code.codewords
+    rows = np.ascontiguousarray(codewords.T).conj()  # <phi_b| as rows, basis index contiguous like the images'
     for weight in range(1, code.n + 1):
-        for support in combinations(range(1, code.n + 1), weight):
-            for labels in product("XYZ", repeat=weight):
-                image = pauli_apply(codewords, dict(zip(support, labels)))
-                violation = float(_scalar_on_codespace(_codespace_form(codewords, image))[1])
-                if not violation <= DISTANCE_ATOL:  # a NaN counts as a violation
-                    return DistanceResult(
-                        distance=weight,
-                        witness=tuple(zip(support, labels)),
-                        witness_violation=violation,
-                    )
+        words = tuple(
+            tuple(zip(support, labels))
+            for support in combinations(range(1, code.n + 1), weight)
+            for labels in product("XYZ", repeat=weight)
+        )
+        forms = np.einsum("bi,cpi->pbc", rows, _pauli_images(codewords, words), order="C")
+        violations = _scalar_on_codespace(forms)[1]
+        failed = np.flatnonzero(~(violations <= DISTANCE_ATOL))  # a NaN counts as a violation
+        if failed.size:
+            first = failed[0]
+            return DistanceResult(distance=weight, witness=words[first], witness_violation=float(violations[first]))
     return DistanceResult(distance=code.n + 1, witness=None, witness_violation=0.0)
 
 
@@ -446,5 +452,5 @@ def code_from_json_dict(doc: dict) -> CodeSpec:
 
 def codeword_orthonormality_deviation(code: CodeSpec) -> float:
     """max_bc |<phi_b|phi_c> - delta_bc| over all codeword pairs."""
-    form = _codespace_form(code.codewords, code.codewords)
+    form = np.einsum("ib,ic->bc", code.codewords.conj(), code.codewords)
     return float(np.max(np.abs(form - np.eye(form.shape[0]))))

@@ -8,11 +8,13 @@ of the arrays they were built from.
 
 A Pauli {qubit: "E"|"X"|"Y"|"Z"} is a signed index permutation (Y = iXZ):
 (P v)[i] = (-i)^(number of Y) (-1)^popcount(i & z) v[i XOR x], with x the bits
-of its X/Y qubits and z those of its Z/Y qubits; `pauli_apply` computes it.
+of its X/Y qubits and z those of its Z/Y qubits; `_pauli_action`, which
+every proof of the code uses, computes it for a batch of Pauli words.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -203,20 +205,16 @@ def _spin_signs(n_qubits: int) -> np.ndarray:
     return 1.0 - 2.0 * bits
 
 
-def pauli_apply(amplitudes: np.ndarray, labels: dict[int, str]) -> np.ndarray:
-    """P v for the Pauli {qubit: "E"|"X"|"Y"|"Z"}: an index XOR times a phase.
-
-    `amplitudes` is a state vector (2^n,) or a column batch (2^n, B); the
-    result has its shape and equals the dense product exactly.
-    """
-    amps = np.asarray(amplitudes, dtype=complex)
-    n = len(amps).bit_length() - 1 if amps.ndim in (1, 2) else -1
-    if n < 1 or len(amps) != 2**n:
-        raise ValueError(f"expected 2^n amplitudes per column, got shape {amps.shape}")
-    paulis = dict(zip(_axes_for(tuple(labels), n), labels.values()))
-    if set(paulis.values()) - set(PAULI_BY_LABEL):
-        raise ValueError(f"Pauli labels must be E, X, Y or Z, got {labels}")
-    flip = sum(1 << (n - 1 - a) for a, p in paulis.items() if p in "XY")
-    signs = np.prod(_spin_signs(n)[[a for a, p in paulis.items() if p in "ZY"]], axis=0)
-    phase = (1, -1j, -1, 1j)[list(paulis.values()).count("Y") % 4] * signs
-    return (phase if amps.ndim == 1 else phase[:, None]) * amps[np.arange(2**n) ^ flip]
+@lru_cache(maxsize=64)
+def _pauli_action(n: int, words: tuple[tuple[tuple[int, str], ...], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The one Pauli kernel: each word's action on n qubits as read-only
+    (sources, phases), one row per word, so that its image of v is
+    phases[w] * v[sources[w]].  A word is a tuple of (qubit, "E"|"X"|"Y"|"Z")
+    pairs; its callers build the words, so they are not checked here."""
+    labels = np.array([[dict(word).get(q, "E") for q in range(1, n + 1)] for word in words]).reshape(-1, n)
+    flips = ((labels == "X") | (labels == "Y")) @ (1 << np.arange(n - 1, -1, -1))
+    signs = np.prod(np.where(((labels == "Y") | (labels == "Z"))[..., None], _spin_signs(n), 1.0), axis=1)
+    sources = np.arange(2**n) ^ flips[:, None]
+    phases = np.array([1, -1j, -1, 1j])[np.count_nonzero(labels == "Y", axis=1) % 4, None] * signs
+    sources.flags.writeable = phases.flags.writeable = False
+    return sources, phases

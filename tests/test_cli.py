@@ -703,3 +703,18 @@ def test_verify_fails_the_distance_check_of_a_distance_one_code(tmp_path, capsys
     assert main(["verify", "--code", str(code_path), "--json"]) == 1
     distance = json.loads(capsys.readouterr().out)["distance"]
     assert (distance["value"], distance["witness"], distance["passed"]) == (1, [[3, "X"]], False)
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_scans_every_pauli_of_a_code_whose_codewords_are_zero(tmp_path, capsys):
+    """All-zero codewords: every form is zero, which is a scalar, so the
+    distance scan runs through all 1023 Paulis and finds no witness."""
+    code_path = tmp_path / "code.json"
+    assert main(["export-code", "--out", str(code_path)]) == 0
+    doc = json.loads(code_path.read_text())
+    doc["codewords"] = [[[0.0, 0.0]] * 32] * 5
+    code_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--code", str(code_path), "--json"]) == 1
+    distance = json.loads(capsys.readouterr().out, parse_constant=reject_constant)["distance"]
+    assert distance == {"passed": False, "value": 6, "witness": None, "witness_violation": 0.0}

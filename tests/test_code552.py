@@ -32,10 +32,9 @@ from cws552.code552 import (
     _branch_target_index,
     _decoder_deviation,
     _decoder_matrix,
-    _pauli_table,
 )
 from cws552.error_model import ErrorSpec, error_unitary, pauli_expand
-from cws552.statevec import GateOp, PureState, apply_gate, fidelity_with_pure, partial_trace, pauli_apply
+from cws552.statevec import GateOp, PureState, apply_gate, fidelity_with_pure, partial_trace
 
 PAULI_2x2 = {
     "E": np.eye(2, dtype=complex),
@@ -459,20 +458,18 @@ def test_distance_is_two_with_weight_two_witness(code):
     assert np.max(np.abs(m - scalar * np.eye(5))) > 1e-6
 
 
-def oracle_first_violation(vectors, n_qubits, tol=1e-10):
-    """Independent scan: smallest Pauli weight that fails detectability."""
-    dim = len(vectors)
-    for weight in range(1, n_qubits + 1):
-        for support in combinations(range(1, n_qubits + 1), weight):
+def dense_distance_scan(codewords):
+    """The distance scan Pauli by Pauli, each image a dense kron-chain
+    product: (distance, witness, violation) as verify_distance reports them."""
+    for weight in range(1, 6):
+        for support in combinations(range(1, 6), weight):
             for labels in product("XYZ", repeat=weight):
-                op = hand_pauli(dict(zip(support, labels)))
-                m = np.array(
-                    [[np.vdot(vectors[b], op @ vectors[c]) for c in range(dim)] for b in range(dim)]
-                )
-                scalar = np.mean(np.diag(m))
-                if np.max(np.abs(m - scalar * np.eye(dim))) > tol:
-                    return weight
-    return n_qubits + 1
+                word = tuple(zip(support, labels))
+                form = np.einsum("ib,ic->bc", codewords.conj(), hand_pauli(dict(word)) @ codewords)
+                violation = float(np.max(np.abs(form - np.mean(np.diag(form)) * np.eye(len(form)))))
+                if not violation <= DISTANCE_ATOL:
+                    return weight, word, violation
+    return 6, None, 0.0
 
 
 def test_distance_of_unprotected_basis_states(code):
@@ -480,7 +477,7 @@ def test_distance_of_unprotected_basis_states(code):
     basis_states = np.eye(32, 5, dtype=complex)
     trivial = replace(code, codewords=basis_states)
     assert verify_distance(trivial).distance == 1
-    assert oracle_first_violation(list(basis_states.T), 5) == 1
+    assert dense_distance_scan(basis_states)[0] == 1
 
 
 def test_a_nan_violation_ends_the_distance_scan(code):
@@ -502,11 +499,25 @@ def test_the_distance_scan_reaches_weight_four(code):
     that are exact scalars at weights 1-3 and not at weight 4 or 5, so only
     the tolerance can show that the scan reaches those weights."""
     a = np.array([{"+": 1.0, "-": -1.0, "0": 0.0}[c] for c in "--00+--+000+0+00--00++-+++0+0---"])
-    b = pauli_apply(a, {1: "Z", 2: "Z", 3: "Z", 4: "Z"}).real
+    b = (hand_pauli({1: "Z", 2: "Z", 3: "Z", 4: "Z"}) @ a).real
     codewords = np.sqrt(DISTANCE_ATOL / 12) * np.stack([a, b], axis=1)
     result = verify_distance(replace(code, codewords=codewords))
     assert (result.distance, result.witness) == (4, ((1, "Z"), (2, "Z"), (3, "Z"), (4, "Z")))
-    assert oracle_first_violation(list(codewords.T), 5) == 4
+    assert dense_distance_scan(codewords)[0] == 4
+
+
+def test_the_distance_scan_takes_each_weight_as_one_batch(code, monkeypatch):
+    """C(5, w) 3^w Paulis of weight w go through the kernel in one call: the
+    built code stops after weight 2, and a one-codeword code, whose forms
+    are all 1 x 1 scalars, runs through all five weights."""
+    calls = []
+    inner = code552._pauli_action
+    monkeypatch.setattr(code552, "_pauli_action", lambda n, words: calls.append(len(words)) or inner(n, words))
+    verify_distance(code)
+    assert calls == [15, 90]
+    calls.clear()
+    assert verify_distance(replace(code, codewords=code.codewords[:, :1])).distance == 6
+    assert calls == [15, 90, 270, 405, 243]
 
 
 def test_distance_agrees_with_independent_oracle_on_pair_basis(code):
@@ -517,7 +528,7 @@ def test_distance_agrees_with_independent_oracle_on_pair_basis(code):
         v[int(lo, 2)] = v[int(hi, 2)] = 1 / np.sqrt(2)
         vectors.append(v)
     pair_code = replace(code, codewords=np.stack(vectors, axis=1))
-    assert verify_distance(pair_code).distance == oracle_first_violation(vectors, 5)
+    assert verify_distance(pair_code).distance == dense_distance_scan(pair_code.codewords)[0]
 
 
 def test_syndrome_map_is_a_bijection():
@@ -592,9 +603,11 @@ def _nan_decoder(code):
         (lambda c: {"encoder": np.full((32, 32), np.inf)}, "encoder has non-finite entries"),
         (lambda c: {"codewords": c.codewords[:16]}, r"codewords must be a 32 x K matrix, got shape \(16, 5\)"),
         (lambda c: {"codewords": c.codewords[:, 0]}, r"codewords must be a 32 x K matrix, got shape \(32,\)"),
+        # Without a codeword, every verifier would reduce over an empty array.
+        (lambda c: {"codewords": np.zeros((32, 0))}, r"codewords must have at least one column, got shape \(32, 0\)"),
     ],
     ids=["four-decoders", "six-decoders", "encoder-16x16", "encoder-vector", "decoder-32x16", "decoder-nan",
-         "encoder-inf", "codewords-16-rows", "codewords-vector"],
+         "encoder-inf", "codewords-16-rows", "codewords-vector", "codewords-none"],
 )
 def test_a_code_with_bad_arrays_fails_when_it_is_built(code, fields, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -647,11 +660,12 @@ def test_a_code_is_equal_only_to_itself_and_keys_a_dict(code, monkeypatch):
     assert calls == [32] * 6
 
 
-# The per-location loops that build_code and the verifiers ran before they
-# took every single-qubit Pauli image from one table, kept as oracles: one
-# pauli_apply per image, one einsum per (P, Q) pair, one product per decoder.
+# Per-location loop oracles for build_code and the verifiers, which take
+# every Pauli image from the batched index-and-phase kernel: one dense
+# kron-chain product per image, one einsum per (P, Q) pair, one product per
+# decoder.  No oracle here shares the kernel.
 def loop_branch_images(codewords, location):
-    images = [pauli_apply(codewords, {location: label}) for label in BRANCH_LABELS]
+    images = [hand_pauli({location: label}) @ codewords for label in BRANCH_LABELS]
     targets = [_branch_target_index(label, b) for label in BRANCH_LABELS for b in range(codewords.shape[1])]
     return np.concatenate(images, axis=1), targets
 
@@ -679,7 +693,7 @@ def loop_erasure(codewords):
     """(C matrix, worst violation) per location, one K x K form at a time."""
     checks = []
     for q in range(1, 6):
-        images = [pauli_apply(codewords, {q: label}) for label in KL_LABELS]
+        images = [hand_pauli({q: label}) @ codewords for label in KL_LABELS]
         c_matrix = np.zeros((4, 4), dtype=complex)
         worst = 0.0
         for i, p_images in enumerate(images):
@@ -707,13 +721,15 @@ def codeword_batches(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(codewords=codeword_batches(), labels=st.permutations("EXYZ"))
-def test_pauli_table_equals_pauli_apply_bit_for_bit(codewords, labels):
-    table = _pauli_table(codewords, labels)
-    assert table.shape == (5, 4, 32, codewords.shape[1])
-    for q in range(1, 6):
-        for l, label in enumerate(labels):
-            assert table[q - 1, l].tobytes() == pauli_apply(codewords, {q: label}).tobytes(), (q, label)
+@given(codewords=codeword_batches())
+@example(codewords=build_code().codewords)
+# One codeword: every form is a 1 x 1 scalar, so both scans run through all 1023 Paulis.
+@example(codewords=build_code().codewords[:, 2:3])
+def test_distance_scan_equals_the_dense_per_pauli_scan(code, codewords):
+    result = verify_distance(replace(code, codewords=codewords))
+    distance, witness, violation = dense_distance_scan(codewords)
+    assert (result.distance, result.witness) == (distance, witness)
+    assert type(result.witness_violation) is float and result.witness_violation.hex() == violation.hex()
 
 
 @settings(max_examples=40, deadline=None)

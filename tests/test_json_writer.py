@@ -1,7 +1,9 @@
 """The CLI's JSON writer spells every document as json.dumps(indent=2,
 sort_keys=True) does, byte for byte, with float64 arrays taken as their
-nested lists; json stays the oracle."""
+nested lists and non-finite floats as None, so its output is strict JSON;
+json stays the oracle."""
 import json
+import math
 
 import numpy as np
 import pytest
@@ -30,18 +32,21 @@ documents = st.recursive(
 
 
 def as_lists(doc):
-    """`doc` with every float64 array replaced by its nested lists."""
+    """`doc` with every float64 array replaced by its nested lists and every
+    non-finite float, alone or in an array, by None."""
     if isinstance(doc, np.ndarray) and doc.dtype == np.float64:
-        return doc.tolist()
+        return as_lists(doc.tolist())
     if isinstance(doc, dict):
         return {key: as_lists(value) for key, value in doc.items()}
     if isinstance(doc, list):
         return [as_lists(value) for value in doc]
+    if isinstance(doc, float) and not math.isfinite(doc):
+        return None
     return doc
 
 
 def oracle(doc) -> str:
-    return json.dumps(as_lists(doc), indent=2, sort_keys=True)
+    return json.dumps(as_lists(doc), indent=2, sort_keys=True, allow_nan=False)
 
 
 @settings(max_examples=300, deadline=None)

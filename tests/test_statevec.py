@@ -3,6 +3,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cws552.code552 import build_code
 from cws552.error_model import ErrorSpec
@@ -15,11 +17,11 @@ from cws552.statevec import (
     Y,
     Z,
     _apply_matrix,
+    _pauli_action,
     apply_gate,
     apply_gate_mixed,
     fidelity_with_pure,
     partial_trace,
-    pauli_apply,
 )
 
 PAULI_2x2 = {"E": np.eye(2, dtype=complex), "X": X, "Y": Y, "Z": Z}
@@ -120,16 +122,18 @@ class TestKernelConsistency:
         back = apply_gate(forward, GateOp([2, 3, 5], u.conj().T))
         np.testing.assert_allclose(back.amplitudes, state.amplitudes, atol=1e-10)
 
-    def test_pauli_apply_matches_kron_oracle(self):
-        # every Pauli on five qubits, on a vector and on a column batch, bit for bit
+    def test_pauli_action_matches_kron_oracle(self):
+        # every Pauli on five qubits in one batch, on a vector and on a column batch
         rng = np.random.default_rng(29)
         vec = random_state(rng, 5).amplitudes
         batch = rng.normal(size=(32, 6)) + 1j * rng.normal(size=(32, 6))
-        for word in product("EXYZ", repeat=5):
-            labels = dict(zip(range(1, 6), word))
-            op = kron_pauli(5, labels)
-            assert np.array_equal(pauli_apply(vec, labels), op @ vec), word
-            assert np.array_equal(pauli_apply(batch, labels), op @ batch), word
+        words = tuple(tuple(zip(range(1, 6), word)) for word in product("EXYZ", repeat=5))
+        sources, phases = _pauli_action(5, words)
+        assert sources.shape == phases.shape == (1024, 32)
+        for word, src, phase in zip(words, sources, phases, strict=True):
+            op = kron_pauli(5, dict(word))
+            assert np.array_equal(phase * vec[src], op @ vec), word
+            assert np.array_equal(phase[:, None] * batch[src], op @ batch), word
 
     def test_apply_matrix_equals_moveaxis_application(self):
         """_apply_matrix does what np.moveaxis to the front and back does,
@@ -157,12 +161,47 @@ class TestKernelConsistency:
             assert got.shape == vec.shape
             assert hexed(got) == hexed(via_moveaxis(vec, mat, axes, n)), (n, axes, shape)
 
-    def test_pauli_apply_on_few_qubits_and_sparse_labels(self):
-        rng = np.random.default_rng(31)
-        vec = random_state(rng, 2).amplitudes
-        assert np.array_equal(pauli_apply(vec, {}), vec)
-        assert np.array_equal(pauli_apply(vec, {1: "X"}), np.kron(X, np.eye(2)) @ vec)
-        assert np.array_equal(pauli_apply(vec, {2: "Y", 1: "Z"}), np.kron(Z, Y) @ vec)
+    def test_pauli_action_is_cached_and_read_only(self):
+        words = (((1, "Y"), (3, "Z")), ((2, "X"),))
+        sources, phases = _pauli_action(3, words)
+        assert _pauli_action(3, words)[0] is sources and _pauli_action(3, words)[1] is phases
+        for array in (sources, phases):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0
+
+
+# Words of weight 0 to n on n qubits, each pair order drawn, so every count
+# of Y labels mod 4 comes up.
+@st.composite
+def pauli_words(draw, n):
+    labels = draw(st.lists(st.sampled_from("EXYZ"), min_size=n, max_size=n))
+    return tuple(draw(st.permutations([(q, p) for q, p in enumerate(labels, 1) if p != "E"])))
+
+
+@st.composite
+def word_batches(draw):
+    n = draw(st.integers(1, 5))
+    return n, tuple(draw(st.lists(pauli_words(n), min_size=1, max_size=6)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(batch=word_batches(), columns=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+@example(batch=(5, tuple(tuple((q, "Y") for q in range(1, y + 1)) for y in range(6))), columns=2, seed=0)
+@example(batch=(1, ((), ((1, "E"),), ((1, "X"),), ((1, "Y"),), ((1, "Z"),))), columns=1, seed=1)
+@example(batch=(2, ((), ((1, "X"),), ((2, "Y"), (1, "Z")))), columns=1, seed=31)
+def test_pauli_action_equals_the_kron_chain(batch, columns, seed):
+    """Each word's image, phases[w] * v[sources[w]], is the kron-chain
+    product, on a vector and on a column batch."""
+    n, words = batch
+    rng = np.random.default_rng(seed)
+    vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    cols = rng.normal(size=(2**n, columns)) + 1j * rng.normal(size=(2**n, columns))
+    sources, phases = _pauli_action(n, words)
+    assert sources.shape == phases.shape == (len(words), 2**n)
+    for word, src, phase in zip(words, sources, phases, strict=True):
+        op = kron_pauli(n, dict(word))
+        assert np.array_equal(phase * vec[src], op @ vec), word
+        assert np.array_equal(phase[:, None] * cols[src], op @ cols), word
 
 
 class TestMixedStates:
@@ -253,18 +292,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="out of range"):
             apply_gate(PureState.basis("00"), GateOp.single(3, X))
 
-    def test_pauli_apply_rejects_bad_qubits_labels_and_shapes(self):
-        vec = PureState.basis("00000").amplitudes
-        for qubit in (0, 6, -1):
-            with pytest.raises(ValueError, match="out of range"):
-                pauli_apply(vec, {qubit: "X"})
-        with pytest.raises(ValueError, match="E, X, Y or Z"):
-            pauli_apply(vec, {2: "H"})
-        with pytest.raises(ValueError, match="2\\^n"):
-            pauli_apply(np.ones(6), {1: "X"})
-        with pytest.raises(ValueError, match="2\\^n"):
-            pauli_apply(np.ones((32, 2, 2)), {1: "X"})
-
     def test_rejects_repeated_labels(self):
         with pytest.raises(ValueError, match="repeated"):
             GateOp((2, 2), np.eye(4, dtype=complex))
@@ -294,7 +321,6 @@ RHO5 = PureState.basis("00000").density()
     [
         pytest.param(lambda: partial_trace(RHO5, (2.5,)), id="partial_trace-float"),
         pytest.param(lambda: partial_trace(RHO5, (2, 2)), id="partial_trace-repeated"),
-        pytest.param(lambda: pauli_apply(RHO5.matrix[0], {2.5: "X"}), id="pauli_apply-float"),
         pytest.param(lambda: GateOp.single(True, X), id="GateOp-bool"),
         pytest.param(lambda: GateOp(("1", 2), np.eye(4)), id="GateOp-str"),
         pytest.param(lambda: apply_dephasing(RHO5, True, 0.1), id="apply_dephasing-bool"),
@@ -404,17 +430,6 @@ def test_a_qubit_count_is_an_integer_not_a_bool(build):
 def test_a_numpy_integer_is_a_qubit_count():
     assert PureState(np.int64(1), [1, 0]).n_qubits == 1
     assert MixedState(np.int32(1), np.eye(2) / 2).n_qubits == 1
-
-
-def test_pauli_apply_takes_a_one_qubit_vector():
-    vec = np.array([0.6, 0.8j])
-    for label, op in PAULI_2x2.items():
-        assert np.array_equal(pauli_apply(vec, {1: label}), op @ vec), label
-
-
-def test_pauli_apply_rejects_a_one_entry_vector_as_zero_qubits():
-    with pytest.raises(ValueError, match=r"^expected 2\^n amplitudes per column, got shape \(1,\)$"):
-        pauli_apply(np.ones(1), {})
 
 
 def test_a_gate_whose_unitarity_deviation_is_nan_is_rejected():
