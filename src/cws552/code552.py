@@ -34,9 +34,9 @@ syndrome-tagged register target.  The 12 strings that no image touches go,
 in index order, to the 12 free targets in sorted order.  The result is
 unitary because the 20 images are orthonormal and span exactly the 20
 strings they touch, so the rows are orthonormal and cover every string.
-`build_code` only builds: test_error_images_are_orthonormal_at_every_location
-in tests/test_code552.py holds this premise and sha256 pins there hold the
-bytes, while CodeSpec.check_unitary and `cws552 verify` check the result.
+test_error_images_are_orthonormal_at_every_location in tests/test_code552.py
+holds this premise and sha256 pins there hold the bytes; CodeSpec proves
+every code unitary when it is built, and `cws552 verify` checks the rest.
 
 Every Pauli image here comes from statevec._pauli_action, the one Pauli
 kernel; the distance scan takes each weight's Paulis to it as one batch.
@@ -46,12 +46,13 @@ from __future__ import annotations
 import json
 from copy import deepcopy
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from typing import ClassVar
 
 import numpy as np
 
-from .statevec import PureState, _as_unitary, _axes_for, _frozen, _pauli_action
+from .statevec import PureState, _axes_for, _frozen, _pauli_action, _prove_unitary
 
 N_QUBITS = 5
 DIMENSION = 5
@@ -102,10 +103,10 @@ DISTANCE_ATOL = 1e-10
 class CodeSpec:
     """Concrete realization of the code: the codewords as the columns of one
     2^n x K matrix, the 2^n x 2^n encoder, and the decoder for each location,
-    all finite.  The layout is fixed by the module constants; n and
-    register_qubits repeat two of them on the class for callers that hold
-    only a code.  A code equals only itself and hashes by identity, so it
-    can key a dict."""
+    all finite, the encoder and decoders unitary.  The layout is fixed by
+    the module constants; n and register_qubits repeat two of them on the
+    class for callers that hold only a code.  A code equals only itself and
+    hashes by identity, so it can key a dict."""
 
     n: ClassVar[int] = N_QUBITS
     register_qubits: ClassVar[tuple[int, ...]] = REGISTER_QUBITS
@@ -115,7 +116,9 @@ class CodeSpec:
     decoders: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        """The one check on a code's arrays; it keeps read-only complex copies."""
+        """The one check on a code, as GateOp's is on a gate: read-only complex
+        copies of its arrays, once their shapes and entries pass and the
+        encoder and decoders 1..n, in that order, are unitary."""
         dim = 2**self.n
         if len(self.decoders) != self.n:
             raise ValueError(f"code needs {self.n} decoders, one per location, got {len(self.decoders)}")
@@ -123,26 +126,12 @@ class CodeSpec:
         object.__setattr__(self, "encoder", _frozen_matrix("encoder", self.encoder, dim, dim))
         decoders = tuple(_frozen_matrix(f"decoder {q}", d, dim, dim) for q, d in enumerate(self.decoders, 1))
         object.__setattr__(self, "decoders", decoders)
+        prefixes = ["encoder: ", *(f"decoder {q}: " for q in range(1, self.n + 1))]
+        _prove_unitary(np.stack((self.encoder, *decoders)), prefixes)
 
     def decoder(self, location: int) -> np.ndarray:
         (axis,) = _axes_for((location,), self.n, "location")
         return self.decoders[axis]
-
-    def check_unitary(self) -> None:
-        """Raise ValueError unless the encoder and every decoder are unitary.
-
-        Every simulation runs this; a code object runs the check once and
-        keeps the verdict, which holds because its arrays are read-only.
-        """
-        if "_unitary" in self.__dict__:
-            return
-        names = ["encoder", *(f"decoder {q}" for q in range(1, self.n + 1))]
-        for name, matrix in zip(names, (self.encoder, *self.decoders)):
-            try:
-                _as_unitary(matrix, 2**self.n)
-            except ValueError as exc:
-                raise ValueError(f"{name}: {exc}") from None
-        self.__dict__["_unitary"] = True
 
 
 def _frozen_matrix(name: str, value, rows: int, cols: int | None = None) -> np.ndarray:
@@ -200,6 +189,14 @@ def _pauli_images(codewords: np.ndarray, words: tuple) -> np.ndarray:
     images = np.take(codewords.T, sources, axis=1)
     images *= phases
     return images
+
+
+@lru_cache(maxsize=None)
+def _words_of_weight(n: int, weight: int) -> tuple:
+    """Every Pauli word of `weight` on n qubits in scan order, supports in
+    `combinations` order and then labels in `product` order; built once."""
+    supports = combinations(range(1, n + 1), weight)
+    return tuple(tuple(zip(support, labels)) for support in supports for labels in product("XYZ", repeat=weight))
 
 
 def _single_qubit_words(labels: str) -> tuple:
@@ -338,11 +335,7 @@ def verify_distance(code: CodeSpec) -> DistanceResult:
     codewords = code.codewords
     rows = np.ascontiguousarray(codewords.T).conj()  # <phi_b| as rows, basis index contiguous like the images'
     for weight in range(1, code.n + 1):
-        words = tuple(
-            tuple(zip(support, labels))
-            for support in combinations(range(1, code.n + 1), weight)
-            for labels in product("XYZ", repeat=weight)
-        )
+        words = _words_of_weight(code.n, weight)
         forms = np.einsum("bi,cpi->pbc", rows, _pauli_images(codewords, words), order="C")
         violations = _scalar_on_codespace(forms)[1]
         failed = np.flatnonzero(~(violations <= DISTANCE_ATOL))  # a NaN counts as a violation
@@ -431,7 +424,7 @@ def code_to_json_dict(code: CodeSpec) -> dict:
 
 
 def code_from_json_dict(doc: dict) -> CodeSpec:
-    """Load a CodeSpec as stored; run the verifiers to trust it.
+    """Load a CodeSpec as stored, so proved unitary; run the verifiers to trust the rest.
 
     The layout keys must equal CODE_LAYOUT as JSON, so 5.0 or true is not 5.
     """

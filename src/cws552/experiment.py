@@ -96,10 +96,9 @@ def final_state(
     """Encode `register`, apply `error` at its location, decode: the 5-qubit output.
 
     Without noise the pipeline runs on the state vector; with noise it is
-    run_noisy_qecc.  The code is checked first (CodeSpec.check_unitary).
+    run_noisy_qecc.
     """
     _axes_for((error.location,), code.n, "location")
-    code.check_unitary()
     if noise is not None:
         return run_noisy_qecc(code, register, error, noise)
     psi = encode(code, register)
@@ -396,10 +395,10 @@ def _transfer_maps(code: CodeSpec, readouts: np.ndarray, input_ks: Sequence[int]
 
     Each readout W in the stack `readouts` (R, 32, 32) reads one number off
     the final state as sum(W * state), each input's readouts consecutive.
-    Once the code is checked, the stack goes back through the final knobs
-    and the decode noise, each location's decoder and the error noise, each
-    step by its adjoint; the encoded inputs get the encode noise.  One
-    _transfer_map call per location pairs the two.
+    The stack goes back through the final knobs and the decode noise, each
+    location's decoder and the error noise, each step by its adjoint; the
+    encoded inputs get the encode noise.  One _transfer_map call per
+    location pairs the two.
 
     A stack with one nonzero entry w at (i, j) per readout, as settings B
     and C read unless T1 damping spreads it, crosses every decoder D at once
@@ -412,7 +411,6 @@ def _transfer_maps(code: CodeSpec, readouts: np.ndarray, input_ks: Sequence[int]
     keep the dense products, whose sums of several terms an outer-product
     sum would round differently.
     """
-    code.check_unitary()
     if noise is not None:
         readouts = _final_knobs(readouts, noise.depolarizing, noise.coherence_scale, adjoint=True)
         readouts = segment_noise_adjoint(readouts, noise, "decode")

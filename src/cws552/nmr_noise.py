@@ -341,9 +341,8 @@ def run_noisy_qecc(code: CodeSpec, register: PureState, error: ErrorSpec, model:
 
     `register` is the 3-qubit logical input.  The optional depolarizing and
     coherence_scale knobs act once at the end.  Returns the final 5-qubit
-    density matrix.  It proves the code first (CodeSpec.check_unitary).
+    density matrix.
     """
-    code.check_unitary()
     psi = encode(code, register).amplitudes
     rho = apply_segment_noise(np.outer(psi, psi.conj()), model, "encode")
 

@@ -82,8 +82,10 @@ class GateOp:
     def __post_init__(self):
         labels = tuple(self.qubits)
         _axes_for(labels)
+        matrix = _frozen("matrix", self.matrix, (2 ** len(labels),) * 2)
+        _prove_unitary(matrix[None])
         object.__setattr__(self, "qubits", labels)
-        object.__setattr__(self, "matrix", _as_unitary(self.matrix, 2 ** len(labels)))
+        object.__setattr__(self, "matrix", matrix)
 
     @classmethod
     def single(cls, qubit: int, matrix: np.ndarray) -> "GateOp":
@@ -103,13 +105,14 @@ def _frozen(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
     return arr
 
 
-def _as_unitary(matrix: np.ndarray, dim: int) -> np.ndarray:
-    """`matrix` as a read-only copy (_frozen) once it is a dim x dim unitary."""
-    mat = _frozen("matrix", matrix, (dim, dim))
-    err = np.max(np.abs(mat.conj().T @ mat - np.eye(dim)))
-    if not err <= UNITARY_ATOL:  # so a NaN deviation, say from an overflow, fails
-        raise ValueError(f"matrix is not unitary (deviation {err:.3e})")
-    return mat
+def _prove_unitary(mats: np.ndarray, prefixes: Sequence[str] = ("",)) -> None:
+    """The one unitarity rule, behind GateOp and CodeSpec: each matrix M of the
+    stack `mats` has max |M^dag M - I| <= UNITARY_ATOL, else ValueError names
+    the first that fails by its entry in `prefixes`."""
+    errs = np.max(np.abs(np.swapaxes(mats, -1, -2).conj() @ mats - np.eye(mats.shape[-1])), axis=(-2, -1))
+    for prefix, err in zip(prefixes, errs):
+        if not err <= UNITARY_ATOL:  # so a NaN deviation, say from an overflow, fails
+            raise ValueError(f"{prefix}matrix is not unitary (deviation {err:.3e})")
 
 
 def _apply_matrix(vec: np.ndarray, mat: np.ndarray, axes: Sequence[int], n: int) -> np.ndarray:
@@ -169,7 +172,7 @@ def apply_gate_mixed(state: MixedState, gate: GateOp) -> MixedState:
 
 
 def apply_matrix_mixed(state: MixedState, matrix: np.ndarray) -> MixedState:
-    """Conjugate a density matrix by a full-register unitary its caller proved."""
+    """Conjugate a density matrix by a full-register unitary, such as a built code's decoder, unchecked."""
     return MixedState(state.n_qubits, matrix @ state.matrix @ matrix.conj().T)
 
 

@@ -1,7 +1,9 @@
 """End-to-end tests for the command line interface."""
 import csv
+import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,9 +12,10 @@ from hypothesis import strategies as st
 
 from cws552 import cli
 from cws552.cli import _SPECTRUM_BLOCK_ROWS, _state_from_spec, main
-from cws552.code552 import DistanceResult, build_code, code_to_json_dict
+from cws552.code552 import DistanceResult, build_code, code_from_json_dict, code_to_json_dict
 from cws552.experiment import GRID_SIZE_CAP
 from cws552.nmr_noise import NmrSystem, NoiseModel, simulate_spectrum
+from cws552.statevec import PAULI_BY_LABEL
 
 
 def test_verify_passes(capsys):
@@ -70,6 +73,47 @@ def test_verify_fails_a_code_whose_only_defect_is_decoder_5(tmp_path, capsys):
     assert report["passed"] is False
     assert report["decoders"]["passed"] is False
     assert all(report[key]["passed"] for key in ("orthonormality", "encoder", "erasure", "distance"))
+
+
+def _zero_the_first_unreached_row(code, decoder):
+    """Decoder 1 with the first row that no branch image reaches zeroed:
+    every branch image still decodes to its target."""
+    images = np.concatenate([np.kron(pauli, np.eye(16)) @ code.codewords for pauli in PAULI_BY_LABEL.values()], axis=1)
+    row = min(set(range(32)) - set(np.flatnonzero(np.any(code.decoder(1) @ images != 0, axis=1))))
+    decoder[row] = 0.0
+    return decoder
+
+
+def _overflowing(code, decoder):
+    """Finite entries of 1e200 whose D^dag D overflows to a NaN deviation."""
+    return 1e200 * np.kron([[1 + 1j, 1 - 1j], [0, 0]], np.eye(16))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "edit, deviation", [(_zero_the_first_unreached_row, "1.000e+00"), (_overflowing, "nan")], ids=["zeroed-row", "nan"]
+)
+def test_verify_rejects_a_code_file_whose_decoder_is_not_unitary(tmp_path, capsys, edit, deviation):
+    """Only the unitarity proof, run when the code is built, rejects the
+    zeroed row; every other check passes it.  verify prints no report and
+    no numpy warning."""
+    code = build_code()
+    path = tmp_path / "code.json"
+    assert main(["export-code", "--out", str(path)]) == 0
+    capsys.readouterr()
+    doc = json.loads(path.read_text())
+    decoder = edit(code, np.array(doc["decoders"]["1"]) @ [1.0, 1j])
+    doc["decoders"]["1"] = np.stack([decoder.real, decoder.imag], axis=-1).tolist()
+    path.write_text(json.dumps(doc))
+    message = f"decoder 1: matrix is not unitary (deviation {deviation})"
+    for argv in (["verify", "--code", str(path)], ["verify", "--json", "--code", str(path)]):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            code_from_json_dict(doc)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(code, decoders=(decoder, *code.decoders[1:]))
 
 
 def reject_constant(name):

@@ -15,6 +15,7 @@ from cws552 import code552
 from cws552.code552 import (
     BRANCH_LABELS,
     CODEWORD_PAIRS,
+    CodeSpec,
     DISTANCE_ATOL,
     KL_LABELS,
     LOGICAL_STRINGS,
@@ -560,14 +561,32 @@ def complex_arrays(shape):
     return arrays(np.float64, shape + (2,), elements=finite_floats, fill=finite_floats).map(_join)
 
 
+# A unit phase: exact, with a zero part of either sign, or (cos a, sin a).
+unit_parts = st.one_of(
+    st.tuples(st.sampled_from([1.0, -1.0]), st.sampled_from([0.0, -0.0])).flatmap(lambda p: st.sampled_from([p, p[::-1]])),
+    st.floats(-np.pi, np.pi).map(lambda a: (math.cos(a), math.sin(a))),
+)
+
+
+@st.composite
+def unitaries(draw):
+    """32 x 32 signed permutations times drawn phases, whose zero entries
+    have parts of either sign."""
+    parts = np.where(draw(arrays(np.bool_, (32, 32, 2))), -0.0, 0.0)
+    parts[draw(st.permutations(range(32))), range(32)] = draw(st.lists(unit_parts, min_size=32, max_size=32))
+    return _join(parts)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     codewords=complex_arrays((32, 5)),
-    encoder=complex_arrays((32, 32)),
-    decoders=st.lists(complex_arrays((32, 32)), min_size=5, max_size=5),
+    encoder=unitaries(),
+    decoders=st.lists(unitaries(), min_size=5, max_size=5),
 )
 def test_json_text_round_trip_of_random_codes(code, codewords, encoder, decoders):
-    """Any code survives export to JSON text and back bit for bit."""
+    """Any code survives export to JSON text and back bit for bit: any
+    finite codewords, and an encoder and decoders that are unitary, as a
+    code's must be to be built."""
     spec = replace(code, codewords=codewords, encoder=encoder, decoders=tuple(decoders))
     loaded = code_from_json_dict(json.loads(json.dumps(code_to_json_dict(spec))))
     pairs = [(loaded.codewords, spec.codewords), (loaded.encoder, spec.encoder)]
@@ -590,7 +609,7 @@ def _nan_decoder(code):
     return decoder
 
 
-@pytest.mark.parametrize(
+BAD_ARRAYS = pytest.mark.parametrize(
     ("fields", "message"),
     [
         (lambda c: {"decoders": c.decoders[:4]}, "code needs 5 decoders, one per location, got 4"),
@@ -609,9 +628,86 @@ def _nan_decoder(code):
     ids=["four-decoders", "six-decoders", "encoder-16x16", "encoder-vector", "decoder-32x16", "decoder-nan",
          "encoder-inf", "codewords-16-rows", "codewords-vector", "codewords-none"],
 )
+
+
+@BAD_ARRAYS
 def test_a_code_with_bad_arrays_fails_when_it_is_built(code, fields, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         replace(code, **fields(code))
+
+
+@BAD_ARRAYS
+def test_bad_arrays_fail_before_the_unitarity_proof(code, fields, message):
+    """With every matrix of the code doubled, and so not unitary, each bad
+    shape or entry still fails with its own message."""
+    doubled = {"encoder": 2.0 * code.encoder, "decoders": tuple(2.0 * d for d in code.decoders)}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        replace(code, **{**doubled, **fields(code)})
+
+
+PARTS = ["encoder", *(f"decoder {q}" for q in range(1, 6))]
+
+
+def parts_of(code):
+    """The encoder and decoders 1-5 by their names in PARTS."""
+    return dict(zip(PARTS, (code.encoder, *code.decoders)))
+
+
+def json_route(code, encoder, decoders):
+    """code_from_json_dict on the code's file with these matrices, read back from JSON text."""
+    doc = code_to_json_dict(code)
+    doc["encoder"] = code552._complex_to_pairs(encoder).tolist()
+    doc["decoders"] = {str(q): code552._complex_to_pairs(d).tolist() for q, d in enumerate(decoders, 1)}
+    return code_from_json_dict(json.loads(json.dumps(doc)))
+
+
+BUILD_ROUTES = {
+    "constructor": lambda code, encoder, decoders: CodeSpec(code.codewords, encoder, decoders),
+    "replace": lambda code, encoder, decoders: replace(code, encoder=encoder, decoders=decoders),
+    "json": json_route,
+}
+
+
+def build_with(route, code, changes):
+    """`code` built afresh by `route`, with the matrices that `changes` names (PARTS) replaced."""
+    encoder, *decoders = {**parts_of(code), **changes}.values()
+    return BUILD_ROUTES[route](code, encoder, tuple(decoders))
+
+
+@pytest.mark.parametrize("part", PARTS)
+@pytest.mark.parametrize("route", list(BUILD_ROUTES))
+def test_a_code_that_is_not_unitary_fails_when_it_is_built(code, route, part):
+    """A doubled encoder or decoder is finite and of the right shape, and
+    M^dag M = 4 I: only the unitarity proof can reject it."""
+    with pytest.raises(ValueError, match=rf"^{part}: matrix is not unitary \(deviation 3\.000e\+00\)$"):
+        build_with(route, code, {part: 2.0 * parts_of(code)[part]})
+
+
+@pytest.mark.parametrize("route", list(BUILD_ROUTES))
+def test_a_decoder_scaled_by_1_01_fails_when_it_is_built(code, route):
+    with pytest.raises(ValueError, match=r"^decoder 3: matrix is not unitary \(deviation 2\.010e-02\)$"):
+        build_with(route, code, {"decoder 3": 1.01 * code.decoder(3)})
+
+
+@pytest.mark.parametrize("route", list(BUILD_ROUTES))
+def test_a_code_whose_unitarity_deviation_is_nan_fails_when_it_is_built(code, route):
+    """Decoder 1 set to 1e200 kron([[1+1j, 1-1j], [0, 0]], E16) is finite,
+    but D^dag D overflows, so its deviation from unitary is NaN."""
+    decoder = 1e200 * np.kron([[1 + 1j, 1 - 1j], [0, 0]], np.eye(16))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"^decoder 1: matrix is not unitary \(deviation nan\)$"):
+            build_with(route, code, {"decoder 1": decoder})
+
+
+@pytest.mark.parametrize(
+    ("doubled", "named"),
+    [(PARTS, "encoder"), (PARTS[1:], "decoder 1"), (["decoder 4", "decoder 2"], "decoder 2"), (["decoder 5"], "decoder 5")],
+    ids=["all-six", "all-decoders", "decoders-4-and-2", "decoder-5"],
+)
+def test_the_unitarity_proof_names_the_first_matrix_that_fails(code, doubled, named):
+    """The encoder is proved first, then decoders 1 to 5."""
+    with pytest.raises(ValueError, match=rf"^{named}: matrix is not unitary"):
+        build_with("replace", code, {part: 2.0 * parts_of(code)[part] for part in doubled})
 
 
 def test_a_code_keeps_read_only_copies_of_its_arrays(code):
@@ -643,21 +739,13 @@ def test_decoder_location_out_of_range(code):
         code.decoder(0)
 
 
-def test_a_code_is_equal_only_to_itself_and_keys_a_dict(code, monkeypatch):
+def test_a_code_is_equal_only_to_itself_and_keys_a_dict(code):
     other = build_code()
     assert code == code and not code != code
     assert code != other and not code == other
     assert {code: "first", other: "second"}[code] == "first"
     copy = replace(code)
     assert copy != code and copy not in {code: "first"}
-    code.check_unitary()
-    calls = []
-    inner = code552._as_unitary
-    monkeypatch.setattr(code552, "_as_unitary", lambda matrix, dim: calls.append(dim) or inner(matrix, dim))
-    code.check_unitary()
-    assert calls == []
-    copy.check_unitary()
-    assert calls == [32] * 6
 
 
 # Per-location loop oracles for build_code and the verifiers, which take
@@ -747,13 +835,18 @@ def test_erasure_check_equals_the_per_pair_loop_bit_for_bit(code, codewords):
 @given(
     codewords=codeword_batches(),
     location=st.integers(1, 5),
-    scale=st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-60, 4)),
-    seed=st.integers(0, 2**32 - 1),
+    columns=st.lists(st.integers(0, 31), min_size=2, max_size=2, unique=True),
+    angle=st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-60, 4)),
+    phase=st.floats(-np.pi, np.pi),
 )
-def test_decoder_deviation_equals_the_per_location_loop_bit_for_bit(code, codewords, location, scale, seed):
-    perturbation = scale * np.random.default_rng(seed).normal(size=(32, 32, 2)) @ [1.0, 1j]
+def test_decoder_deviation_equals_the_per_location_loop_bit_for_bit(code, codewords, location, columns, angle, phase):
+    """A decoder disturbed by a rotation that mixes two of its columns stays
+    unitary, and its deviation ranges from tiny to large with the angle."""
+    (i, j), c, s = columns, math.cos(angle), math.sin(angle) * np.exp(1j * phase)
+    rotation = np.eye(32, dtype=complex)
+    rotation[[i, i, j, j], [i, j, i, j]] = c, -s.conjugate(), s, c
     decoders = list(code.decoders)
-    decoders[location - 1] = decoders[location - 1] + perturbation
+    decoders[location - 1] = decoders[location - 1] @ rotation
     for spec in (replace(code, codewords=codewords), replace(code, decoders=tuple(decoders))):
         assert _decoder_deviation(spec) == loop_decoder_deviation(spec)
     assert _decoder_deviation(code) == loop_decoder_deviation(code)

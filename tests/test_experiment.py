@@ -220,87 +220,29 @@ def test_setting_a_matches_the_per_row_oracle(noise):
     np.testing.assert_allclose([row[4:] for row in got], [row[4:] for row in want], rtol=0, atol=1e-14)
 
 
-def test_setting_a_under_noise_rejects_a_decoder_that_is_not_unitary(code):
-    decoders = list(code.decoders)
-    decoders[2] = 1.01 * decoders[2]
-    bad = dataclasses.replace(code, decoders=tuple(decoders))
-    with pytest.raises(ValueError, match="not unitary"):
-        run_setting_a(bad, NoiseModel.default())
-
-
-def doubled(code, part):
-    """`code` with its encoder or its location-3 decoder doubled: finite, the
-    right shape, and not unitary."""
-    if part == "encoder":
-        return dataclasses.replace(code, encoder=2.0 * code.encoder)
-    return dataclasses.replace(code, decoders=tuple(2.0 * d if q == 3 else d for q, d in enumerate(code.decoders, 1)))
-
-
-SIMULATIONS = {
-    "A": lambda code, noise: run_setting_a(code, noise),
-    "B": lambda code, noise: run_setting_b(code, noise=noise),
-    "C": lambda code, noise: run_setting_c(code, noise=noise),
-    "run_point": lambda code, noise: run_point(code, 2, ErrorSpec.typed(3, "Y", 0.7), noise),
-}
-
-
-@pytest.mark.parametrize("noise", [None, NoiseModel.default()], ids=["noiseless", "noisy"])
-@pytest.mark.parametrize("part", ["encoder", "decoder 3"])
-@pytest.mark.parametrize("simulation", list(SIMULATIONS))
-def test_every_simulation_rejects_a_code_that_is_not_unitary(code, simulation, part, noise):
-    bad = doubled(code, part)
-    for _ in range(2):  # a failed check is not kept
-        with pytest.raises(ValueError, match=rf"^{part}: matrix is not unitary \(deviation 3\.000e\+00\)$"):
-            SIMULATIONS[simulation](bad, noise)
-
-
-def overflowing(code):
-    """`code` with decoder 1 set to 1e200 kron([[1+1j, 1-1j], [0, 0]], E16):
-    finite, but D^dag D overflows, so its deviation from unitary is NaN."""
-    decoder = 1e200 * np.kron([[1 + 1j, 1 - 1j], [0, 0]], np.eye(16))
-    return dataclasses.replace(code, decoders=(decoder, *code.decoders[1:]))
-
-
-ENTRIES = {
-    **SIMULATIONS,
-    "final_state": lambda code, noise: final_state(code, INPUTS[2].register, ErrorSpec.typed(1, "Y", 0.7), noise),
-}
-
-
-@pytest.mark.parametrize("noise", [None, NoiseModel.default()], ids=["noiseless", "noisy"])
-@pytest.mark.parametrize("entry", list(ENTRIES))
-def test_every_simulation_rejects_a_code_whose_unitarity_deviation_is_nan(code, entry, noise):
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match=r"^decoder 1: matrix is not unitary \(deviation nan\)$"):
-            ENTRIES[entry](overflowing(code), noise)
-
-
-def test_the_noisy_oracle_proves_the_code_it_is_given(code):
-    """run_noisy_qecc, called directly, runs CodeSpec.check_unitary: its
-    decoder step takes the decoder as proved."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match=r"^decoder 1: matrix is not unitary \(deviation nan\)$"):
-            run_noisy_qecc(overflowing(code), INPUTS[2].register, ErrorSpec.typed(1, "Y", 0.7), NoiseModel.default())
-
-
-def test_a_code_is_checked_once_and_a_replaced_copy_afresh(monkeypatch):
-    """The unitarity check (six _as_unitary calls: encoder and five decoders)
-    runs on a code's first simulation only, whichever entry it goes through."""
+def test_a_code_is_proved_when_it_is_built_and_by_no_simulation(monkeypatch):
+    """build_code proves the encoder and the five decoders, six matrices in
+    one check; a replaced copy or a loaded file is a new code and is proved
+    afresh, and no simulation runs the check or keeps a verdict on the code."""
     calls = []
-    inner = code552._as_unitary
-    monkeypatch.setattr(code552, "_as_unitary", lambda matrix, dim: calls.append(dim) or inner(matrix, dim))
+    inner = code552._prove_unitary
+    monkeypatch.setattr(code552, "_prove_unitary", lambda mats, names: calls.append(mats.shape) or inner(mats, names))
     fresh = build_code()
-    run_setting_b(fresh, grid=np.linspace(0.0, np.pi, 5), noise=NoiseModel.default())
-    assert calls == [32] * 6
-    run_setting_b(fresh, grid=np.linspace(0.0, np.pi, 5), noise=NoiseModel.default())
-    run_setting_c(fresh, grid=np.linspace(0.0, np.pi, 5))
+    assert calls == [(6, 32, 32)]
+    grid = np.linspace(0.0, np.pi, 5)
+    run_setting_b(fresh, grid=grid, noise=NoiseModel.default())
+    run_setting_c(fresh, grid=grid)
     run_setting_a(fresh, NoiseModel.default())
-    run_point(fresh, 2, ErrorSpec.pauli(3, "X"))
-    assert len(calls) == 6
-    copy = dataclasses.replace(fresh)
-    run_point(copy, 2, ErrorSpec.pauli(3, "X"), NoiseModel.default())
-    run_setting_a(copy)
-    assert len(calls) == 12
+    run_setting_a(fresh)
+    for noise in (None, NoiseModel.default()):
+        run_point(fresh, 2, ErrorSpec.pauli(3, "X"), noise)
+        final_state(fresh, INPUTS[2].register, ErrorSpec.typed(1, "Y", 0.7), noise)
+    run_noisy_qecc(fresh, INPUTS[2].register, ErrorSpec.typed(1, "Y", 0.7), NoiseModel.default())
+    assert len(calls) == 1
+    assert set(vars(fresh)) == {"codewords", "encoder", "decoders"}
+    dataclasses.replace(fresh)
+    code552.code_from_json_dict(code552.code_to_json_dict(fresh))
+    assert calls == [(6, 32, 32)] * 3
 
 
 @pytest.mark.parametrize("noise", [None, NoiseModel.default()], ids=["noiseless", "noisy"])
