@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from itertools import chain
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
@@ -64,24 +64,41 @@ def _float_text(x: float) -> str:
     return float.__repr__(x) if math.isfinite(x) else "null"
 
 
-def _array_pieces(arr: np.ndarray, level: int, out: list) -> None:
-    """A float64 array with no empty axis as nested lists whose opening
-    bracket sits at indent `level`.  The text before each number is fixed by
-    how many trailing axes start over there, so it comes from the shape."""
-    k = arr.ndim
+@lru_cache(maxsize=32)
+def _array_frame(shape: tuple[int, ...], level: int) -> tuple[tuple[str | None, ...], str]:
+    """The pieces of a float64 array of `shape`, with no empty axis, whose
+    opening bracket sits at indent `level`: the text before each number at
+    the even places, None at the odd ones for the numbers, and the text after
+    the last number.  The text before each number is fixed by how many
+    trailing axes start over there, so it comes from the shape."""
+    k, size = len(shape), math.prod(shape)
     ind = ["\n" + "  " * t for t in range(level + k + 1)]
     # Before a number where exactly the last m axes start over: closes[m], a
     # comma, the indent of axis k - 1 - m and opens[m].
     opens = ["".join("[" + ind[level + t + 1] for t in range(k - m, k)) for m in range(k + 1)]
     closes = ["".join(ind[level + t] + "]" for t in range(k - 1, k - 1 - m, -1)) for m in range(k + 1)]
-    texts, stride = [""] * arr.size, 1
+    pieces: list[str | None] = [None] * (2 * size)
+    stride = 1
     for m in range(k):
-        texts[::stride] = [closes[m] + "," + ind[level + k - m] + opens[m]] * (arr.size // stride)
-        stride *= arr.shape[k - 1 - m]
-    texts[0] = opens[k]
-    numbers = map(float.__repr__ if np.isfinite(arr).all() else _float_text, arr.ravel().tolist())
-    out.extend(chain.from_iterable(zip(texts, numbers)))
-    out.append(closes[k])
+        pieces[:: 2 * stride] = [closes[m] + "," + ind[level + k - m] + opens[m]] * (size // stride)
+        stride *= shape[k - 1 - m]
+    pieces[0] = opens[k]
+    return tuple(pieces), closes[k]
+
+
+def _array_pieces(arr: np.ndarray, level: int, out: list) -> None:
+    """A float64 array with no empty axis as nested lists whose opening
+    bracket sits at indent `level`.  Each distinct bit pattern is spelled
+    once, so -0.0 and 0.0 stay apart, and the spellings are gathered."""
+    frame, close = _array_frame(arr.shape, level)
+    bits = arr.ravel().view(np.int64)
+    distinct = np.sort(bits)
+    distinct = distinct[np.append(distinct[1:] != distinct[:-1], True)]
+    spellings = np.array([_float_text(x) for x in distinct.view(np.float64).tolist()], dtype=object)
+    pieces = list(frame)
+    pieces[1::2] = spellings[np.searchsorted(distinct, bits)].tolist()
+    out += pieces
+    out.append(close)
 
 
 def _json_pieces(obj, level: int, out: list) -> None:

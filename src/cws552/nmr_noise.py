@@ -392,9 +392,17 @@ def _spectrum_arrays(
     bit = 1 << (n - 1 - axis)
     lower = np.array([i for i in range(2**n) if not i & bit])
     upper = lower + bit
+    freqs_pair = -(e[upper] - e[lower]) / (2.0 * np.pi)
+    # Every transition counts, weighted or not, so the verdict does not
+    # depend on the state; `not <` also rejects a NaN frequency.
+    peak = np.max(np.abs(freqs_pair))
+    if not peak < 0.5 / dt:
+        raise ValueError(
+            f"dt {dt} aliases spin {observe}'s transitions up to {peak} Hz; "
+            "need dt < 1/(2 max|transition|)"
+        )
     # Tr[rho (X+iY)_j] = 2 sum over pairs rho[a, b], a = |...1...>, b = |...0...>
     weights = 2.0 * state.matrix[upper, lower]
-    freqs_pair = -(e[upper] - e[lower]) / (2.0 * np.pi)
 
     if t_max / dt == float("inf"):
         raise ValueError(f"t_max / dt overflows: t_max {t_max!r}, dt {dt!r}")
@@ -407,7 +415,12 @@ def _spectrum_arrays(
     if n_samples < 2:
         raise ValueError("need at least two samples")
     times = np.arange(n_samples) * dt
-    signal = (weights[:, None] * np.exp(2j * np.pi * freqs_pair[:, None] * times[None, :])).sum(axis=0)
+    # Only transitions with a nonzero weight are summed.  A zero weight adds
+    # a signed zero to each sample, and over two or more samples numpy's
+    # axis-0 sum folds the rows in order from +0, so dropping those rows
+    # leaves every bit of the sum.
+    keep = np.flatnonzero(weights)
+    signal = (weights[keep, None] * np.exp(2j * np.pi * freqs_pair[keep, None] * times[None, :])).sum(axis=0)
     signal = signal * np.exp(-times / system.T2star[axis])
 
     spectrum = np.fft.fft(signal) / n_samples

@@ -682,7 +682,8 @@ def assert_spectrum_matches_tuple_path(path, spec, observe, t_max, dt):
         pytest.fail(f"row {row} differs: {pair}")
 
 
-# The placeholder system's largest shift is 200 Hz, so dt must stay below 2.5 ms.
+# The placeholder system's largest transition, J-split, is spin 5's at 221 Hz,
+# so dt must stay below 1/(2 * 221 Hz), about 2.26 ms, for every observed spin.
 @settings(max_examples=60, deadline=None)
 @given(
     spec=st.one_of(
@@ -690,7 +691,7 @@ def assert_spectrum_matches_tuple_path(path, spec, observe, t_max, dt):
         st.builds("qecc:{}:{}".format, st.sampled_from("EXYZ"), st.integers(1, 5)),
     ),
     observe=st.integers(1, 5),
-    dt=st.floats(1e-4, 2.4e-3),
+    dt=st.floats(1e-4, 2.2e-3),
     samples=st.integers(2, 3000),
 )
 def test_spectrum_file_equals_the_tuple_path_byte_for_byte(five_spin_file, spec, observe, dt, samples):

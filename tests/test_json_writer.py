@@ -11,7 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from cws552 import code552
 from cws552.cli import _json_text
+from cws552.code552 import build_code
 
 SPECIAL = [0.0, -0.0, 5e-324, 2.5e-310, -1e-320, 1e308, -1e308, 0.1, float("nan"), float("inf"), float("-inf")]
 floats = st.floats() | st.sampled_from(SPECIAL)
@@ -70,3 +72,42 @@ def test_the_writer_rejects_what_json_rejects(doc, bad):
 def test_the_writer_takes_only_str_keys():
     with pytest.raises(TypeError, match="keys must be str"):
         _json_text({1: 0.5})
+
+
+# The values a code file holds, plus every float that spells specially: NaNs
+# with several payloads and both signs, infinities and subnormals.  Arrays
+# are gathered from POOL by index, which keeps every bit pattern.
+POOL = np.concatenate(
+    [
+        [0.0, -0.0, 1.0, -1.0, 0.7071067811865475, -0.7071067811865475, np.inf, -np.inf, 5e-324, -2.5e-310],
+        np.array([0x7FF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001, -0x0008000000000000], np.int64).view(np.float64),
+    ]
+)
+VIEWS = {
+    "as-is": lambda a: a,
+    "transposed": lambda a: a.T,
+    "reversed": lambda a: a[::-1],
+    "last-axis-reversed": lambda a: a[..., ::-1],
+    "every-other-row": lambda a: a[::2],
+    "reversed-every-third": lambda a: a[::-3],
+    "axes-swapped": lambda a: np.swapaxes(a, 0, -1),
+}
+
+
+@st.composite
+def pooled_arrays(draw):
+    """An array up to (32, 32, 2) gathered from POOL, as a drawn view of it:
+    possibly transposed, reversed or stepped, so not contiguous."""
+    side = st.integers(1, 32)
+    shape = draw(st.tuples(side) | st.tuples(side, side) | st.tuples(side, side, st.integers(1, 2)))
+    index = draw(arrays(np.intp, shape, elements=st.integers(0, len(POOL) - 1)))
+    return VIEWS[draw(st.sampled_from(sorted(VIEWS)))](POOL[index])
+
+
+@settings(max_examples=150, deadline=None)
+@given(pooled_arrays(), st.lists(pooled_arrays(), max_size=2))
+@example(code552._code_document(build_code()), [])
+def test_pooled_arrays_are_spelled_as_json_does_at_every_level(arr, others):
+    """One array at three indent levels of one document, beside others."""
+    doc = {"a": arr, "b": [arr, {"c": arr}], "others": others}
+    assert _json_text(doc) == oracle(doc)

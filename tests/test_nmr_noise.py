@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from cws552 import nmr_noise
 from cws552.code552 import build_code, decode, encode
 from cws552.error_model import ErrorSpec, error_unitary
+from cws552.experiment import INPUTS, final_state
 from cws552.nmr_noise import (
     SEGMENTS,
     NmrSystem,
@@ -19,6 +20,7 @@ from cws552.nmr_noise import (
     _damp_in_place,
     _final_knobs,
     _mask_and_transfers,
+    _spectrum_arrays,
     apply_amplitude_damping,
     apply_dephasing,
     apply_segment_noise,
@@ -899,6 +901,103 @@ def test_spectrum_rejects_a_shift_at_the_nyquist_frequency():
     """8 Hz sampled every 1/16 s sits exactly at the Nyquist frequency."""
     with pytest.raises(ValueError, match=r"^dt 0\.0625 aliases shifts up to 8\.0 Hz"):
         simulate_spectrum(PureState.basis("00").density(), two_spin_system(nu1=8.0, nu2=-2.0), 1, 1.0, 0.0625)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        pytest.param(PureState.basis("00000").density(), id="no-weight"),
+        pytest.param(PureState(5, np.full(32, 32**-0.5)).density(), id="all-16-weighted"),
+    ],
+)
+def test_spectrum_rejects_a_split_transition_at_the_nyquist_frequency(state):
+    """Spin 5's shift, 200 Hz, is below the 212.8 Hz Nyquist frequency of dt
+    2.35 ms, but its couplings split it up to 221 Hz, which would alias to
+    -204.5 Hz.  Every transition counts, weighted or not, so the verdict is
+    the same for every state; spin 1's transitions stay below 150 Hz."""
+    system = NmrSystem.placeholder_five_spin()
+    with pytest.raises(
+        ValueError,
+        match=r"^dt 0\.00235 aliases spin 5's transitions up to 22[01]\.\d+ Hz; need dt < 1/\(2 max\|transition\|\)$",
+    ):
+        simulate_spectrum(state, system, 5, 1.0, 0.00235)
+    assert len(simulate_spectrum(state, system, 1, 1.0, 0.00235)) == 426
+
+
+def transitions(system, observe):
+    """The observed spin's 2^(n-1) transitions as (upper, lower, frequency Hz)."""
+    n = system.n_spins
+    e = energies(system)
+    bit = 1 << (n - observe)
+    lower = np.array([i for i in range(2**n) if not i & bit])
+    upper = lower + bit
+    return upper, lower, -(e[upper] - e[lower]) / (2.0 * np.pi)
+
+
+def all_transitions_spectrum(state, system, observe, t_max, dt):
+    """The spectrum as a sum over every transition, weighted or not: the
+    formula of `_spectrum_arrays` before it summed only the weighted ones."""
+    upper, lower, freqs_pair = transitions(system, observe)
+    weights = 2.0 * state.matrix[upper, lower]
+    n_samples = int(round(t_max / dt))
+    times = np.arange(n_samples) * dt
+    signal = (weights[:, None] * np.exp(2j * np.pi * freqs_pair[:, None] * times[None, :])).sum(axis=0)
+    signal = signal * np.exp(-times / system.T2star[observe - 1])
+    spectrum = np.fft.fft(signal) / n_samples
+    freqs = np.fft.fftfreq(n_samples, dt)
+    order = np.argsort(freqs)
+    return freqs[order], spectrum[order]
+
+
+# A part that the drawn zero pattern leaves nonzero; floats() may still draw
+# a zero of either sign.
+PARTS = st.floats(-2.0, 2.0) | st.sampled_from([5e-324, -5e-324, 1e-310])
+
+
+@st.composite
+def spectrum_cases(draw):
+    """(state, system, observe, t_max, dt) with a density matrix whose every
+    entry is zero, real, imaginary or complex by a drawn pattern (one kind
+    for the whole matrix, or one per entry), each zero part of a drawn sign,
+    and dt below the Nyquist limit of every shift and transition."""
+    system = draw(nmr_systems())
+    n = system.n_spins
+    observe = draw(st.integers(1, n))
+    dim = 2**n
+    kinds = draw(
+        st.integers(0, 3).map(lambda k: np.full((dim, dim), k))
+        | arrays(np.int8, (dim, dim), elements=st.integers(0, 3))
+    )
+    nonzero = np.stack([kinds & 1 > 0, kinds & 2 > 0], axis=-1)
+    zeros = np.where(draw(arrays(np.bool_, (dim, dim, 2))), -0.0, 0.0)
+    parts = np.where(nonzero, draw(arrays(np.float64, (dim, dim, 2), elements=PARTS)), zeros)
+    # The view keeps every part's bits, zero signs included.
+    state = MixedState(n, np.ascontiguousarray(parts).view(np.complex128)[..., 0])
+    peak = max(np.max(np.abs(system.nu)), np.max(np.abs(transitions(system, observe)[2])), 1e-3)
+    dt = draw(st.floats(0.05, 0.99)) * 0.5 / peak
+    return state, system, observe, draw(st.integers(2, 300)) * dt, dt
+
+
+def with_qecc_examples(test):
+    """The 15 qecc: states, input k = 2 decoded after each exact Pauli error,
+    on each spin of the placeholder system, as examples of `test`."""
+    code, system = build_code(), NmrSystem.placeholder_five_spin()
+    for label in "XYZ":
+        for location in range(1, 6):
+            state = final_state(code, INPUTS[2].register, ErrorSpec.pauli(location, label))
+            for spin in range(1, 6):
+                test = example((state, system, spin, 4.0, 1e-3))(test)
+    return test
+
+
+@with_qecc_examples
+@settings(max_examples=150, deadline=None)
+@given(spectrum_cases())
+def test_the_spectrum_equals_the_sum_over_every_transition_bit_for_bit(case):
+    """A zero weight adds only signed zeros, so summing the weighted
+    transitions alone leaves every byte of the frequencies and amplitudes."""
+    for got, want in zip(_spectrum_arrays(*case), all_transitions_spectrum(*case)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_a_signal_exactly_at_the_size_cap_is_allowed(monkeypatch):
