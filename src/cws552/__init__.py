@@ -16,7 +16,7 @@ from .code552 import (
     verify_distance,
     verify_erasure_correctability,
 )
-from .error_model import ErrorSpec, PauliExpansion, error_unitary, pauli_expand
+from .error_model import ErrorSpec, error_unitary, pauli_expand
 from .nmr_noise import NmrSystem, NoiseModel, simulate_spectrum
 from .experiment import (
     Observables,
@@ -40,7 +40,6 @@ __all__ = [
     "NmrSystem",
     "NoiseModel",
     "Observables",
-    "PauliExpansion",
     "PureState",
     "SweepResult",
     "SYNDROME_MAP",

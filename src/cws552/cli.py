@@ -50,9 +50,13 @@ def _flag(name: str) -> str:
 
 
 def _read_json(path: str):
-    """The JSON document at `path`; every JSON input is read here."""
+    """The JSON document at `path`; every JSON input is read here.  A document
+    nested deeper than json's decoder recurses fails as a ValueError."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 _CONSTANTS = {None: "null", True: "true", False: "false"}
@@ -279,7 +283,7 @@ def _state_from_spec(spec: str, n_spins: int) -> MixedState:
             raise ValueError(f"--state {spec!r}: location {location!r} must be a qubit label in decimal digits")
         if n_spins != 5:
             raise ValueError("qecc state specs need a five-spin system")
-        return experiment.final_state(build_code(), experiment.INPUTS[2].register, ErrorSpec.pauli(int(location), label))
+        return experiment.final_state(build_code(), experiment.INPUTS[2], ErrorSpec.pauli(int(location), label))
     if len(spec) != n_spins or set(spec) - set(_SINGLE_STATES):
         raise ValueError(f"state spec must be {n_spins} chars over 0/1/+/- or qecc:LABEL:LOC, got {spec!r}")
     amps = np.array([1.0 + 0j])
@@ -369,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _read_json(args.config) if args.config is not None else {}
         return command.run(_resolve(command.options, args, config))
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

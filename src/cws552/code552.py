@@ -52,7 +52,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .statevec import PureState, _axes_for, _frozen, _pauli_action, _prove_unitary
+from .statevec import _REAL, PureState, _axes_for, _check_numbers, _frozen, _pauli_action, _prove_unitary
 
 N_QUBITS = 5
 DIMENSION = 5
@@ -350,9 +350,6 @@ def _complex_to_pairs(arr: np.ndarray) -> np.ndarray:
     return np.stack([arr.real, arr.imag], axis=-1)
 
 
-_REAL = (int, float, np.integer, np.floating)
-
-
 def _reals(name: str, values, sign: str = "", ndim: int = 1) -> np.ndarray:
     """`values` as an `ndim`-dimensional float array: the one check on the
     numbers of errors, noise models, spin systems and code files.  Entries
@@ -364,10 +361,8 @@ def _reals(name: str, values, sign: str = "", ndim: int = 1) -> np.ndarray:
     arr = values if floats else np.asarray(values, dtype=object)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be a {ndim}-dimensional array of real numbers, got shape {arr.shape}")
-    # Checking the distinct entry types is quicker than checking every entry.
-    if not floats and not all(issubclass(t, _REAL) and t is not bool for t in {type(v) for v in arr.flat}):
-        bad = next(v for v in arr.flat if isinstance(v, bool) or not isinstance(v, _REAL))
-        raise ValueError(f"{name} must be real numbers, got {bad!r}")
+    if not floats:
+        _check_numbers(name, arr, _REAL, "real")
     arr = arr.astype(float)
     # Counting is quicker than .all() on the short arrays most callers pass.
     if np.count_nonzero(np.isfinite(arr)) != arr.size:

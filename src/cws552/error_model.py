@@ -63,19 +63,6 @@ class ErrorSpec:
         raise ValueError(f"label must be one of E, X, Y, Z, got {label!r}")
 
 
-@dataclass(frozen=True)
-class PauliExpansion:
-    """Branch coefficients of an error over (E, X, Z, Y), in syndrome order."""
-
-    c00: complex
-    c01: complex
-    c10: complex
-    c11: complex
-
-    def coefficients(self) -> np.ndarray:
-        return np.array([self.c00, self.c01, self.c10, self.c11], dtype=complex)
-
-
 def error_unitary(spec: ErrorSpec) -> np.ndarray:
     """2x2 unitary exp(i alpha) * exp(-i theta/2 axis.sigma)."""
     nx, ny, nz = spec.axis
@@ -95,14 +82,15 @@ def _branch_coefficients(alpha: float, theta, axis) -> np.ndarray:
     )
 
 
-def pauli_expand(spec: ErrorSpec) -> PauliExpansion:
-    """Closed-form branch coefficients; always satisfies sum |c|^2 = 1."""
-    return PauliExpansion(*_branch_coefficients(spec.alpha, spec.theta, spec.axis))
+def pauli_expand(spec: ErrorSpec) -> np.ndarray:
+    """Closed-form branch coefficients (c00, c01, c10, c11) over (E, X, Z, Y),
+    in syndrome order, shape (4,); always satisfies sum |c|^2 = 1."""
+    return _branch_coefficients(spec.alpha, spec.theta, spec.axis)
 
 
 def typed_expansions(kind: str, thetas) -> np.ndarray:
-    """pauli_expand(ErrorSpec.typed(_, kind, theta)).coefficients() for every
-    angle at once; shape (len(thetas), 4)."""
+    """pauli_expand(ErrorSpec.typed(_, kind, theta)) for every angle at once;
+    shape (len(thetas), 4)."""
     if kind not in AXIS_BY_TYPE:
         raise ValueError(f"kind must be one of {sorted(AXIS_BY_TYPE)}, got {kind!r}")
     return _branch_coefficients(0.0, thetas, AXIS_BY_TYPE[kind])

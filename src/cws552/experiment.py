@@ -40,7 +40,9 @@ from .statevec import PAULI_BY_LABEL, GateOp, MixedState, PureState, _axes_for, 
 
 ERROR_TYPES = tuple(AXIS_BY_TYPE)
 SETTING_A_PAULIS = ("E", "Z", "X", "Y")
-INPUT_KS = (1, 2, 3)
+# Each input k's pair: the register basis indices with coherent spin 0 / 1.
+INPUT_PAIRS = {1: (0, 4), 2: (2, 3), 3: (0, 1)}
+INPUT_KS = tuple(INPUT_PAIRS)
 # The (error_type, input_k) combos each sweep setting averages over.
 SWEEP_COMBOS = {
     "B": tuple((error_type, 2) for error_type in ERROR_TYPES),
@@ -55,20 +57,8 @@ _TYPE_AXIS_ATOL = 1e-9
 GRID_SIZE_CAP = 10**4
 
 
-@dataclass(frozen=True)
-class InputProfile:
-    """One protocol input: register state plus the basis pair carrying its coherence."""
-
-    k: int
-    register: PureState
-    pair: tuple[int, int]  # register basis indices with coherent spin 0 / 1
-
-
-# Each input is the equal superposition of its pair.
-INPUTS = {
-    k: InputProfile(k, PureState(3, np.isin(np.arange(8), pair) / np.sqrt(2.0)), pair)
-    for k, pair in {1: (0, 4), 2: (2, 3), 3: (0, 1)}.items()
-}
+# Each input's register state: the equal superposition of its pair.
+INPUTS = {k: PureState(3, np.isin(np.arange(8), pair) / np.sqrt(2.0)) for k, pair in INPUT_PAIRS.items()}
 
 
 @dataclass(frozen=True)
@@ -106,13 +96,13 @@ def final_state(
     return decode(code, psi, error.location).density()
 
 
-def _branch_coherence(state: MixedState, profile: InputProfile, label: str) -> complex:
-    """Coherent-spin off-diagonal element in one syndrome branch.
+def _branch_coherence(state: MixedState, input_k: int, label: str) -> complex:
+    """Coherent-spin off-diagonal element of input k in one syndrome branch.
 
     Normalized by the input coherence (which is 1/2), so the noiseless value
     for the populated branch is |branch coefficient|^2.
     """
-    r0, r1 = profile.pair
+    r0, r1 = INPUT_PAIRS[input_k]
     return 2.0 * complex(state.matrix[_branch_target_index(label, r1), _branch_target_index(label, r0)])
 
 
@@ -128,17 +118,16 @@ def run_point(
     axis's syndrome branch; for a generic axis the three error branches are
     summed before taking real part and modulus.
     """
-    if not _is_int(input_k) or input_k not in INPUTS:
-        raise ValueError(f"input_k must be one of {sorted(INPUTS)}, got {input_k!r}")
-    profile = INPUTS[input_k]
-    state = final_state(code, profile.register, error, noise)
+    if not _is_int(input_k) or input_k not in INPUT_PAIRS:
+        raise ValueError(f"input_k must be one of {sorted(INPUT_PAIRS)}, got {input_k!r}")
+    state = final_state(code, INPUTS[input_k], error, noise)
 
-    z0 = _branch_coherence(state, profile, "E")
+    z0 = _branch_coherence(state, input_k, "E")
     kind = _error_type_of(error)
     if kind is not None:
-        z1 = _branch_coherence(state, profile, kind)
+        z1 = _branch_coherence(state, input_k, kind)
     else:
-        z1 = sum(_branch_coherence(state, profile, lab) for lab in ERROR_TYPES)
+        z1 = sum(_branch_coherence(state, input_k, lab) for lab in ERROR_TYPES)
     return Observables(
         a0=float(np.real(z0)),
         a1=float(np.real(z1)),
@@ -176,13 +165,13 @@ def run_setting_a(code: CodeSpec, noise: NoiseModel | None = None) -> list[Setti
     # syndrome branches in BRANCH_LABELS order (bits 00, 01, 10, 11), then the
     # fidelity <v|register|v> with the input v.  branches[r] lists the basis
     # indices of branch r, one per register string.
-    v = INPUTS[2].register.amplitudes
+    v = INPUTS[2].amplitudes
     branches = np.array([_branch_target_index(label, np.arange(len(v))) for label in BRANCH_LABELS])
     readouts = np.zeros((5, 2**code.n, 2**code.n), dtype=complex)
     readouts[np.arange(4)[:, None], branches, branches] = 1.0
     readouts[4, branches[:, :, None], branches[:, None, :]] = np.outer(v.conj(), v)
     maps = _transfer_maps(code, readouts, [2], noise)
-    pairs = _pair_rows(np.array([pauli_expand(ErrorSpec.pauli(1, label)).coefficients() for label in SETTING_A_PAULIS]))
+    pairs = _pair_rows(np.array([pauli_expand(ErrorSpec.pauli(1, label)) for label in SETTING_A_PAULIS]))
     rows = []
     for location in range(1, code.n + 1):
         values = (pairs @ maps[location - 1].T).real
@@ -283,8 +272,6 @@ class SweepResult:
 def _fit_arrays(*arrays: Sequence[float]) -> list[np.ndarray]:
     """The inputs of a fit as float arrays: one-dimensional, real numbers
     (not bools or strings), finite and equally long."""
-    if any(np.asarray(a, dtype=object).ndim != 1 for a in arrays):
-        raise ValueError("fit inputs must be one-dimensional")
     out = [_reals("fit inputs", a) for a in arrays]
     if len({a.size for a in out}) > 1:
         raise ValueError(f"fit inputs differ in length: {[a.size for a in out]}")
@@ -430,7 +417,7 @@ def _transfer_maps(code: CodeSpec, readouts: np.ndarray, input_ks: Sequence[int]
         # In place: a second buffer of the stack's size (0.5 MB for setting C)
         # and its release each sweep cost the allocator hundreds of page faults.
         weights = segment_noise_adjoint(weights, noise, "error", out=weights)
-    psis = [encode(code, INPUTS[k].register).amplitudes for k in input_ks]
+    psis = [encode(code, INPUTS[k]).amplitudes for k in input_ks]
     rhos = np.stack([np.outer(psi, psi.conj()) for psi in psis])
     if noise is not None:
         rhos = apply_segment_noise(rhos, noise, "encode")
@@ -454,8 +441,6 @@ def _transfer_map(weights: np.ndarray, rhos: np.ndarray, location: int) -> np.nd
     shape (I L, 16), one row per readout.
     """
     inputs, n = len(rhos), rhos.shape[-1].bit_length() - 1
-    if len(weights) % inputs:
-        raise ValueError(f"{len(weights)} readouts do not split evenly over {inputs} inputs")
     # m[i, l, p, q, k, l']: readout l of input i paired with rho i, where the
     # error qubit's ket/bra index is (p, q) on the weights side and (k, l')
     # on rho's.  Each item of both stacked products is one input's product.
@@ -486,7 +471,7 @@ def _coherence_readouts(code: CodeSpec, readouts: Sequence[tuple[int, str]]) -> 
     coherence in that branch, normalized by the input coherence (which is 1/2)."""
     stack = np.zeros((len(readouts), 2**code.n, 2**code.n), dtype=complex)
     for r, (input_k, label) in enumerate(readouts):
-        r0, r1 = INPUTS[input_k].pair
+        r0, r1 = INPUT_PAIRS[input_k]
         stack[r, _branch_target_index(label, r1), _branch_target_index(label, r0)] = 2.0
     return stack
 

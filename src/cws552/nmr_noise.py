@@ -32,9 +32,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .code552 import _REAL, N_QUBITS, CodeSpec, _check_keys, _reals, encode
+from .code552 import N_QUBITS, CodeSpec, _check_keys, _reals, encode
 from .error_model import ErrorSpec, error_unitary
-from .statevec import GateOp, MixedState, PureState, _axes_for, _spin_signs, apply_gate_mixed, apply_matrix_mixed
+from .statevec import _REAL, GateOp, MixedState, PureState, _axes_for, _spin_signs, apply_gate_mixed, apply_matrix_mixed
 
 SEGMENTS = ("encode", "error", "decode")
 
@@ -388,11 +388,14 @@ def _spectrum_arrays(
             f"dt {dt} aliases shifts up to {np.max(np.abs(system.nu))} Hz; need dt < 1/(2 max|nu|)"
         )
 
-    e = energies(system)
     bit = 1 << (n - 1 - axis)
     lower = np.array([i for i in range(2**n) if not i & bit])
     upper = lower + bit
-    freqs_pair = -(e[upper] - e[lower]) / (2.0 * np.pi)
+    # Huge couplings may overflow the energies to inf and their differences
+    # to inf or NaN; the alias check below rejects those without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = energies(system)
+        freqs_pair = -(e[upper] - e[lower]) / (2.0 * np.pi)
     # Every transition counts, weighted or not, so the verdict does not
     # depend on the state; `not <` also rejects a NaN frequency.
     peak = np.max(np.abs(freqs_pair))
@@ -421,7 +424,9 @@ def _spectrum_arrays(
     # leaves every bit of the sum.
     keep = np.flatnonzero(weights)
     signal = (weights[keep, None] * np.exp(2j * np.pi * freqs_pair[keep, None] * times[None, :])).sum(axis=0)
-    signal = signal * np.exp(-times / system.T2star[axis])
+    # t/T2* may overflow to inf; exp(-inf) = 0 is exact.
+    with np.errstate(over="ignore"):
+        signal = signal * np.exp(-times / system.T2star[axis])
 
     spectrum = np.fft.fft(signal) / n_samples
     freqs = np.fft.fftfreq(n_samples, dt)

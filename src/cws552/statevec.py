@@ -28,6 +28,11 @@ Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 PAULI_BY_LABEL = {"E": E2, "X": X, "Y": Y, "Z": Z}
 
+# The number types that checked inputs accept: reals for `code552._reals`,
+# and complex numbers too for `_frozen`.
+_REAL = (int, float, np.integer, np.floating)
+_NUMBER = (*_REAL, complex, np.complexfloating)
+
 
 @dataclass(frozen=True)
 class PureState:
@@ -63,9 +68,6 @@ class MixedState:
         dim = _dimension(self.n_qubits)
         object.__setattr__(self, "matrix", _frozen("density matrix", self.matrix, (dim, dim)))
 
-    def populations(self) -> np.ndarray:
-        return np.real(np.diag(self.matrix)).copy()
-
 
 @dataclass(frozen=True)
 class GateOp:
@@ -94,8 +96,13 @@ class GateOp:
 
 def _frozen(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
     """`value` as a finite, read-only complex copy of `shape`: the one check
-    on the arrays of states, gates and codes.  Being a copy, it cannot change
-    after the check, and later writes to `value` do not reach it."""
+    on the arrays of states, gates and codes.  Entries are numbers, not bools
+    or strings.  Being a copy, it cannot change after the check, and later
+    writes to `value` do not reach it."""
+    # An array of numbers holds no bools or strings: it skips the type walk.
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "iufc"):
+        value = np.asarray(value, dtype=object)
+        _check_numbers(name, value, _NUMBER, "complex")
     arr = np.array(value, dtype=complex, order="C")
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got shape {arr.shape}")
@@ -103,6 +110,15 @@ def _frozen(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
         raise ValueError(f"{name} has non-finite entries")
     arr.flags.writeable = False
     return arr
+
+
+def _check_numbers(name: str, entries: np.ndarray, types: tuple, kind: str) -> None:
+    """The one type rule on numbers from outside: every entry of the object
+    array `entries` is one of `types` and not a bool, which is an int."""
+    # Checking the distinct entry types is quicker than checking every entry.
+    if not all(issubclass(t, types) and t is not bool for t in {type(v) for v in entries.flat}):
+        bad = next(v for v in entries.flat if isinstance(v, bool) or not isinstance(v, types))
+        raise ValueError(f"{name} must be {kind} numbers, got {bad!r}")
 
 
 def _prove_unitary(mats: np.ndarray, prefixes: Sequence[str] = ("",)) -> None:

@@ -116,7 +116,7 @@ def test_criterion_2_error_correction_round_trip(code):
             out = decode(code, psi, spec.location)
             block = out.amplitudes.reshape(2, 8, 2)
             syn = np.einsum("r,jrl->jl", reg.amplitudes.conj(), block).reshape(4)
-            expected = pauli_expand(spec).coefficients()
+            expected = pauli_expand(spec)
             inner = np.vdot(expected, syn)
             phase = inner / abs(inner)
             assert np.max(np.abs(syn - phase * expected)) <= 1e-10

@@ -409,6 +409,27 @@ def test_a_failed_sweep_creates_no_output_directory(tmp_path, capsys, noise_doc,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option", ["code", "config", "noise", "system"])
+def test_a_json_input_nested_too_deeply_exits_with_an_error_naming_the_file(tmp_path, capsys, option):
+    """json's decoder recurses once per bracket.  A 3 kB file of 1500 nested
+    lists already exceeds its limit on CPython 3.11; 10^5 leave a margin for
+    versions whose limit is higher.  The command prints one error line and
+    writes nothing."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 10**5 + "]" * 10**5)
+    out = tmp_path / "out"
+    argv = {
+        "code": ["verify", "--code", str(deep)],
+        "config": ["--config", str(deep), "sweep", "--setting", "A", "--out", str(out)],
+        "noise": ["sweep", "--setting", "B", "--noise", str(deep), "--out", str(out)],
+        "system": ["spectrum", "--system", str(deep), "--state", "00000", "--out", str(out)],
+    }[option]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {deep}: JSON nested too deeply to read\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [

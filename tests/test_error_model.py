@@ -64,35 +64,35 @@ def test_expansion_reconstructs_unitary():
     for _ in range(100):
         spec = random_spec(rng)
         c = pauli_expand(spec)
-        rebuilt = c.c00 * E2 + c.c01 * X + c.c10 * Z + c.c11 * Y
+        rebuilt = c[0] * E2 + c[1] * X + c[2] * Z + c[3] * Y
         np.testing.assert_allclose(rebuilt, error_unitary(spec), atol=1e-12)
 
 
 def test_expansion_is_normalized():
     rng = np.random.default_rng(107)
     for _ in range(100):
-        coeffs = pauli_expand(random_spec(rng)).coefficients()
+        coeffs = pauli_expand(random_spec(rng))
         assert abs(np.sum(np.abs(coeffs) ** 2) - 1.0) < 1e-12
 
 
 def test_z_quarter_turn_coefficients():
     spec = ErrorSpec.typed(1, "Z", np.pi / 2)
     c = pauli_expand(spec)
-    np.testing.assert_allclose(c.c00, np.cos(np.pi / 4), atol=1e-15)
-    np.testing.assert_allclose(c.c10, -1j * np.sin(np.pi / 4), atol=1e-15)
-    assert abs(c.c01) < 1e-15 and abs(c.c11) < 1e-15
+    np.testing.assert_allclose(c[0], np.cos(np.pi / 4), atol=1e-15)
+    np.testing.assert_allclose(c[2], -1j * np.sin(np.pi / 4), atol=1e-15)
+    assert abs(c[1]) < 1e-15 and abs(c[3]) < 1e-15
 
 
 def test_identity_coefficients():
     c = pauli_expand(ErrorSpec(2, 0.0, 0.0, (0.0, 1.0, 0.0)))
-    np.testing.assert_allclose(c.coefficients(), [1, 0, 0, 0], atol=1e-15)
+    np.testing.assert_allclose(c, [1, 0, 0, 0], atol=1e-15)
 
 
 def test_predicted_syndrome_layout():
-    """coefficients() are the syndrome amplitudes on |00>, |01>, |10>, |11>:
+    """The coefficients are the syndrome amplitudes on |00>, |01>, |10>, |11>:
     a Y rotation lands in the last slot."""
     theta = 1.1
-    coeffs = pauli_expand(ErrorSpec.typed(3, "Y", theta)).coefficients()
+    coeffs = pauli_expand(ErrorSpec.typed(3, "Y", theta))
     expected = np.array([np.cos(theta / 2), 0.0, 0.0, -1j * np.sin(theta / 2)])
     np.testing.assert_allclose(coeffs, expected, atol=1e-15)
     assert abs(np.linalg.norm(coeffs) - 1.0) < 1e-12
@@ -113,7 +113,7 @@ def test_an_axis_inside_the_norm_tolerance_runs_everywhere(axis, offset):
     spec = ErrorSpec(3, 0.4, np.pi, tuple(unit * (1.0 + offset)))
     run_point(build_code(), 2, spec)
     run_point(build_code(), 2, spec, NoiseModel.default())
-    assert abs(np.sum(np.abs(pauli_expand(spec).coefficients()) ** 2) - 1.0) < 1e-15
+    assert abs(np.sum(np.abs(pauli_expand(spec)) ** 2) - 1.0) < 1e-15
     assert abs(np.linalg.norm(spec.axis) - 1.0) < 1e-15
 
 
@@ -156,7 +156,7 @@ def test_typed_expansions_match_pauli_expand():
         stack = typed_expansions(kind, thetas)
         assert stack.shape == (7, 4)
         for theta, coeffs in zip(thetas, stack):
-            np.testing.assert_array_equal(coeffs, pauli_expand(ErrorSpec.typed(1, kind, float(theta))).coefficients())
+            np.testing.assert_array_equal(coeffs, pauli_expand(ErrorSpec.typed(1, kind, float(theta))))
     with pytest.raises(ValueError):
         typed_expansions("Q", thetas)
 

@@ -14,6 +14,8 @@ from cws552 import code552, experiment
 from cws552.code552 import REGISTER_QUBITS, SYNDROME_MAP, build_code
 from cws552.error_model import ErrorSpec
 from cws552.experiment import (
+    INPUT_KS,
+    INPUT_PAIRS,
     INPUTS,
     SETTING_A_CSV_COLUMNS,
     SETTING_A_PAULIS,
@@ -46,12 +48,12 @@ def closed_form_theta(obs):
 
 
 def test_input_profiles_are_normalized_superpositions():
-    for k, profile in INPUTS.items():
-        assert profile.k == k
-        assert abs(np.linalg.norm(profile.register.amplitudes) - 1.0) < 1e-12
-        lo, hi = profile.pair
-        assert abs(profile.register.amplitudes[lo] - 1 / math.sqrt(2)) < 1e-12
-        assert abs(profile.register.amplitudes[hi] - 1 / math.sqrt(2)) < 1e-12
+    assert tuple(INPUTS) == tuple(INPUT_PAIRS) == INPUT_KS == (1, 2, 3)
+    for k, (lo, hi) in INPUT_PAIRS.items():
+        amps = INPUTS[k].amplitudes
+        assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
+        assert abs(amps[lo] - 1 / math.sqrt(2)) < 1e-12
+        assert abs(amps[hi] - 1 / math.sqrt(2)) < 1e-12
 
 
 def test_run_point_no_error(code):
@@ -160,7 +162,7 @@ def test_run_point_validation(code):
 @pytest.mark.parametrize("noise", [None, NoiseModel.default()], ids=["noiseless", "noisy"])
 def test_final_state_rejects_a_location_outside_the_code(code, noise):
     with pytest.raises(ValueError, match="location 6"):
-        final_state(code, INPUTS[2].register, ErrorSpec.pauli(6, "X"), noise)
+        final_state(code, INPUTS[2], ErrorSpec.pauli(6, "X"), noise)
 
 
 def test_setting_a_noiseless_all_match(code):
@@ -184,12 +186,12 @@ def test_setting_a_under_default_noise_still_resolves_branches(code):
 def setting_a_oracle(code, noise):
     """Setting A row by row: final_state, then populations, partial_trace,
     fidelity_with_pure and argmax on each run's own density matrix."""
-    register = INPUTS[2].register
+    register = INPUTS[2]
     rows = []
     for location in range(1, code.n + 1):
         for label in SETTING_A_PAULIS:
             state = final_state(code, register, ErrorSpec.pauli(location, label), noise)
-            pops = state.populations().reshape(2, 8, 2).sum(axis=1)
+            pops = np.diag(state.matrix).real.reshape(2, 8, 2).sum(axis=1)
             j, l = np.unravel_index(int(np.argmax(pops)), pops.shape)
             fidelity = fidelity_with_pure(partial_trace(state, REGISTER_QUBITS), register)
             rows.append((location, label, SYNDROME_MAP[label], f"{j}{l}", float(pops[j, l]), fidelity))
@@ -236,8 +238,8 @@ def test_a_code_is_proved_when_it_is_built_and_by_no_simulation(monkeypatch):
     run_setting_a(fresh)
     for noise in (None, NoiseModel.default()):
         run_point(fresh, 2, ErrorSpec.pauli(3, "X"), noise)
-        final_state(fresh, INPUTS[2].register, ErrorSpec.typed(1, "Y", 0.7), noise)
-    run_noisy_qecc(fresh, INPUTS[2].register, ErrorSpec.typed(1, "Y", 0.7), NoiseModel.default())
+        final_state(fresh, INPUTS[2], ErrorSpec.typed(1, "Y", 0.7), noise)
+    run_noisy_qecc(fresh, INPUTS[2], ErrorSpec.typed(1, "Y", 0.7), NoiseModel.default())
     assert len(calls) == 1
     assert set(vars(fresh)) == {"codewords", "encoder", "decoders"}
     dataclasses.replace(fresh)
@@ -400,9 +402,9 @@ FITS = {"fit_scale": fit_scale, "fit_line": fit_line, "fit_constant": lambda _, 
 
 @pytest.mark.parametrize("fit", sorted(FITS))
 def test_fits_reject_inputs_that_are_not_one_dimensional(fit):
-    with pytest.raises(ValueError, match="one-dimensional"):
+    with pytest.raises(ValueError, match="1-dimensional"):
         FITS[fit](np.ones(4), np.ones((2, 2)))
-    with pytest.raises(ValueError, match="one-dimensional"):
+    with pytest.raises(ValueError, match="1-dimensional"):
         FITS[fit](np.ones(1), np.float64(1.0))
 
 

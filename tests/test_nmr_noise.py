@@ -239,7 +239,7 @@ class TestDephasing:
         rho = random_density(rng, 3)
         out = apply_dephasing(rho, 2, 0.8)
         assert abs(np.trace(out.matrix) - 1.0) < 1e-12
-        np.testing.assert_allclose(out.populations(), rho.populations(), atol=1e-14)
+        np.testing.assert_allclose(np.diag(out.matrix).real, np.diag(rho.matrix).real, atol=1e-14)
 
     def test_commutes_with_z_rotation(self):
         rng = np.random.default_rng(13)
@@ -292,7 +292,7 @@ class TestAuxiliaryChannels:
     def test_amplitude_damping_moves_population_down(self):
         one = PureState.basis("1").density()
         out = apply_amplitude_damping(one, 1, 0.3)
-        np.testing.assert_allclose(out.populations(), [0.3, 0.7], atol=1e-15)
+        np.testing.assert_allclose(np.diag(out.matrix).real, [0.3, 0.7], atol=1e-15)
 
     def test_amplitude_damping_shrinks_coherence_by_sqrt(self):
         plus = PureState(1, np.array([1.0, 1.0]) / np.sqrt(2)).density()
@@ -924,6 +924,41 @@ def test_spectrum_rejects_a_split_transition_at_the_nyquist_frequency(state):
     assert len(simulate_spectrum(state, system, 1, 1.0, 0.00235)) == 426
 
 
+def _five_spins_with_couplings(couplings):
+    system = NmrSystem.placeholder_five_spin()
+    j = system.J.copy()
+    for a, b in couplings:
+        j[a - 1, b - 1] = j[b - 1, a - 1] = 1e308
+    return dataclasses.replace(system, J=j)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "couplings, observe, peak",
+    [
+        pytest.param([(1, 2)], 1, "inf", id="transition-overflows"),
+        pytest.param([(1, 2), (1, 3)], 1, "inf", id="energies-overflow"),
+        pytest.param([(1, 2), (1, 3)], 4, "nan", id="energies-overflow-to-a-nan-transition"),
+    ],
+)
+def test_spectrum_rejects_couplings_that_overflow_without_a_warning(couplings, observe, peak):
+    """J = 1e308 Hz overflows the transition frequencies, or the energies
+    themselves, to inf and inf - inf to NaN; the alias check names the peak."""
+    with pytest.raises(ValueError, match=rf"^dt 0\.001 aliases spin {observe}'s transitions up to {peak} Hz"):
+        simulate_spectrum(PureState.basis("00000").density(), _five_spins_with_couplings(couplings), observe, 1.0, 1e-3)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_t2star_so_short_that_t_over_t2star_overflows_decays_the_signal_without_a_warning():
+    """With T2* = 5e-324 s every sample after t = 0 decays by exp(-inf) = 0,
+    so the spectrum is flat at the first sample's signal over the sample
+    count: 1 / 1000 for the uniform state, whose 16 weights are 1/16 each."""
+    system = dataclasses.replace(NmrSystem.placeholder_five_spin(), T2star=np.full(5, 5e-324))
+    freqs, amps = _spectrum_arrays(PureState(5, np.full(32, 32**-0.5)).density(), system, 4, 1.0, 1e-3)
+    assert len(freqs) == 1000
+    np.testing.assert_allclose(amps, 1e-3, rtol=1e-12, atol=0)
+
+
 def transitions(system, observe):
     """The observed spin's 2^(n-1) transitions as (upper, lower, frequency Hz)."""
     n = system.n_spins
@@ -984,7 +1019,7 @@ def with_qecc_examples(test):
     code, system = build_code(), NmrSystem.placeholder_five_spin()
     for label in "XYZ":
         for location in range(1, 6):
-            state = final_state(code, INPUTS[2].register, ErrorSpec.pauli(location, label))
+            state = final_state(code, INPUTS[2], ErrorSpec.pauli(location, label))
             for spin in range(1, 6):
                 test = example((state, system, spin, 4.0, 1e-3))(test)
     return test

@@ -1,4 +1,6 @@
 """Tests for the dense simulator kernels."""
+import dataclasses
+import re
 from itertools import product
 
 import numpy as np
@@ -372,6 +374,39 @@ def test_a_state_needs_at_least_one_qubit():
 def test_a_density_matrix_must_match_its_qubit_count():
     with pytest.raises(ValueError, match=r"^density matrix must have shape \(2, 2\), got shape \(4, 4\)$"):
         MixedState(1, np.eye(4))
+
+
+def _code_of_repr_strings():
+    code = build_code()
+    return dataclasses.replace(code, codewords=[[repr(complex(x)) for x in row] for row in code.codewords])
+
+
+@pytest.mark.parametrize(
+    "build, bad",
+    [
+        pytest.param(lambda: PureState(1, ["1", "0"]), "'1'", id="state-of-strings"),
+        pytest.param(lambda: PureState(1, np.array(["1", "0"])), "'1'", id="state-of-a-string-array"),
+        pytest.param(lambda: PureState(1, np.array([True, False])), "True", id="state-of-a-bool-array"),
+        pytest.param(lambda: PureState(1, [1.0, None]), "None", id="state-with-none"),
+        pytest.param(lambda: MixedState(1, [[True, False], [False, False]]), "True", id="density-of-bools"),
+        pytest.param(lambda: GateOp.single(1, [[True, False], [False, True]]), "True", id="gate-of-bools"),
+        pytest.param(_code_of_repr_strings, "'0j'", id="code-of-repr-strings"),
+    ],
+)
+def test_arrays_of_states_gates_and_codes_refuse_bools_and_strings(build, bad):
+    """code552._reals' rule, for complex entries: a bool or a numeric string
+    is not a number, as code_from_json_dict already refuses them in a file."""
+    with pytest.raises(ValueError, match=rf" must be complex numbers, got {re.escape(bad)}$"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "amplitudes",
+    [[1, 0j], (np.float32(1.0), np.int8(0)), [np.complex64(1), 0.0], np.array([1, 0]), np.array([1, 0], dtype=object)],
+    ids=["int-and-complex", "numpy-real-scalars", "numpy-complex-scalar", "int-array", "object-array"],
+)
+def test_arrays_of_numbers_of_any_number_type_build(amplitudes):
+    assert PureState(1, amplitudes).amplitudes.tobytes() == np.array([1, 0], dtype=complex).tobytes()
 
 
 def test_fidelity_needs_equal_qubit_counts():
